@@ -68,6 +68,12 @@ class SdeModel:
     diffusion. A model whose diffusion depends on neither state nor time
     sets ``constant_diffusion`` and may return one ``(k, k)`` matrix
     regardless of batch shape.
+
+    The time is a float when one path is stepped, and an array when the
+    proposal driver steps a batch of transitions: with states
+    ``(n, J, k)`` it is ``(n, 1)``, one substep time per transition, which
+    broadcasts against ``x[..., 0]``. Time-dependent terms must therefore
+    broadcast over t as well as over the state.
     """
 
     dim: int = 0

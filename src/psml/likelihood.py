@@ -10,13 +10,23 @@ coefficient of variation, scaled by the penalty weight lambda.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import Dataset, DomainError, NumericalError, SdeModel, derive_seed, rng_stream
-from .samplers import SamplerSpec, SubPathBatch, importance_weight, propose_transition
+from .core import (
+    Dataset,
+    DomainError,
+    NumericalError,
+    SdeModel,
+    derive_seed,
+    rng_stream,
+    validate_model,
+)
+from .samplers import SamplerSpec, _path_draws, propose_transition
 
 # Per-path log-weights at or below this are treated as vanished.
 _LOG_WEIGHT_FLOOR = -700.0
@@ -59,17 +69,13 @@ class ParticleCloud:
         """n multinomial draws from the cloud; skips rng use when empty-width."""
         if self.particles.shape[1] == 0:
             return np.empty((n, 0))
-        u = rng.random(n)
+        return self._pick(rng.random(n))
+
+    def _pick(self, u: np.ndarray) -> np.ndarray:
+        """Particles at the uniforms u under the inverse weight CDF."""
         idx = np.searchsorted(np.cumsum(self.weights), u, side="right")
         idx = np.minimum(idx, self.particles.shape[0] - 1)
         return self.particles[idx]
-
-
-@dataclass(frozen=True)
-class TransitionEstimate:
-    log_density: float
-    cv: float
-    ess: float
 
 
 @dataclass(frozen=True)
@@ -139,50 +145,18 @@ def effective_sample_size(cvs: Sequence[float], n_paths: int) -> float:
     return float(n_paths / (1.0 + np.mean(cvs**2)))
 
 
-def transition_estimate(
-    model: SdeModel,
-    theta,
-    cloud: ParticleCloud,
-    start_obs,
-    y_obs,
-    t_start: float,
-    dt: float,
-    n_paths: int,
-    substeps: int,
-    sampler: SamplerSpec,
-    rng: np.random.Generator,
-):
-    """Estimate one transition density and advance the particle cloud.
+def _weight_stats(log_weights: np.ndarray, n_paths: int):
+    """Per-row log p-hat, cv, ESS and max-shifted weights of (n, J) log-weights.
 
-    Start states combine the known observed coordinates at the interval
-    start with a multinomial resample of the cloud for the unobserved
-    ones. Returns (TransitionEstimate, next cloud).
+    A row whose weights all vanished or went non-finite gets a NaN p-hat.
     """
-    k = model.dim
-    obs = list(model.observed)
-    uno = list(model.unobserved)
-    starts = np.empty((n_paths, k))
-    starts[:, obs] = np.asarray(start_obs, dtype=float)
-    starts[:, uno] = cloud.resample(n_paths, rng)
-    paths = propose_transition(
-        model, theta, starts, y_obs, t_start, dt, substeps, sampler, rng
-    )
-    _, lw = importance_weight(paths)
-    lw = np.where(np.isfinite(lw), lw, -np.inf)
-    shift = np.max(lw)
-    if not np.isfinite(shift) or shift <= _LOG_WEIGHT_FLOOR:
-        raise TransitionFailure("all importance weights vanished")
-    w = np.exp(lw - shift)
-    mean_w = w.mean()
-    log_phat = shift + math.log(mean_w)
-    cv = float(w.std(ddof=1) / mean_w)
-    ess = effective_sample_size([cv], n_paths)
-    est = TransitionEstimate(float(log_phat), cv, ess)
-    if uno:
-        next_cloud = ParticleCloud(paths.endpoints[:, uno], w / w.sum())
-    else:
-        next_cloud = ParticleCloud(np.empty((n_paths, 0)), np.full(n_paths, 1.0 / n_paths))
-    return est, next_cloud
+    lw = np.where(np.isfinite(log_weights), log_weights, -np.inf)
+    shift = lw.max(axis=-1)
+    shift = np.where(shift > _LOG_WEIGHT_FLOOR, shift, np.nan)
+    w = np.exp(lw - shift[:, None])
+    mean_w = w.mean(axis=-1)
+    cv = w.std(axis=-1, ddof=1) / mean_w
+    return shift + np.log(mean_w), cv, n_paths / (1.0 + cv**2), w
 
 
 def _as_datasets(datasets) -> list:
@@ -192,6 +166,48 @@ def _as_datasets(datasets) -> list:
     if not out:
         raise DomainError("need at least one dataset")
     return out
+
+
+# Draws of recent datasets, newest last, and a bound on their total size.
+# An entry is a pure function of its key, so sharing it cannot change a result.
+_DRAW_CACHE: OrderedDict = OrderedDict()
+_DRAW_CACHE_BYTES = 32 << 20
+_DRAW_CACHE_LOCK = threading.Lock()
+
+
+def _dataset_draws(dseed: int, n: int, n_paths: int, substeps: int, k: int, n_unobserved: int):
+    """Read-only draws of every transition of one dataset.
+
+    Transition i reads the stream (dseed, i) in the order: J resample
+    uniforms (only with unobserved coordinates), then the proposal's
+    normals. Returns arrays with a leading transition axis: uniforms
+    (n, J or 0), intermediate normals (n, substeps - 1, J, k) and endpoint
+    normals (n, J, n_unobserved). Draws never depend on theta, so a fit
+    makes them on its first evaluation and reuses them on every later one;
+    the key holds everything that fixes them, and the least recently used
+    entries go once the cache outgrows its byte bound.
+    """
+    key = (dseed, n, n_paths, substeps, k, n_unobserved)
+    with _DRAW_CACHE_LOCK:
+        if key in _DRAW_CACHE:
+            _DRAW_CACHE.move_to_end(key)
+            return _DRAW_CACHE[key]
+    u = np.empty((n, n_paths if n_unobserved else 0))
+    z = np.empty((n, substeps - 1, n_paths, k))
+    z_end = np.empty((n, n_paths, n_unobserved))
+    for i in range(n):
+        rng = rng_stream(dseed, i)
+        if n_unobserved:
+            u[i] = rng.random(n_paths)
+        z[i], z_end[i] = _path_draws(rng, n_paths, substeps, k, n_unobserved)
+    draws = (u, z, z_end)
+    for a in draws:
+        a.flags.writeable = False
+    with _DRAW_CACHE_LOCK:
+        _DRAW_CACHE[key] = draws
+        while sum(a.nbytes for d in _DRAW_CACHE.values() for a in d) > _DRAW_CACHE_BYTES:
+            _DRAW_CACHE.popitem(last=False)
+    return draws
 
 
 def log_likelihood(
@@ -209,43 +225,68 @@ def log_likelihood(
     Each dataset d gets the derived seed (seed, d), and transition i of
     that dataset draws from the stream (dataset seed, i), so the joint
     value over several datasets equals the sum of single-dataset runs and
-    draws never depend on theta. on_failure selects between raising a
-    TransitionFailure and returning -inf with the partial diagnostics.
+    draws never depend on theta. With every coordinate observed, each
+    transition starts from an observation, so all transitions of a
+    dataset run as one batch; otherwise the particle cloud chains them
+    and they run one at a time. on_failure selects between raising a
+    TransitionFailure for the first failing transition and returning -inf
+    with the diagnostics of the transitions before it.
     """
     if on_failure not in ("raise", "neginf"):
         raise DomainError("on_failure must be 'raise' or 'neginf'")
+    validate_model(model)
     theta = model.validate_theta(theta)
+    obs, uno = list(model.observed), list(model.unobserved)
     total = 0.0
     diags = []
     for d_idx, ds in enumerate(_as_datasets(datasets)):
         if tuple(ds.observed) != tuple(model.observed):
             raise DomainError("dataset observed coordinates do not match the model")
-        dseed = derive_seed(seed, d_idx)
-        grid = ds.grid(substeps)
-        uno = list(model.unobserved)
-        cloud = ParticleCloud.point_mass(ds.x0[uno]) if uno else ParticleCloud(
-            np.empty((1, 0)), np.array([1.0])
+        u, z, z_end = _dataset_draws(
+            derive_seed(seed, d_idx), ds.n, n_paths, substeps, model.dim, len(uno)
         )
-        prev_obs = ds.x0[list(model.observed)]
-        for i in range(ds.n):
-            t_start, dt = grid.interval(i)
-            rng = rng_stream(dseed, i)
+        t_start = np.concatenate(([ds.t0], ds.times[:-1]))
+        prev_obs = np.concatenate((ds.x0[obs][None], ds.values[:-1]))
+        cloud = ParticleCloud.point_mass(ds.x0[uno])
+        blocks = [range(i, i + 1) for i in range(ds.n)] if uno else [range(ds.n)]
+        while blocks:
+            rows = blocks.pop(0)
+            b = slice(rows.start, rows.stop)
+            starts = np.empty((len(rows), n_paths, model.dim))
+            starts[..., obs] = prev_obs[b, None, :]
+            if uno:
+                starts[0][:, uno] = cloud._pick(u[b.start])
+            failure = TransitionFailure("all importance weights vanished")
             try:
-                est, cloud = transition_estimate(
-                    model, theta, cloud, prev_obs, ds.values[i], t_start, dt,
-                    n_paths, substeps, sampler, rng,
-                )
-            except (TransitionFailure, NumericalError) as exc:
-                if on_failure == "raise":
-                    raise TransitionFailure(
-                        f"transition {i} of dataset {d_idx} failed: {exc}",
-                        dataset_index=d_idx,
-                        index=i,
-                    ) from exc
-                return LikelihoodResult(-math.inf, diags, failed=True)
-            diags.append(TransitionDiag(d_idx, i, est.log_density, est.cv, est.ess))
-            total += est.log_density
-            prev_obs = ds.values[i]
+                # rows after a failing one still run in a batch; keep them quiet
+                with np.errstate(all="ignore"):
+                    paths = propose_transition(
+                        model, theta, starts, ds.values[b], t_start[b],
+                        ds.times[b] - t_start[b], substeps, sampler, (z[b], z_end[b]),
+                    )
+                    log_phat, cv, ess, w = _weight_stats(
+                        paths.log_target - paths.log_proposal, n_paths
+                    )
+            except NumericalError as exc:
+                if len(rows) > 1:  # rerun one at a time to find the failing row
+                    blocks[:0] = [range(i, i + 1) for i in rows]
+                    continue
+                log_phat, failure = [math.nan], exc
+            for j, i in enumerate(rows):
+                if math.isnan(log_phat[j]):
+                    if on_failure == "raise":
+                        raise TransitionFailure(
+                            f"transition {i} of dataset {d_idx} failed: {failure}",
+                            dataset_index=d_idx,
+                            index=i,
+                        ) from failure
+                    return LikelihoodResult(-math.inf, diags, failed=True)
+                diags.append(TransitionDiag(
+                    d_idx, i, float(log_phat[j]), float(cv[j]), float(ess[j])
+                ))
+                total += float(log_phat[j])
+            if uno:
+                cloud = ParticleCloud(paths.endpoints[0][:, uno], w[0] / w[0].sum())
     return LikelihoodResult(float(total), diags)
 
 

@@ -16,6 +16,7 @@ from .core import (
     DomainError,
     SdeModel,
     matrix_sqrt,
+    validate_model,
 )
 
 
@@ -144,9 +145,9 @@ class StepFunction:
         return cls(np.array([0.0]), np.array([float(value)]))
 
     def __call__(self, t):
+        # searchsorted never passes times.size, so only the lower end needs a bound
         idx = np.searchsorted(self.times, t, side="right") - 1
-        idx = np.clip(idx, 0, self.times.size - 1)
-        return self.values[idx]
+        return self.values[np.maximum(idx, 0)]
 
 
 def cwd_sigma(s_count, i_count, beta, mu, a, m):
@@ -252,26 +253,25 @@ def r0_estimate(beta, mu, m, n0, draws=None, alpha: float = 0.05) -> R0Estimate:
 
 
 def make_model(name: str, **kwargs) -> SdeModel:
-    """Construct a model by its CLI name."""
+    """Construct a model by its CLI name, checked by validate_model."""
     if name == "ou":
-        if kwargs:
-            raise DomainError(f"unknown model arguments {sorted(kwargs)}")
-        return OuModel()
-    if name == "lorenz63":
-        if kwargs:
-            raise DomainError(f"unknown model arguments {sorted(kwargs)}")
-        return Lorenz63Model()
-    if name == "cwd-direct":
+        model = OuModel()
+    elif name == "lorenz63":
+        model = Lorenz63Model()
+    elif name == "cwd-direct":
         additions = kwargs.pop("additions", 10.0)
         if isinstance(additions, dict):
             additions = StepFunction(tuple(additions["times"]), tuple(additions["values"]))
         elif not isinstance(additions, StepFunction):
             additions = StepFunction.constant(float(additions))
         m = float(kwargs.pop("natural_mortality", 0.15))
-        if kwargs:
-            raise DomainError(f"unknown model arguments {sorted(kwargs)}")
-        return CwdDirectModel(additions=additions, natural_mortality=m)
-    raise DomainError(f"unknown model {name!r}")
+        model = CwdDirectModel(additions=additions, natural_mortality=m)
+    else:
+        raise DomainError(f"unknown model {name!r}")
+    if kwargs:
+        raise DomainError(f"unknown model arguments {sorted(kwargs)}")
+    validate_model(model)
+    return model
 
 
 MODEL_NAMES = ("ou", "lorenz63", "cwd-direct")

@@ -6,7 +6,11 @@ a convex blend of the two with a shrinking mixing matrix (regularized),
 and the bridge with its covariance scaled by a free factor (aux-mbb).
 Every proposal returns the log-density of the simulated sub-path under
 the Euler target alongside the log-density under the proposal itself,
-so the importance weight is a difference of accumulators.
+so the importance weight is a difference of accumulators. The driver
+runs a batch of independent transitions at once, looping over substeps
+only; with constant diffusion and every coordinate observed, each
+kernel covariance is a multiple of the Euler one, so a single factor
+per transition serves all substeps and paths.
 
 The final substep is common to all families. The observed endpoint
 coordinates are pinned to the observation, whose Euler marginal density
@@ -20,11 +24,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from .core import (
+    _LOG_2PI,
     DomainError,
     SdeModel,
     chol_mul,
@@ -98,8 +102,9 @@ class SamplerSpec:
 class SubPathBatch:
     """J simulated sub-paths plus their target and proposal log-densities.
 
-    states has shape (substeps + 1, J, k); the first slice is the start
-    states and the last has observed coordinates pinned to the observation.
+    states has shape (substeps + 1, J, k), or (substeps + 1, n, J, k) for
+    a batch of n transitions; the first slice is the start states and the
+    last has observed coordinates pinned to the observation.
     """
 
     states: np.ndarray
@@ -128,48 +133,18 @@ def _blend_weight(m: int, substeps: int, rho: float) -> float:
     return left / (left + rho * (left - 1) ** 2)
 
 
-def proposal_kernel(
-    model: SdeModel,
-    theta,
-    x,
-    y_obs,
-    t: float,
-    m: int,
-    substeps: int,
-    delta: float,
-    spec: SamplerSpec,
-):
-    """Mean and covariance of the proposal for substep m (0-based, m <= substeps - 2).
+def _mix(spec: SamplerSpec, m: int, substeps: int) -> tuple[float, float]:
+    """Weight w of the bridge in the proposal, and the factor s on its covariance.
 
-    x may be one state (k,) or a batch (J, k); the return shapes follow,
-    with the covariance batched only when the diffusion is state-dependent.
+    The proposal mean is (1 - w) Euler + w bridge and its covariance
+    (1 - w) Euler + w s bridge: pedersen has w = 0, mbb w = s = 1, aux-mbb
+    w = 1 and s = rho, regularized the blend weight and s = 1.
     """
-    if not 0 <= m <= substeps - 2:
-        raise DomainError("proposal_kernel covers intermediate substeps only")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y_obs = np.asarray(y_obs, dtype=float)
-    xa = model.clamp_state(x)
-    f = np.asarray(model.drift(xa, theta, t), dtype=float)
-    outer = np.asarray(model.diffusion_outer(xa, theta, t), dtype=float)
-    if outer.ndim == 2:
-        outer_b = np.broadcast_to(outer, x.shape + (x.shape[-1],))
-    else:
-        outer_b = outer
-    mean_e = x + f * delta
-    cov_e = outer_b * delta
     if spec.kind == "pedersen":
-        return mean_e, cov_e
-    obs = np.asarray(model.observed, dtype=int)
-    uno = np.asarray(model.unobserved, dtype=int)
-    eta, sig = _bridge_moments(f, outer_b, x, y_obs, obs, uno, m, substeps, delta)
-    mean_b = x + eta * delta
-    cov_b = sig * delta
-    if spec.kind == "mbb":
-        return mean_b, cov_b
-    if spec.kind == "aux-mbb":
-        return mean_b, spec.rho * cov_b
-    w = _blend_weight(m, substeps, spec.rho)
-    return (1.0 - w) * mean_e + w * mean_b, (1.0 - w) * cov_e + w * cov_b
+        return 0.0, 1.0
+    if spec.kind == "regularized":
+        return _blend_weight(m, substeps, spec.rho), 1.0
+    return 1.0, spec.rho if spec.kind == "aux-mbb" else 1.0
 
 
 def _floor_obs_diag(mat: np.ndarray) -> np.ndarray:
@@ -180,35 +155,106 @@ def _floor_obs_diag(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bridge_moments(f, outer, x, y_obs, obs, uno, m, substeps, delta):
-    """Bridge drift eta and covariance for substep m of the interval.
+def _solve_obs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^{-1} b for observed blocks a; a division when one coordinate is observed."""
+    return b / a if a.shape[-1] == 1 else np.linalg.solve(a, b)
 
-    The observed block of eta points straight at the observation over the
-    remaining time; unobserved coordinates get the drift corrected by
-    their covariance with the observed ones. The covariance shrinks the
+
+def _logdet(chol: np.ndarray) -> np.ndarray:
+    return np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+
+
+def _white_logpdf(v: np.ndarray, logdet) -> np.ndarray:
+    """Log-density of N(0, L L^T) at L v, given v and log|L|."""
+    return -0.5 * (v.shape[-1] * _LOG_2PI + np.einsum("...i,...i->...", v, v)) - logdet
+
+
+def _bridge_moments(f, outer, x, y_obs, obs, uno, m, substeps, delta):
+    """Bridge drift eta and covariance for substep m of each interval.
+
+    States carry leading (n, J) axes and delta is (n,). The observed
+    block of eta points straight at the observation over the remaining
+    time; unobserved coordinates get the drift corrected by their
+    covariance with the observed ones. The covariance shrinks the
     observed block by (r - 1)/r with r substeps remaining, and the
-    unobserved block loses the explained part of its variance.
+    unobserved block loses the explained part of its variance. With every
+    coordinate observed the covariance is (r - 1)/r times the diffusion,
+    and None is returned in its place.
     """
     r = substeps - m
     frac = (r - 1) / r
-    x_o = x[:, obs]
+    span = (delta * r)[:, None, None]
+    y = y_obs[:, None, :]
+    x_o = x[..., obs]
     eta = np.empty_like(x)
-    eta[:, obs] = (y_obs[None, :] - x_o) / (delta * r)
+    eta[..., obs] = (y - x_o) / span
     if uno.size == 0:
-        return eta, frac * outer
-    g_oo = outer[:, obs[:, None], obs[None, :]]
-    g_ou = outer[:, obs[:, None], uno[None, :]]
-    g_uo = outer[:, uno[:, None], obs[None, :]]
-    g_uu = outer[:, uno[:, None], uno[None, :]]
-    d_obs = y_obs[None, :] - (x_o + f[:, obs] * ((r - 1) * delta))
-    solved = np.linalg.solve(_floor_obs_diag(g_oo), g_ou)  # G_oo^{-1} G_ou
-    eta[:, uno] = f[:, uno] + np.einsum("jou,jo->ju", solved, d_obs) / (delta * r)
-    sig = np.empty_like(outer)
-    sig[:, uno[:, None], uno[None, :]] = g_uu - (g_uo @ solved) / r
-    sig[:, uno[:, None], obs[None, :]] = frac * g_uo
-    sig[:, obs[:, None], uno[None, :]] = frac * g_ou
-    sig[:, obs[:, None], obs[None, :]] = frac * g_oo
+        return eta, None
+    g_oo = outer[..., obs[:, None], obs[None, :]]
+    g_ou = outer[..., obs[:, None], uno[None, :]]
+    g_uo = outer[..., uno[:, None], obs[None, :]]
+    g_uu = outer[..., uno[:, None], uno[None, :]]
+    d_obs = y - (x_o + f[..., obs] * ((r - 1) * delta)[:, None, None])
+    solved = _solve_obs(_floor_obs_diag(g_oo), g_ou)  # G_oo^{-1} G_ou
+    eta[..., uno] = f[..., uno] + np.einsum("...ou,...o->...u", solved, d_obs) / span
+    sig = frac * outer
+    sig[..., uno[:, None], uno[None, :]] = g_uu - (g_uo @ solved) / r
     return eta, sig
+
+
+def _euler(model: SdeModel, theta, x, t, delta, per_path: bool):
+    """Drift and Euler mean of states x (n, J, k) at times t (n, 1); with
+    per_path also the diffusion outer product and Euler covariance,
+    broadcast to (n, J, k, k)."""
+    xa = model.clamp_state(x)
+    f = np.asarray(model.drift(xa, theta, t), dtype=float)
+    mean_e = x + f * delta[:, None, None]
+    if not per_path:
+        return f, mean_e, None, None
+    outer = np.asarray(model.diffusion_outer(xa, theta, t), dtype=float)
+    if outer.shape != x.shape + x.shape[-1:]:
+        outer = np.broadcast_to(outer, x.shape + x.shape[-1:])
+    return f, mean_e, outer, outer * delta[:, None, None, None]
+
+
+def _kernel(model: SdeModel, theta, x, y_obs, t, m: int, substeps: int, delta,
+            spec: SamplerSpec, chol_e=None):
+    """Euler step and proposal of intermediate substep m (0-based, m <= substeps - 2).
+
+    x is (n, J, k), y_obs (n, n_observed), t (n, 1) and delta (n,).
+    Returns (mean_e, chol_e, q_mean, chol_q): the Euler step is
+    N(mean_e, chol_e chol_e^T) and the proposal N(q_mean, chol_q chol_q^T).
+    A constant-diffusion, fully observed model passes its one Euler factor
+    as chol_e, (n, 1, k, k); otherwise the factor is built per path.
+    """
+    if not 0 <= m <= substeps - 2:
+        raise DomainError("the proposal kernel covers intermediate substeps only")
+    f, mean_e, outer, cov_e = _euler(model, theta, x, t, delta, chol_e is None)
+    if chol_e is None:
+        chol_e = chol_spd(cov_e)
+    w, s = _mix(spec, m, substeps)
+    if w == 0.0:
+        return mean_e, chol_e, mean_e, chol_e
+    obs = np.asarray(model.observed, dtype=int)
+    uno = np.asarray(model.unobserved, dtype=int)
+    eta, sig = _bridge_moments(f, outer, x, y_obs, obs, uno, m, substeps, delta)
+    mean_b = x + eta * delta[:, None, None]
+    q_mean = mean_b if w == 1.0 else (1.0 - w) * mean_e + w * mean_b
+    if sig is None:
+        # every kernel covariance is a multiple of the Euler one
+        r = substeps - m
+        frac = (r - 1) / r
+        return mean_e, chol_e, q_mean, math.sqrt((1.0 - w) + w * s * frac) * chol_e
+    cov_b = (w * s) * (sig * delta[:, None, None, None])
+    q_cov = cov_b if w == 1.0 else (1.0 - w) * cov_e + cov_b
+    return mean_e, chol_e, q_mean, chol_spd(q_cov)
+
+
+def _path_draws(rng: np.random.Generator, n_paths: int, substeps: int, k: int, n_unobserved: int):
+    """One transition's normals in stream order: (substeps - 1, J, k) for the
+    intermediate substeps, then (J, n_unobserved) for the endpoint."""
+    return (rng.standard_normal((substeps - 1, n_paths, k)),
+            rng.standard_normal((n_paths, n_unobserved)))
 
 
 def propose_transition(
@@ -216,197 +262,109 @@ def propose_transition(
     theta,
     starts: np.ndarray,
     y_obs,
-    t_start: float,
-    dt: float,
+    t_start,
+    dt,
     substeps: int,
     spec: SamplerSpec,
-    rng: np.random.Generator,
-    _force_generic: bool = False,
+    rng,
 ) -> SubPathBatch:
     """Simulate J proposal sub-paths from starts toward the observation y_obs.
 
-    starts is (J, k); y_obs carries the observed coordinates in the
-    model's observed order. Draw consumption is fixed per substep, one
-    (J, k) block for each intermediate substep and one (J, n_unobserved)
-    block at the endpoint, so equal rng states give comparable paths
-    across parameter values.
+    One transition takes starts (J, k), y_obs with one value per observed
+    coordinate in the model's observed order, and scalar t_start and dt.
+    A batch of n independent transitions puts a leading axis on each:
+    starts (n, J, k), y_obs (n, n_observed), t_start and dt (n,); the
+    returned states, (substeps + 1, n, J, k), and log-densities, (n, J),
+    carry it too, and row i equals transition i run alone.
+
+    rng is a Generator, from which each transition in turn draws one
+    (J, k) block per intermediate substep and then one (J, n_unobserved)
+    block at the endpoint, or those draws made beforehand, stacked over
+    the batch: ((n, substeps - 1, J, k), (n, J, n_unobserved)). Draw
+    consumption never depends on theta, so equal draws give comparable
+    paths across parameter values.
     """
     starts = np.asarray(starts, dtype=float)
-    if starts.ndim != 2 or starts.shape[1] != model.dim:
-        raise DomainError("starts must have shape (J, k)")
     y_obs = np.asarray(y_obs, dtype=float)
-    if y_obs.shape != (len(model.observed),):
+    single = starts.ndim == 2
+    if single:
+        starts, y_obs = starts[None], y_obs[None]
+    if starts.ndim != 3 or starts.shape[2] != model.dim:
+        raise DomainError("starts must have shape (J, k) or (n, J, k)")
+    n, n_paths, k = starts.shape
+    obs = np.asarray(model.observed, dtype=int)
+    uno = np.asarray(model.unobserved, dtype=int)
+    if y_obs.shape != (n, obs.size):
         raise DomainError("y_obs must carry one value per observed coordinate")
-    if dt <= 0:
+    t_start = np.broadcast_to(np.asarray(t_start, dtype=float), (n,))
+    dt = np.broadcast_to(np.asarray(dt, dtype=float), (n,))
+    if not np.all(dt > 0):
         raise DomainError("interval length must be positive")
     if substeps < 1:
         raise DomainError("substeps must be >= 1")
-    fully_observed = len(model.observed) == model.dim
-    if fully_observed and model.constant_diffusion and not _force_generic:
-        return _propose_scalar_cov(model, theta, starts, y_obs, t_start, dt, substeps, spec, rng)
-    return _propose_generic(model, theta, starts, y_obs, t_start, dt, substeps, spec, rng)
+    if isinstance(rng, np.random.Generator):
+        draws = [_path_draws(rng, n_paths, substeps, k, uno.size) for _ in range(n)]
+        rng = [np.stack(d) for d in zip(*draws)]
+    z, z_end = rng
+    if z.shape != (n, substeps - 1, n_paths, k) or z_end.shape != (n, n_paths, uno.size):
+        raise DomainError("draws do not match the transitions")
 
-
-def _propose_scalar_cov(model, theta, starts, y_obs, t_start, dt, substeps, spec, rng):
-    """Driver for fully observed models with state-independent diffusion.
-
-    Every kernel covariance is then a scalar multiple of the one Euler
-    covariance, so a single factorization per transition serves all
-    substeps and families.
-    """
-    n_paths, k = starts.shape
     delta = dt / substeps
-    outer = np.asarray(model.diffusion_outer(starts[:1], theta, t_start), dtype=float)
-    chol_e = chol_spd(outer * delta)
-    states = np.empty((substeps + 1, n_paths, k))
+    shared = uno.size == 0 and model.constant_diffusion
+    chol_e = inv_e = None
+    if shared:
+        # one Euler factor per transition serves every substep and path
+        x0 = starts[:, :1]
+        outer = np.asarray(model.diffusion_outer(x0, theta, t_start[:, None]), dtype=float)
+        chol_e = chol_spd(np.broadcast_to(outer, x0.shape + (k,)) * delta[:, None, None, None])
+        inv_e = np.linalg.inv(chol_e)
+
+    def log_target(diff, chol):
+        if inv_e is None:
+            return gauss_logpdf(diff, chol)
+        return _white_logpdf(chol_mul(inv_e, diff), _logdet(chol))
+
+    states = np.empty((substeps + 1, n, n_paths, k))
     states[0] = starts
-    log_t = np.zeros(n_paths)
-    log_p = np.zeros(n_paths)
-    kind = spec.kind
+    log_t = np.zeros((n, n_paths))
+    log_p = np.zeros((n, n_paths))
     x = starts
     for m in range(substeps - 1):
-        t_m = t_start + m * delta
-        xa = model.clamp_state(x)
-        f = np.asarray(model.drift(xa, theta, t_m), dtype=float)
-        mean_e = x + f * delta
-        r = substeps - m
-        frac = (r - 1) / r
-        if kind == "pedersen":
-            q_mean, c = mean_e, 1.0
-        else:
-            mean_b = x + (y_obs[None, :] - x) / r
-            if kind == "mbb":
-                q_mean, c = mean_b, frac
-            elif kind == "aux-mbb":
-                q_mean, c = mean_b, spec.rho * frac
-            else:
-                w = _blend_weight(m, substeps, spec.rho)
-                q_mean = (1.0 - w) * mean_e + w * mean_b
-                c = (1.0 - w) + w * frac
-        z = rng.standard_normal((n_paths, k))
-        x_next = q_mean + math.sqrt(c) * (z @ chol_e.T)
-        if kind == "pedersen":
-            dens = gauss_logpdf(x_next - mean_e, chol_e)
-            log_t += dens
-            log_p += dens
-        else:
-            log_p += gauss_logpdf(x_next - q_mean, chol_e, scale=c)
-            log_t += gauss_logpdf(x_next - mean_e, chol_e)
-        x = x_next
-        states[m + 1] = x
-    # endpoint: fully observed, so the state is pinned to the observation
-    t_m = t_start + (substeps - 1) * delta
-    xa = model.clamp_state(x)
-    f = np.asarray(model.drift(xa, theta, t_m), dtype=float)
-    log_t += gauss_logpdf(y_obs[None, :] - (x + f * delta), chol_e)
-    end = np.empty((n_paths, k))
-    end[:, list(model.observed)] = y_obs
-    states[substeps] = end
-    return SubPathBatch(states, log_t, log_p)
-
-
-def _propose_generic(model, theta, starts, y_obs, t_start, dt, substeps, spec, rng):
-    n_paths, k = starts.shape
-    delta = dt / substeps
-    obs = np.asarray(model.observed, dtype=int)
-    uno = np.asarray(model.unobserved, dtype=int)
-    kind = spec.kind
-    states = np.empty((substeps + 1, n_paths, k))
-    states[0] = starts
-    log_t = np.zeros(n_paths)
-    log_p = np.zeros(n_paths)
-    x = starts
-    for m in range(substeps - 1):
-        t_m = t_start + m * delta
-        xa = model.clamp_state(x)
-        f = np.asarray(model.drift(xa, theta, t_m), dtype=float)
-        outer = np.asarray(model.diffusion_outer(xa, theta, t_m), dtype=float)
-        if outer.ndim == 2:
-            outer = np.broadcast_to(outer, (n_paths, k, k))
-        mean_e = x + f * delta
-        cov_e = outer * delta
-        if kind == "pedersen":
-            chol_e = chol_spd(cov_e)
-            z = rng.standard_normal((n_paths, k))
-            x_next = mean_e + chol_mul(chol_e, z)
-            dens = gauss_logpdf(x_next - mean_e, chol_e)
-            log_t += dens
-            log_p += dens
-        else:
-            eta, sig = _bridge_moments(f, outer, x, y_obs, obs, uno, m, substeps, delta)
-            mean_b = x + eta * delta
-            cov_b = sig * delta
-            if kind == "mbb":
-                q_mean, q_cov = mean_b, cov_b
-            elif kind == "aux-mbb":
-                q_mean, q_cov = mean_b, spec.rho * cov_b
-            else:
-                w = _blend_weight(m, substeps, spec.rho)
-                q_mean = (1.0 - w) * mean_e + w * mean_b
-                q_cov = (1.0 - w) * cov_e + w * cov_b
-            chol_q = chol_spd(q_cov)
-            z = rng.standard_normal((n_paths, k))
-            x_next = q_mean + chol_mul(chol_q, z)
-            log_p += gauss_logpdf(x_next - q_mean, chol_q)
-            log_t += gauss_logpdf(x_next - mean_e, chol_spd(cov_e))
-        x = x_next
+        t = (t_start + m * delta)[:, None]
+        mean_e, chol_m, q_mean, chol_q = _kernel(
+            model, theta, x, y_obs, t, m, substeps, delta, spec, chol_e
+        )
+        x = q_mean + chol_mul(chol_q, z[:, m])
+        dens = _white_logpdf(z[:, m], _logdet(chol_q))
+        log_p += dens
+        log_t += dens if spec.kind == "pedersen" else log_target(x - mean_e, chol_m)
         states[m + 1] = x
     # endpoint substep: pin observed coordinates, draw the unobserved rest
-    t_m = t_start + (substeps - 1) * delta
-    xa = model.clamp_state(x)
-    f = np.asarray(model.drift(xa, theta, t_m), dtype=float)
-    outer = np.asarray(model.diffusion_outer(xa, theta, t_m), dtype=float)
-    if outer.ndim == 2:
-        outer = np.broadcast_to(outer, (n_paths, k, k))
-    mean_e = x + f * delta
-    cov_e = outer * delta
-    end = np.empty((n_paths, k))
-    end[:, obs] = y_obs
+    t = (t_start + (substeps - 1) * delta)[:, None]
+    _, mean_e, _, cov_e = _euler(model, theta, x, t, delta, not shared)
+    end = np.empty_like(x)
+    end[..., obs] = y_obs[:, None, :]
     if uno.size == 0:
-        log_t += gauss_logpdf(y_obs[None, :] - mean_e, chol_spd(cov_e))
+        log_t += log_target(end - mean_e, chol_e if shared else chol_spd(cov_e))
     else:
-        s_oo = _floor_obs_diag(cov_e[:, obs[:, None], obs[None, :]])
-        s_ou = cov_e[:, obs[:, None], uno[None, :]]
-        s_uo = cov_e[:, uno[:, None], obs[None, :]]
-        s_uu = cov_e[:, uno[:, None], uno[None, :]]
-        diff_o = y_obs[None, :] - mean_e[:, obs]
-        log_t += gauss_logpdf(diff_o, chol_spd(s_oo))
-        solved = np.linalg.solve(s_oo, s_ou)  # S_oo^{-1} S_ou
-        c_mean = mean_e[:, uno] + np.einsum("jou,jo->ju", solved, diff_o)
-        c_cov = s_uu - s_uo @ solved
-        chol_c = chol_spd(c_cov)
-        z = rng.standard_normal((n_paths, uno.size))
-        x_u = c_mean + chol_mul(chol_c, z)
-        dens = gauss_logpdf(x_u - c_mean, chol_c)
+        s_oo = _floor_obs_diag(cov_e[..., obs[:, None], obs[None, :]])
+        s_ou = cov_e[..., obs[:, None], uno[None, :]]
+        s_uo = cov_e[..., uno[:, None], obs[None, :]]
+        s_uu = cov_e[..., uno[:, None], uno[None, :]]
+        diff_o = y_obs[:, None, :] - mean_e[..., obs]
+        if obs.size == 1:
+            root = np.sqrt(s_oo[..., 0])
+            log_t += _white_logpdf(diff_o / root, np.log(root[..., 0]))
+        else:
+            log_t += gauss_logpdf(diff_o, chol_spd(s_oo))
+        solved = _solve_obs(s_oo, s_ou)  # S_oo^{-1} S_ou
+        c_mean = mean_e[..., uno] + np.einsum("...ou,...o->...u", solved, diff_o)
+        chol_c = chol_spd(s_uu - s_uo @ solved)
+        end[..., uno] = c_mean + chol_mul(chol_c, z_end)
+        dens = _white_logpdf(z_end, _logdet(chol_c))
         log_t += dens
         log_p += dens
-        end[:, uno] = x_u
     states[substeps] = end
+    if single:
+        return SubPathBatch(states[:, 0], log_t[0], log_p[0])
     return SubPathBatch(states, log_t, log_p)
-
-
-# Named entry points, one per family.
-
-
-def pedersen_propose(model, theta, starts, y_obs, t_start, dt, substeps, rng):
-    return propose_transition(
-        model, theta, starts, y_obs, t_start, dt, substeps, SamplerSpec("pedersen"), rng
-    )
-
-
-def mbb_propose(model, theta, starts, y_obs, t_start, dt, substeps, rng):
-    return propose_transition(
-        model, theta, starts, y_obs, t_start, dt, substeps, SamplerSpec("mbb"), rng
-    )
-
-
-def regularized_propose(model, theta, starts, y_obs, t_start, dt, substeps, rho, rng):
-    return propose_transition(
-        model, theta, starts, y_obs, t_start, dt, substeps, SamplerSpec("regularized", rho), rng
-    )
-
-
-def aux_mbb_propose(model, theta, starts, y_obs, t_start, dt, substeps, rho, rng):
-    return propose_transition(
-        model, theta, starts, y_obs, t_start, dt, substeps, SamplerSpec("aux-mbb", rho), rng
-    )

@@ -1,11 +1,21 @@
 """Chained likelihood estimates, weight diagnostics, penalty arithmetic."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from psml.core import Dataset, DomainError, TimeGrid, rng_stream, simulate_dataset
+from psml.core import (
+    Dataset,
+    DomainError,
+    TimeGrid,
+    derive_seed,
+    rng_stream,
+    simulate_dataset,
+)
+from psml import likelihood
 from psml.likelihood import (
     ParticleCloud,
     PenaltyConfig,
@@ -13,10 +23,9 @@ from psml.likelihood import (
     effective_sample_size,
     log_likelihood,
     penalized_log_likelihood,
-    transition_estimate,
     weight_cv,
 )
-from psml.models import CwdDirectModel, OuModel, ou_exact_loglik
+from psml.models import CwdDirectModel, OuModel, make_model, ou_exact_loglik
 from psml.samplers import SamplerSpec, importance_weight, propose_transition
 
 OU_THETA = np.array([0.0187, 0.2610, 0.0224])
@@ -109,40 +118,56 @@ def test_effective_sample_size():
 # single transitions
 
 
-def test_transition_estimate_matches_direct_weights():
+def test_single_transition_matches_direct_weights():
+    # One fully observed transition: its estimate is the log-mean weight of
+    # a batch drawn from the stream (dataset seed, 0).
     model = OuModel()
-    cloud = ParticleCloud(np.empty((1, 0)), np.array([1.0]))
-    est, nxt = transition_estimate(
-        model, OU_THETA, cloud, np.array([1.0]), np.array([0.8]), 0.0, 1.0,
-        n_paths=256, substeps=8, sampler=SamplerSpec("mbb"), rng=rng_stream(9),
-    )
-    # fully observed: the cloud is width zero, so the rng state going into
-    # the proposal is untouched and the batch can be reproduced directly
+    ds = Dataset(0.0, np.array([1.0]), np.array([1.0]), np.array([[0.8]]), (0,))
+    res = log_likelihood(model, OU_THETA, ds, 256, 8, SamplerSpec("mbb"), seed=9)
     batch = propose_transition(
         model, OU_THETA, np.full((256, 1), 1.0), np.array([0.8]), 0.0, 1.0, 8,
-        SamplerSpec("mbb"), rng_stream(9),
+        SamplerSpec("mbb"), rng_stream(derive_seed(9, 0), 0),
     )
-    w, lw = importance_weight(batch)
+    _, lw = importance_weight(batch)
     shift = lw.max()
-    assert est.log_density == pytest.approx(shift + math.log(np.mean(np.exp(lw - shift))), rel=1e-12)
-    assert est.cv == pytest.approx(weight_cv(lw), rel=1e-12)
-    assert est.ess == pytest.approx(256 / (1.0 + est.cv**2), rel=1e-12)
-    np.testing.assert_array_equal(nxt.weights, np.full(256, 1.0 / 256))
-    assert nxt.particles.shape == (256, 0)
+    (diag,) = res.diagnostics
+    assert diag.log_phat == pytest.approx(shift + math.log(np.mean(np.exp(lw - shift))), rel=1e-12)
+    assert diag.cv == pytest.approx(weight_cv(lw), rel=1e-12)
+    assert diag.ess == pytest.approx(256 / (1.0 + diag.cv**2), rel=1e-12)
+    assert res.loglik == diag.log_phat
 
 
-def test_transition_estimate_advances_cloud():
-    model = CwdDirectModel()
-    cloud = ParticleCloud.point_mass([40.0, 6.0])
-    est, nxt = transition_estimate(
-        model, np.array([0.03, 0.2]), cloud, np.array([0.0]), np.array([1.3]),
-        0.0, 1.0, n_paths=64, substeps=6, sampler=SamplerSpec("mbb"),
-        rng=rng_stream(3),
-    )
-    assert math.isfinite(est.log_density)
-    assert nxt.particles.shape == (64, 2)
-    assert nxt.weights.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.all(nxt.weights >= 0)
+def test_chained_transitions_advance_the_cloud():
+    # Partially observed: transition i resamples the cloud that transition
+    # i - 1 left, with J uniforms from the stream (dataset seed, i), then
+    # proposes from the same stream. Rebuilt here one transition at a time.
+    model, theta, spec = CwdDirectModel(), np.array([0.03, 0.2]), SamplerSpec("mbb")
+    ds = cwd_dataset()
+    res = log_likelihood(model, theta, ds, 64, 6, spec, seed=3)
+    cloud = ParticleCloud.point_mass(ds.x0[:2])
+    prev, t_start = ds.x0[2:], ds.t0
+    for i, diag in enumerate(res.diagnostics):
+        rng = rng_stream(derive_seed(3, 0), i)
+        starts = np.column_stack([cloud.resample(64, rng), np.full(64, prev[0])])
+        batch = propose_transition(model, theta, starts, ds.values[i], t_start,
+                                   ds.times[i] - t_start, 6, spec, rng)
+        _, lw = importance_weight(batch)
+        w = np.exp(lw - lw.max())
+        assert diag.log_phat == pytest.approx(lw.max() + math.log(w.mean()), rel=1e-12)
+        assert diag.cv == pytest.approx(weight_cv(lw), rel=1e-12)
+        cloud = ParticleCloud(batch.endpoints[:, :2], w / w.sum())
+        assert cloud.particles.shape == (64, 2)
+        assert np.all(cloud.weights >= 0)
+        prev, t_start = ds.values[i], ds.times[i]
+    assert len(res.diagnostics) == ds.n
+
+
+def test_diagnostic_ess_matches_effective_sample_size():
+    for model, theta, ds in ((OuModel(), OU_THETA, ou_dataset()),
+                             (CwdDirectModel(), np.array([0.03, 0.2]), cwd_dataset())):
+        res = log_likelihood(model, theta, ds, 24, 6, SamplerSpec("aux-mbb", 0.8), seed=2)
+        for d in res.diagnostics:
+            assert d.ess == effective_sample_size([d.cv], 24)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +209,56 @@ def test_likelihood_converges_to_exact_ou():
     assert errs[64] < 0.05
 
 
+# Reference (loglik, cv_sum) per model, for pedersen, mbb, regularized 0.5
+# and aux-mbb 0.8 in turn, recorded from the per-transition implementation
+# at the seeds below. Only a change to the estimator beyond rounding and
+# summation order moves them past rel 1e-9.
+PINNED = {
+    "ou": (41.443046881523316, 27.76039910849831, 50.212500263694835, 3.1223627216055925,
+           48.69365446694441, 12.184174142884073, 49.57949257425297, 9.500745301034199),
+    "lorenz63": (-17.642358923141234, 22.838711940231118, -11.61987840909824,
+                 4.597714966588925, -11.630170117524077, 7.635533999913216,
+                 -12.526597215852682, 7.4475239919802005),
+    "cwd-direct": (-16.462138899793256, 11.071349440121274, -19.0386942737249,
+                   5.969439640397379, -18.657854395589386, 7.340585060689792,
+                   -18.63979740653972, 7.986868997509789),
+}
+PIN_CASES = {  # theta, episodes (x0, n, dt), J, M
+    "ou": ((0.0187, 0.2610, 0.0224), [((1.0,), 20, 1.0)], 8, 8),
+    "lorenz63": ((10.0, 28.0, 8.0 / 3.0, 2.0), [((-10.0, -10.0, 30.0), 8, 0.05)], 16, 6),
+    "cwd-direct": ((0.03, 0.20), [((36.0, 4.0, 0.0), 5, 1.0), ((46.0, 4.0, 0.0), 4, 1.0)], 16, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_log_likelihood_pinned_values(name):
+    theta, episodes, n_paths, substeps = PIN_CASES[name]
+    model = make_model(name)
+    data = [
+        simulate_dataset(model, np.array(theta), np.array(x0),
+                         TimeGrid(0.0, dt * np.arange(1, n + 1), 16), rng_stream(404, e))
+        for e, (x0, n, dt) in enumerate(episodes)
+    ]
+    specs = [SamplerSpec("pedersen"), SamplerSpec("mbb"), SamplerSpec("regularized", 0.5),
+             SamplerSpec("aux-mbb", 0.8)]
+    for j, spec in enumerate(specs):
+        res = log_likelihood(model, np.array(theta), data, n_paths, substeps, spec, seed=11)
+        assert res.loglik == pytest.approx(PINNED[name][2 * j], rel=1e-9), spec.kind
+        assert res.cv_sum == pytest.approx(PINNED[name][2 * j + 1], rel=1e-9), spec.kind
+
+
+@pytest.mark.parametrize("observed, message", [
+    ((0, 0), "unique"), ((1,), "out of range"), ((), "nonempty"),
+])
+def test_malformed_model_rejected_before_the_kernel(observed, message):
+    # The dataset matches the bad index tuple, so only validate_model stands
+    # between it and the kernel's indexing.
+    bad = type("BadOu", (OuModel,), {"observed": observed})()
+    ds = Dataset(0.0, np.array([1.0]), np.array([1.0]), np.full((1, len(observed)), 0.8), observed)
+    with pytest.raises(DomainError, match=message):
+        log_likelihood(bad, OU_THETA, ds, 8, 4, SamplerSpec("mbb"), seed=0)
+
+
 def test_likelihood_rejects_mismatched_observation():
     ds = ou_dataset()
     with pytest.raises(DomainError):
@@ -215,6 +290,74 @@ def test_failure_neginf_returns_partial_diagnostics():
     with pytest.raises(DomainError):
         log_likelihood(OuModel(), OU_THETA, ds, 16, 8, SamplerSpec("mbb"),
                        seed=0, on_failure="sometimes")
+
+
+class StateNoiseModel(OuModel):
+    """Fully observed, with a variance equal to the state: negative states fail."""
+
+    constant_diffusion = False
+
+    def diffusion_outer(self, x, theta, t):
+        return np.asarray(x, dtype=float)[..., None]
+
+
+def test_numerical_failure_located_inside_a_batch():
+    # Transitions 0, 1 and 3 start at positive states; transition 2 starts
+    # at -0.5, where the Euler variance is negative and no jitter repairs it.
+    ds = Dataset(0.0, np.array([1.0]), np.arange(1.0, 5.0),
+                 np.array([[1.1], [-0.5], [0.8], [1.0]]), (0,))
+    model = StateNoiseModel()
+    with pytest.raises(TransitionFailure) as err:
+        log_likelihood(model, OU_THETA, ds, 8, 1, SamplerSpec("mbb"), seed=0)
+    assert (err.value.dataset_index, err.value.index) == (0, 2)
+    res = log_likelihood(model, OU_THETA, ds, 8, 1, SamplerSpec("mbb"), seed=0,
+                         on_failure="neginf")
+    assert res.failed
+    assert [d.index for d in res.diagnostics] == [0, 1]
+
+
+def test_draw_cache_stays_within_its_byte_bound(monkeypatch):
+    # each entry holds 10 x 7 x 16 x 3 normals (26,880 bytes); one fits
+    monkeypatch.setattr(likelihood, "_DRAW_CACHE_BYTES", 40_000)
+    likelihood._DRAW_CACHE.clear()
+    for seed in range(4):
+        likelihood._dataset_draws(seed, 10, 16, 8, 3, 0)
+        assert sum(a.nbytes for d in likelihood._DRAW_CACHE.values() for a in d) <= 40_000
+    assert list(likelihood._DRAW_CACHE) == [(3, 10, 16, 8, 3, 0)]
+    likelihood._DRAW_CACHE.clear()
+
+
+def test_draw_cache_shared_by_threads(monkeypatch):
+    # More threads than cores, a short switch interval and a bound that
+    # holds one entry, so lookups, inserts and evictions interleave.
+    monkeypatch.setattr(likelihood, "_DRAW_CACHE_BYTES", 200)
+    keys = [(seed, 2, 4, 3, 1, 0) for seed in range(3)]
+    expected = {key: likelihood._dataset_draws(*key) for key in keys}
+    errors = []
+
+    def work(offset):
+        try:
+            for r in range(1000):
+                key = keys[(offset + r) % len(keys)]
+                got = likelihood._dataset_draws(*key)
+                assert all(np.array_equal(a, b) for a, b in zip(got, expected[key]))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert sum(a.nbytes for d in likelihood._DRAW_CACHE.values() for a in d) <= 200
+    likelihood._DRAW_CACHE.clear()
 
 
 def test_empty_dataset_list_rejected():

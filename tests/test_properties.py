@@ -1,0 +1,101 @@
+"""Property tests for identities of the transition-batched likelihood kernel."""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from psml import likelihood
+from psml.core import TimeGrid, rng_stream, simulate_dataset
+from psml.likelihood import log_likelihood
+from psml.models import CwdDirectModel, Lorenz63Model, OuModel
+from psml.samplers import SamplerSpec
+
+MODELS = {
+    # model, theta, x0, number of transitions, interval length
+    "ou": (OuModel(), (0.0187, 0.2610, 0.0224), (1.0,), 6, 1.0),
+    "lorenz63": (Lorenz63Model(), (10.0, 28.0, 8.0 / 3.0, 2.0), (-10.0, -10.0, 30.0), 5, 0.05),
+    "cwd-direct": (CwdDirectModel(), (0.03, 0.2), (36.0, 4.0, 0.0), 4, 1.0),
+}
+
+seeds = st.integers(0, 2**32 - 1)
+paths = st.integers(2, 12)
+substeps = st.integers(1, 6)
+scales = st.floats(0.8, 1.25)
+specs = st.sampled_from([
+    SamplerSpec("pedersen"), SamplerSpec("mbb"), SamplerSpec("regularized", 0.4),
+    SamplerSpec("aux-mbb", 0.7),
+])
+
+
+@lru_cache(maxsize=None)
+def dataset(name, index=0):
+    model, theta, x0, n, dt = MODELS[name]
+    grid = TimeGrid(0.0, dt * np.arange(1, n + 1), 16)
+    return simulate_dataset(model, np.array(theta), np.array(x0), grid, rng_stream(606, index))
+
+
+def run(name, data, n_paths, m, spec, seed, scale=1.0):
+    model, theta = MODELS[name][:2]
+    return log_likelihood(model, scale * np.array(theta), data, n_paths, m, spec, seed,
+                          on_failure="neginf")
+
+
+@settings(max_examples=20)
+@given(name=st.sampled_from(["ou", "lorenz63"]), seed=seeds, n_paths=paths, m=substeps,
+       scale=scales)
+def test_aux_rho_one_is_mbb_bitwise(name, seed, n_paths, m, scale):
+    data = dataset(name)
+    aux = run(name, data, n_paths, m, SamplerSpec("aux-mbb", 1.0), seed, scale)
+    mbb = run(name, data, n_paths, m, SamplerSpec("mbb"), seed, scale)
+    assert aux == mbb
+
+
+@settings(max_examples=15)
+@given(name=st.sampled_from(sorted(MODELS)), n_data=st.integers(2, 3), seed=seeds,
+       n_paths=paths, m=substeps, spec=specs)
+def test_joint_loglik_is_sum_over_datasets(name, n_data, seed, n_paths, m, spec):
+    data = [dataset(name, i) for i in range(n_data)]
+    joint = run(name, data, n_paths, m, spec, seed)
+    if joint.failed:
+        return
+    parts = [sum(d.log_phat for d in joint.diagnostics if d.dataset_index == i)
+             for i in range(n_data)]
+    assert joint.loglik == pytest.approx(sum(parts), rel=1e-12, abs=1e-12)
+    # a prefix of the dataset list reproduces its share of the joint run
+    head = run(name, data[:-1], n_paths, m, spec, seed)
+    assert head.diagnostics == [d for d in joint.diagnostics if d.dataset_index < n_data - 1]
+
+
+@settings(max_examples=15)
+@given(name=st.sampled_from(sorted(MODELS)), seed=seeds, n_paths=paths, m=substeps, spec=specs)
+def test_cold_and_warm_draw_cache_agree_bitwise(name, seed, n_paths, m, spec):
+    data = dataset(name)
+    likelihood._DRAW_CACHE.clear()
+    cold = run(name, data, n_paths, m, spec, seed)
+    assert len(likelihood._DRAW_CACHE) == 1
+    warm = run(name, data, n_paths, m, spec, seed)
+    assert cold == warm
+
+
+@settings(max_examples=25)
+@given(seed=seeds, n=st.integers(1, 4), n_paths=paths, m=substeps, k=st.integers(1, 3),
+       data=st.data())
+def test_cached_draws_are_read_only_fresh_stream_values(seed, n, n_paths, m, k, data):
+    n_u = data.draw(st.integers(0, k - 1))
+    draws = likelihood._dataset_draws(seed, n, n_paths, m, k, n_u)
+    for a in draws:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+    u, z, z_end = draws
+    # the per-substep draws a transition's own stream gives, in order
+    for i in range(n):
+        rng = rng_stream(seed, i)
+        if n_u:
+            np.testing.assert_array_equal(u[i], rng.random(n_paths))
+        for step in range(m - 1):
+            np.testing.assert_array_equal(z[i, step], rng.standard_normal((n_paths, k)))
+        np.testing.assert_array_equal(z_end[i], rng.standard_normal((n_paths, n_u)))

@@ -6,19 +6,30 @@ import numpy as np
 import pytest
 
 from psml.core import rng_stream
-from psml.models import CwdDirectModel, OuModel
+from psml.models import CwdDirectModel, Lorenz63Model, OuModel
 from psml.samplers import (
     KINDS,
     SamplerSpec,
     SubPathBatch,
     _blend_weight,
+    _kernel,
+    _path_draws,
     importance_weight,
     propose_transition,
-    proposal_kernel,
 )
 
 OU_THETA = np.array([0.0187, 0.2610, 0.0224])
 CWD_THETA = np.array([0.03, 0.2])
+LORENZ_THETA = np.array([10.0, 28.0, 8.0 / 3.0, 2.0])
+
+
+def proposal_kernel(model, theta, x, y_obs, t, m, substeps, delta, spec):
+    """Proposal mean (1, k) and covariance (1, k, k) of substep m from one state x."""
+    x = np.asarray(x, dtype=float)[None, None]
+    y = np.asarray(y_obs, dtype=float)[None]
+    _, _, mean, chol = _kernel(model, theta, x, y, np.full((1, 1), t), m, substeps,
+                               np.array([delta]), spec)
+    return mean[0], chol[0] @ np.swapaxes(chol[0], -1, -2)
 
 
 def ou_euler_m_step(x, theta, dt, substeps):
@@ -164,11 +175,11 @@ def test_kernel_partial_observation_conditioning():
 # proposed sub-paths
 
 
-def run_ou(spec, n_paths=64, substeps=8, seed=0, y=0.8, force_generic=False):
+def run_ou(spec, n_paths=64, substeps=8, seed=0, y=0.8):
     starts = np.full((n_paths, 1), 1.0)
     return propose_transition(
         OuModel(), OU_THETA, starts, np.array([y]), 0.0, 1.0, substeps, spec,
-        rng_stream(seed), _force_generic=force_generic,
+        rng_stream(seed),
     )
 
 
@@ -276,13 +287,36 @@ def test_regularized_rho_zero_is_plain_bridge_bitwise():
     np.testing.assert_array_equal(a.log_proposal, b.log_proposal)
 
 
-def test_fast_path_matches_generic_driver():
-    for spec in all_specs():
-        fast = run_ou(spec, seed=13)
-        slow = run_ou(spec, seed=13, force_generic=True)
-        np.testing.assert_allclose(fast.states, slow.states, atol=1e-10)
-        np.testing.assert_allclose(fast.log_target, slow.log_target, rtol=1e-8, atol=1e-8)
-        np.testing.assert_allclose(fast.log_proposal, slow.log_proposal, rtol=1e-8, atol=1e-8)
+def test_batch_rows_match_single_transitions():
+    # Row i of a batched call, fed the draws of stream (77, i), equals
+    # transition i run alone on that stream: fully observed with one
+    # shared Euler factor (OU, Lorenz63) and partially observed (CWD),
+    # with unequal interval lengths.
+    n, n_paths, substeps = 4, 16, 6
+    cases = [
+        (OuModel(), OU_THETA, np.array([1.0]), np.array([0.8])),
+        (Lorenz63Model(), LORENZ_THETA, np.array([-10.0, -10.0, 30.0]),
+         np.array([-9.0, -11.0, 29.0])),
+        (CwdDirectModel(), CWD_THETA, np.array([40.0, 6.0, 2.0]), np.array([3.4])),
+    ]
+    step = np.arange(n)[:, None]
+    for model, theta, x0, y0 in cases:
+        k, n_u = model.dim, len(model.unobserved)
+        starts = np.broadcast_to((x0 + 0.1 * step)[:, None, :], (n, n_paths, k))
+        y_obs = y0 + 0.05 * step
+        t_start = 0.5 * np.arange(n)
+        dt = 0.05 * (1.0 + 0.5 * np.arange(n))
+        for spec in all_specs():
+            draws = [_path_draws(rng_stream(77, i), n_paths, substeps, k, n_u) for i in range(n)]
+            batch = propose_transition(model, theta, starts, y_obs, t_start, dt, substeps, spec,
+                                       [np.stack(d) for d in zip(*draws)])
+            assert batch.states.shape == (substeps + 1, n, n_paths, k)
+            for i in range(n):
+                one = propose_transition(model, theta, starts[i], y_obs[i], t_start[i], dt[i],
+                                         substeps, spec, rng_stream(77, i))
+                np.testing.assert_array_equal(batch.states[:, i], one.states)
+                np.testing.assert_array_equal(batch.log_target[i], one.log_target)
+                np.testing.assert_array_equal(batch.log_proposal[i], one.log_proposal)
 
 
 def test_draw_consumption_independent_of_theta():
