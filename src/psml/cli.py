@@ -30,17 +30,10 @@ from .likelihood import PenaltyConfig
 from .models import MODEL_NAMES, make_model, r0_estimate
 from .optimize import EstimationError, OptimizerConfig, maximize_psml
 from .samplers import KINDS, SamplerSpec
-from .study import STUDY_PRESETS, EpisodeSpec, StudyConfig, run_study
+from .study import _TAG_DATA, STUDY_PRESETS, EpisodeSpec, StudyConfig, run_study
 from .tune import TUNE_PRESETS, parametric_bootstrap, tune_lambda
 
-_TAG_DATA = 10  # matches the study module's data-seed tag
-
-# Per-model fallbacks for flags the user leaves unset.
-_THETA_INIT = {
-    "ou": (0.05, 0.5, 0.05),
-    "lorenz63": (8.0, 25.0, 2.0, 1.0),
-    "cwd-direct": (0.05, 0.3),
-}
+# Starting rho per family when --rho est is given without --rho-init.
 _RHO_INIT = {"aux-mbb": 0.8, "regularized": 0.5}
 
 
@@ -78,25 +71,23 @@ def cmd_simulate(args) -> int:
     preset = STUDY_PRESETS[args.model](seed=args.seed)
     theta = np.asarray(args.theta if args.theta else preset.theta0, dtype=float)
     model.validate_theta(theta)
-    substeps = args.substeps if args.substeps else preset.data_substeps
-
-    if args.x0 is not None:
-        n = args.n if args.n else preset.episodes[0].n
-        dt = args.dt if args.dt else preset.episodes[0].dt
-        episodes = [(tuple(args.x0), n, dt)]
-    else:
-        episodes = [
-            (ep.x0, args.n if args.n else ep.n, args.dt if args.dt else ep.dt)
-            for ep in preset.episodes
-        ]
+    substeps = preset.data_substeps if args.substeps is None else args.substeps
+    base = preset.episodes if args.x0 is None else preset.episodes[:1]
+    episodes = [
+        EpisodeSpec(
+            ep.x0 if args.x0 is None else args.x0,
+            ep.n if args.n is None else args.n,
+            ep.dt if args.dt is None else args.dt,
+        )
+        for ep in base
+    ]
 
     out = Path(args.out)
     paths = []
-    for e, (x0, n, dt) in enumerate(episodes):
-        if len(x0) != model.dim:
+    for e, ep in enumerate(episodes):
+        if len(ep.x0) != model.dim:
             raise DomainError(f"x0 must have {model.dim} coordinates")
-        grid = EpisodeSpec(x0, n, dt).grid(substeps)
-        ds = simulate_dataset(model, theta, np.asarray(x0), grid,
+        ds = simulate_dataset(model, theta, np.asarray(ep.x0), ep.grid(substeps),
                               rng_stream(args.seed, _TAG_DATA, 0, e))
         if len(episodes) == 1:
             path = out
@@ -130,7 +121,7 @@ def _parse_rho(text):
 def cmd_estimate(args) -> int:
     model = make_model(args.model, **_model_kwargs(args))
     datasets = [load_dataset(p) for p in args.data]
-    theta_init = tuple(args.theta_init) if args.theta_init else _THETA_INIT[args.model]
+    theta_init = args.theta_init or STUDY_PRESETS[args.model]().theta_init
 
     rho = _parse_rho(args.rho)
     estimate_rho = rho == "est"

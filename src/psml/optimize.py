@@ -24,7 +24,7 @@ from .core import (
     DomainError,
     SdeModel,
 )
-from .likelihood import LikelihoodResult, PenaltyConfig, penalized_log_likelihood
+from .likelihood import PenaltyConfig, penalized_log_likelihood
 
 # Clip for transformed coordinates; exp of the bound stays finite.
 _Z_CLIP = 700.0
@@ -109,15 +109,6 @@ def untransform(z, constraints: Sequence[str]) -> np.ndarray:
         else:
             raise DomainError(f"unknown constraint kind {kind!r}")
     return out
-
-
-def _logit(v: float) -> float:
-    return math.log(v / (1.0 - v))
-
-
-def _logistic(z: float) -> float:
-    z = min(max(z, -_Z_CLIP), _Z_CLIP)
-    return min(1.0 / (1.0 + math.exp(-z)), _UNIT_CEIL)
 
 
 def nelder_mead(objective: Callable, x0, config: OptimizerConfig = OptimizerConfig()) -> OptResult:
@@ -228,9 +219,10 @@ def maximize_psml(
 ) -> PsmlFit:
     """Jointly maximize the penalized objective over theta (and rho).
 
-    rho is appended to the search space on the logit scale when the
-    family has one and estimate_rho is not disabled; otherwise it stays
-    frozen at rho_init. One evaluation seed drives every objective call.
+    rho is appended to the search space as a unit-interval coordinate
+    when the family has one and estimate_rho is not disabled; otherwise
+    it stays frozen at rho_init. One evaluation seed drives every
+    objective call.
     """
     theta_init = model.validate_theta(theta_init)
     cons = model.param_constraints
@@ -247,13 +239,17 @@ def maximize_psml(
     else:
         rho0 = None
 
-    z0 = transform(theta_init, cons)
+    x0 = theta_init
     if estimate_rho:
-        z0 = np.append(z0, _logit(min(max(rho0, 1e-8), 1.0 - 1e-8)))
+        cons = (*cons, UNIT_INTERVAL)
+        x0 = np.append(x0, min(max(rho0, 1e-8), 1.0 - 1e-8))
+
+    def split(z):
+        x = untransform(z, cons)
+        return (x[:p], float(x[p])) if estimate_rho else (x, rho0)
 
     def objective(z):
-        theta = untransform(z[:p], cons)
-        rho = _logistic(z[p]) if estimate_rho else rho0
+        theta, rho = split(z)
         try:
             value, _ = penalized_log_likelihood(
                 model, theta, rho, datasets, config, seed, on_failure="neginf"
@@ -263,12 +259,11 @@ def maximize_psml(
         return value
 
     try:
-        res = nelder_mead(objective, z0, optimizer)
+        res = nelder_mead(objective, transform(x0, cons), optimizer)
     except DomainError as exc:
         raise EstimationError(f"objective not usable at the initial point: {exc}") from exc
 
-    theta_hat = untransform(res.x[:p], cons)
-    rho_hat = _logistic(res.x[p]) if estimate_rho else rho0
+    theta_hat, rho_hat = split(res.x)
     value, lik = penalized_log_likelihood(
         model, theta_hat, rho_hat, datasets, config, seed, on_failure="neginf"
     )

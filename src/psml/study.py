@@ -13,18 +13,18 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, DomainError, NumericalError, TimeGrid, derive_seed, rng_stream, simulate_dataset
+from .core import DomainError, NumericalError, TimeGrid, derive_seed, rng_stream, simulate_dataset
 from .likelihood import PenaltyConfig, TransitionFailure
 from .models import make_model, ou_exact_mle
-from .optimize import EstimationError, OptimizerConfig, maximize_psml
+from .optimize import EstimationError, maximize_psml
 from .samplers import KINDS, SamplerSpec
-from .tune import TUNE_PRESETS, tune_lambda
+from .tune import TUNE_PRESETS, _map, tune_lambda
 
 # Seed tags separating data generation from estimation.
 _TAG_DATA = 10
@@ -152,6 +152,15 @@ class StudyConfig:
             raise DomainError("method names must be unique")
         if self.data_substeps < 1:
             raise DomainError("data_substeps must be >= 1")
+        model = self.build_model()
+        for name in ("theta0", "theta_init"):
+            try:
+                model.validate_theta(getattr(self, name))
+            except DomainError as exc:
+                raise DomainError(f"{name}: {exc}") from exc
+        for e, ep in enumerate(self.episodes):
+            if len(ep.x0) != model.dim:
+                raise DomainError(f"episode {e} x0 must have {model.dim} coordinates")
         if any(m.kind == "exact-mle" for m in self.methods) and self.model != "ou":
             raise DomainError("exact-mle is only available for the ou model")
         if any(m.lam == _TUNE for m in self.methods) and self.model not in TUNE_PRESETS:
@@ -249,15 +258,15 @@ def run_replicate(config: StudyConfig, r: int):
     record = {"replicate": r, "methods": {}, "reference": None}
     times = {}
     if config.model == "ou":
-        ref_theta, _ = ou_exact_mle(datasets[0], theta_init=config.theta_init)
-        record["reference"] = [float(v) for v in ref_theta]
+        exact = ou_exact_mle(datasets[0], theta_init=config.theta_init)
+        record["reference"] = [float(v) for v in exact[0]]
 
     for m_idx, method in enumerate(config.methods):
         fit_seed = derive_seed(config.seed, _TAG_FIT, r, m_idx)
         start = time.perf_counter()
         try:
             if method.kind == "exact-mle":
-                theta_hat, res = ou_exact_mle(datasets[0], theta_init=config.theta_init)
+                theta_hat, res = exact
                 entry = {
                     "theta": [float(v) for v in theta_hat],
                     "rho": None,
@@ -342,14 +351,7 @@ def run_study(config: StudyConfig, workers: int = 1, out_dir=None):
     configurations produce byte-identical report files at any worker
     count.
     """
-    indices = range(config.n_replicates)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_replicate, config, r) for r in indices]
-            outcomes = [f.result() for f in futures]
-    else:
-        outcomes = [run_replicate(config, r) for r in indices]
-
+    outcomes = _map(partial(run_replicate, config), range(config.n_replicates), workers)
     records = [rec for rec, _ in outcomes]
     timings = {
         "per_replicate": [t for _, t in outcomes],

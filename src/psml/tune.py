@@ -1,8 +1,8 @@
 """Penalty-weight selection and parametric-bootstrap intervals.
 
 The penalty weight lambda is chosen by a ladder search on the estimated
-prediction error: fit at the current lambda, then probe one step down
-(and, if the very first probe fails, one step up) for as long as each
+prediction error: fit at the current lambda, then walk down one step at
+a time (or up, if the walk down cannot move) for as long as each
 accepted move improves the error by more than a threshold. Prediction
 error is the mean Euclidean distance between observed data and
 replicate simulations from the fitted parameters.
@@ -10,15 +10,13 @@ replicate simulations from the fitted parameters.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .core import (
-    Dataset,
     DomainError,
     NumericalError,
     derive_seed,
@@ -26,7 +24,7 @@ from .core import (
     simulate_dataset,
     simulate_paths_batch,
 )
-from .likelihood import PenaltyConfig
+from .likelihood import PenaltyConfig, _as_datasets
 from .optimize import EstimationError, OptimizerConfig, PsmlFit, maximize_psml
 
 # Sub-seed tags so every consumer of a tune/bootstrap seed gets its own stream.
@@ -84,8 +82,7 @@ def prediction_error(model, theta, datasets, substeps, n_sims, rng) -> float:
     grid and averages the Euclidean distance over observed coordinates,
     across all observation times, datasets, and replicates.
     """
-    if isinstance(datasets, Dataset):
-        datasets = [datasets]
+    datasets = _as_datasets(datasets)
     obs = list(model.observed)
     total = 0.0
     n_total = 0
@@ -108,48 +105,28 @@ def run_lambda_ladder(
     (fit, prediction error). The ladder starts at lambda0, stops as soon
     as the error beats eps0, otherwise walks down in delta_lambda steps
     while each move improves the error by more than delta_eps. If the
-    very first downward probe is rejected it walks up instead, under the
-    same improvement rule. lambda is clamped at 0 and never negative.
+    walk down does not move lambda (its first probe is rejected, or
+    lambda0 is already 0) it walks up instead, under the same rule. Each
+    walk takes at most max_steps probes; lambda is clamped at 0.
     """
     lam = config.lambda0
     fit, eps = evaluate(lam, None)
     trace = [TraceEntry(lam, eps, True)]
-    if eps < config.eps0:
-        return TuneResult(lam, fit, trace)
-
-    moved_down = False
-    steps = 0
-    while steps < config.max_steps:
-        steps += 1
-        probe = max(lam - config.delta_lambda, 0.0)
-        if probe == lam:
-            break  # already at the clamp
-        fit_p, eps_p = evaluate(probe, fit)
-        improved = eps - eps_p > config.delta_eps
-        trace.append(TraceEntry(probe, eps_p, improved))
-        if not improved:
-            break
-        lam, fit, eps = probe, fit_p, eps_p
-        moved_down = True
-        if eps < config.eps0 or lam == 0.0:
-            return TuneResult(lam, fit, trace)
-
-    if moved_down:
-        return TuneResult(lam, fit, trace)
-
-    if eps < config.eps0:
-        return TuneResult(lam, fit, trace)
-    steps = 0
-    while steps < config.max_steps:
-        steps += 1
-        probe = lam + config.delta_lambda
-        fit_p, eps_p = evaluate(probe, fit)
-        improved = eps - eps_p > config.delta_eps
-        trace.append(TraceEntry(probe, eps_p, improved))
-        if not improved:
-            break
-        lam, fit, eps = probe, fit_p, eps_p
-        if eps < config.eps0:
+    for step in (-config.delta_lambda, config.delta_lambda):
+        start = lam
+        for _ in range(config.max_steps):
+            if eps < config.eps0:
+                break
+            probe = max(lam + step, 0.0)
+            if probe == lam:
+                break  # already at the clamp
+            fit_p, eps_p = evaluate(probe, fit)
+            improved = eps - eps_p > config.delta_eps
+            trace.append(TraceEntry(probe, eps_p, improved))
+            if not improved:
+                break
+            lam, fit, eps = probe, fit_p, eps_p
+        if lam != start or eps < config.eps0:
             break
     return TuneResult(lam, fit, trace)
 
@@ -207,21 +184,40 @@ class BootstrapResult:
     n_failed: int
 
 
+def _map(fn, payloads, workers: int) -> list:
+    """fn over payloads, on a process pool when workers > 1, in payload order."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, payloads))
+    return [fn(p) for p in payloads]
+
+
 def _bootstrap_one(payload):
+    """Simulate replicate b's data and estimate on it.
+
+    The estimate hook, when given, replaces the refit. Returns (theta,
+    rho), or None when the replicate fails numerically.
+    """
     (model, theta, rho, lam, templates, sampler, n_paths, substeps,
-     optimizer, seed, b, estimate_rho, data_substeps) = payload
-    sims = [
-        simulate_dataset(
-            model, theta, t.x0, t.grid(data_substeps), rng_stream(seed, _TAG_BOOT_DATA, b, j)
+     optimizer, seed, b, estimate_rho, data_substeps, estimate) = payload
+    try:
+        sims = [
+            simulate_dataset(
+                model, theta, t.x0, t.grid(data_substeps), rng_stream(seed, _TAG_BOOT_DATA, b, j)
+            )
+            for j, t in enumerate(templates)
+        ]
+        if estimate is not None:
+            th, rh = estimate(sims, b)
+            return th, rh
+        cfg = PenaltyConfig(lam=lam, n_paths=n_paths, substeps=substeps, sampler=sampler)
+        fit = maximize_psml(
+            model, sims, cfg, theta, rho, optimizer,
+            seed=derive_seed(seed, _TAG_BOOT_FIT, b), estimate_rho=estimate_rho,
         )
-        for j, t in enumerate(templates)
-    ]
-    cfg = PenaltyConfig(lam=lam, n_paths=n_paths, substeps=substeps, sampler=sampler)
-    fit = maximize_psml(
-        model, sims, cfg, theta, rho, optimizer,
-        seed=derive_seed(seed, _TAG_BOOT_FIT, b), estimate_rho=estimate_rho,
-    )
-    return fit.theta, fit.rho
+        return fit.theta, fit.rho
+    except (EstimationError, NumericalError):
+        return None
 
 
 def parametric_bootstrap(
@@ -246,72 +242,36 @@ def parametric_bootstrap(
 
     Each replicate simulates every template dataset at the fitted theta
     and re-estimates with the tuned lambda held fixed, warm-started at
-    the original estimate. More than 10% failed replicates aborts.
-    The ``estimate`` hook replaces the refit (testing seam).
+    the original estimate. Replicates run on a pool of ``workers``
+    processes and come back in replicate order. A replicate that raises
+    EstimationError or NumericalError counts as failed; more than 10%
+    failed replicates aborts. The ``estimate(sims, b)`` hook replaces the
+    refit (testing seam); it runs in this process, one replicate after
+    another, whatever ``workers`` says.
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError("alpha must lie in (0, 1]")
     if n_replicates < 2:
         raise DomainError("need at least 2 bootstrap replicates")
-    if isinstance(templates, Dataset):
-        templates = [templates]
-    templates = list(templates)
+    templates = _as_datasets(templates)
     data_substeps = substeps if data_substeps is None else data_substeps
 
-    thetas = []
-    rhos = []
-    n_failed = 0
-    if estimate is not None:
-        for b in range(n_replicates):
-            sims = [
-                simulate_dataset(
-                    model, theta, t.x0, t.grid(data_substeps),
-                    rng_stream(seed, _TAG_BOOT_DATA, b, j),
-                )
-                for j, t in enumerate(templates)
-            ]
-            try:
-                th, rh = estimate(sims, b)
-            except (EstimationError, NumericalError):
-                n_failed += 1
-                continue
-            thetas.append(np.asarray(th, dtype=float))
-            rhos.append(rh)
-    else:
-        payloads = [
-            (model, np.asarray(theta, float), rho, float(lam), templates, sampler,
-             n_paths, substeps, optimizer, seed, b, estimate_rho, data_substeps)
-            for b in range(n_replicates)
-        ]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = []
-                for fut in [pool.submit(_bootstrap_one, p) for p in payloads]:
-                    try:
-                        outcomes.append(fut.result())
-                    except (EstimationError, NumericalError):
-                        outcomes.append(None)
-        else:
-            outcomes = []
-            for p in payloads:
-                try:
-                    outcomes.append(_bootstrap_one(p))
-                except (EstimationError, NumericalError):
-                    outcomes.append(None)
-        for out in outcomes:
-            if out is None:
-                n_failed += 1
-            else:
-                thetas.append(out[0])
-                rhos.append(out[1])
-
+    payloads = [
+        (model, np.asarray(theta, float), rho, float(lam), templates, sampler,
+         n_paths, substeps, optimizer, seed, b, estimate_rho, data_substeps, estimate)
+        for b in range(n_replicates)
+    ]
+    # A hook may close over this process's state, so it never leaves it.
+    outcomes = _map(_bootstrap_one, payloads, 1 if estimate is not None else workers)
+    done = [out for out in outcomes if out is not None]
+    n_failed = n_replicates - len(done)
     if n_failed > 0.1 * n_replicates:
         raise EstimationError(
             f"{n_failed} of {n_replicates} bootstrap replicates failed"
         )
-    reps = np.asarray(thetas)
+    reps = np.asarray([th for th, _ in done], dtype=float)
     intervals = np.quantile(reps, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0).T
     rho_reps = None
-    if any(r is not None for r in rhos):
-        rho_reps = np.asarray([float(r) for r in rhos])
+    if any(rh is not None for _, rh in done):
+        rho_reps = np.asarray([float(rh) for _, rh in done])
     return BootstrapResult(reps, rho_reps, intervals, alpha, n_failed)

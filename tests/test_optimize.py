@@ -1,6 +1,7 @@
 """Simplex maximizer, parameter transforms, and the joint fit driver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,19 @@ def test_fit_estimates_rho_inside_unit_interval():
     assert fit.objective == pytest.approx(
         fit.loglik - 0.3 * sum(d.cv for d in fit.diagnostics), rel=1e-12
     )
+
+
+def test_fit_from_rho_one_starts_inside_without_warning():
+    # rho_init = 1 is clamped 1e-8 inside the interval before the logit
+    ds = ou_dataset(n=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = maximize_psml(
+            OuModel(), ds, small_config(SamplerSpec("aux-mbb", 0.8)), (0.05, 0.5, 0.05),
+            rho_init=1.0, optimizer=OptimizerConfig(f_tol=1e-3, max_evals=60), seed=2,
+        )
+    assert type(fit.rho) is float
+    assert 0.0 < fit.rho < 1.0
 
 
 def test_fit_keeps_rho_frozen_when_disabled():

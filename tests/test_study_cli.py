@@ -111,6 +111,22 @@ def test_study_config_validation():
                     (MethodSpec("exact", "exact-mle"),), 1, 8)
 
 
+@pytest.mark.parametrize("preset, change, message", [
+    (ou_study_config, {"theta0": [0.02, 0.3]}, "theta0: expected 3 parameters"),
+    (lorenz_study_config, {"theta0": [10.0, 28.0, 2.5, 2.0, 1.0]}, "theta0: expected 4 parameters"),
+    (ou_study_config, {"theta_init": [0.05, -0.5, 0.05]}, "theta_init: parameter theta2 must be > 0"),
+    (cwd_study_config, {"episodes": [{"x0": [36.0, 4.0], "n": 3, "dt": 1.0}]},
+     "episode 0 x0 must have 3 coordinates"),
+    (ou_study_config, {"model": "nope"}, "unknown model 'nope'"),
+], ids=["ou-theta0", "lorenz-theta0", "theta_init", "x0", "model"])
+def test_cli_study_config_must_fit_its_model(tmp_path, capsys, preset, change, message):
+    cfg_path = tmp_path / "study.json"
+    cfg_path.write_text(json.dumps(dict(preset(n_replicates=1).to_dict(), **change)))
+    assert run_cli("study", "--config", cfg_path, "--out", tmp_path / "out") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_study_config_json_round_trip():
     config = tiny_study(methods=(
         MethodSpec("exact", "exact-mle"),
@@ -274,6 +290,18 @@ def test_cli_simulate_x0_override(tmp_path):
     np.testing.assert_allclose(load_dataset(out).x0, [40.0, 6.0, 0.0])
     assert run_cli("simulate", "--model", "cwd-direct", "--x0", "40,6",
                    "--n", "3", "--out", tmp_path / "bad.csv") == 2
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--n", "episode needs n >= 1"),
+    ("--dt", "episode needs n >= 1 and dt > 0"),
+    ("--substeps", "substeps must be >= 1"),
+])
+def test_cli_simulate_rejects_zero(tmp_path, capsys, flag, message):
+    out = tmp_path / "zero.csv"
+    assert run_cli("simulate", "--model", "ou", flag, "0", "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -1,16 +1,25 @@
 """Penalty-weight ladder, prediction error, and bootstrap intervals."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psml.core import Dataset, DomainError, SdeModel, TimeGrid, rng_stream, simulate_dataset
+from psml.core import (
+    Dataset,
+    DomainError,
+    NumericalError,
+    SdeModel,
+    TimeGrid,
+    rng_stream,
+    simulate_dataset,
+)
 from psml.likelihood import PenaltyConfig
 from psml.models import OuModel
-from psml.optimize import EstimationError, OptimizerConfig
+from psml.optimize import EstimationError, OptimizerConfig, PsmlFit
 from psml.samplers import SamplerSpec
 from psml.tune import (
     TUNE_PRESETS,
@@ -58,6 +67,22 @@ class BrownianModel(SdeModel):
         out = np.zeros(x.shape + (1,))
         out[..., 0, 0] = theta[0]
         return out
+
+
+class BrokenFitModel(BrownianModel):
+    """Simulates like BrownianModel, but every likelihood evaluation raises.
+
+    Simulation calls drift on one (k,) state; the likelihood's proposals
+    call it on a batch of paths.
+    """
+
+    def __init__(self, error=NumericalError):
+        self.error = error
+
+    def drift(self, x, theta, t):
+        if np.ndim(x) > 1:
+            raise self.error("bridge proposals refused")
+        return np.zeros_like(x)
 
 
 def still_dataset(offsets, x0=(1.0, -2.0)):
@@ -123,6 +148,11 @@ def test_prediction_error_folded_normal():
     err = prediction_error(BrownianModel(), np.array([sigma]), ds, 8, 20000, rng_stream(3))
     expected = sigma * math.sqrt(dt) * math.sqrt(2.0 / math.pi)
     assert err == pytest.approx(expected, rel=0.02)
+
+
+def test_prediction_error_rejects_empty_dataset_list():
+    with pytest.raises(DomainError, match="at least one dataset"):
+        prediction_error(StillModel(), np.array([]), [], 4, 10, rng_stream(0))
 
 
 def test_prediction_error_noise_shrinks_with_sims():
@@ -206,6 +236,65 @@ def test_ladder_respects_step_budget():
     assert result.lam == pytest.approx(2.0 - 5 * 0.025)
 
 
+# (name, lambda0, max_steps, errors returned call by call, final lambda,
+# trace as (lambda, error, accepted)), recorded with eps0 = 0.05 and
+# delta_eps = 0.1 from the two-loop ladder this one replaced.
+LADDER_PINS = [
+    ("immediate-stop", 0.5, 200, [0.01],
+     0.5, [(0.5, 0.01, True)]),
+    ("down-then-reject", 0.5, 200, [3.0, 2.0, 1.5, 1.45, 0.0],
+     0.44999999999999996, [(0.5, 3.0, True), (0.475, 2.0, True), (0.44999999999999996, 1.5, True),
+                           (0.42499999999999993, 1.45, False)]),
+    ("down-to-eps0", 0.5, 200, [3.0, 2.0, 1.0, 0.01, 0.0],
+     0.42499999999999993, [(0.5, 3.0, True), (0.475, 2.0, True), (0.44999999999999996, 1.0, True),
+                           (0.42499999999999993, 0.01, True)]),
+    ("clamp-from-0.01", 0.01, 200, [3.0, 2.0, 1.0],
+     0.0, [(0.01, 3.0, True), (0.0, 2.0, True)]),
+    ("clamp-from-0", 0.0, 200, [3.0, 2.0, 1.0, 1.5],
+     0.05, [(0.0, 3.0, True), (0.025, 2.0, True), (0.05, 1.0, True), (0.07500000000000001, 1.5, False)]),
+    ("clamp-after-walk", 0.05, 200, [3.0, 2.0, 1.0, 0.5],
+     0.0, [(0.05, 3.0, True), (0.025, 2.0, True), (0.0, 1.0, True)]),
+    ("up-to-eps0", 0.5, 200, [3.0, 3.5, 2.0, 1.0, 0.01],
+     0.5750000000000001, [(0.5, 3.0, True), (0.475, 3.5, False), (0.525, 2.0, True), (0.55, 1.0, True),
+                          (0.5750000000000001, 0.01, True)]),
+    ("up-then-reject", 0.5, 200, [3.0, 2.95, 2.0, 1.0, 0.95],
+     0.55, [(0.5, 3.0, True), (0.475, 2.95, False), (0.525, 2.0, True), (0.55, 1.0, True),
+            (0.5750000000000001, 0.95, False)]),
+    ("reject-both", 0.5, 200, [3.0, 2.95, 3.5],
+     0.5, [(0.5, 3.0, True), (0.475, 2.95, False), (0.525, 3.5, False)]),
+    ("budget-down", 0.5, 1, [3.0, 2.0, 1.0],
+     0.475, [(0.5, 3.0, True), (0.475, 2.0, True)]),
+    ("budget-up", 0.5, 1, [3.0, 4.0, 2.0, 1.0],
+     0.525, [(0.5, 3.0, True), (0.475, 4.0, False), (0.525, 2.0, True)]),
+    ("budget-two", 0.2, 2, [3.0, 2.0, 1.0, 0.5],
+     0.15000000000000002, [(0.2, 3.0, True), (0.17500000000000002, 2.0, True),
+                           (0.15000000000000002, 1.0, True)]),
+]
+
+
+@pytest.mark.parametrize("name, lam0, max_steps, errors, lam, trace", LADDER_PINS,
+                         ids=[pin[0] for pin in LADDER_PINS])
+def test_ladder_pinned_traces(name, lam0, max_steps, errors, lam, trace):
+    calls = []
+    errors_left = iter(errors)
+
+    def evaluate(probe, warm):
+        calls.append((probe, warm))
+        return probe, next(errors_left)  # the "fit" is the lambda it was made at
+
+    config = TuneConfig(eps0=0.05, delta_eps=0.1, lambda0=lam0, max_steps=max_steps)
+    result = run_lambda_ladder(evaluate, config)
+    assert result.lam == lam
+    assert result.fit == lam
+    assert [(e.lam, e.eps, e.accepted) for e in result.trace] == trace
+    # every probe warm-starts at the last accepted fit
+    warm = None
+    for (probe, seen), entry in zip(calls, result.trace):
+        assert (probe, seen) == (entry.lam, warm)
+        if entry.accepted:
+            warm = entry.lam
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=50))
 def test_ladder_acceptance_is_monotone(vals):
@@ -278,6 +367,8 @@ def test_bootstrap_validation():
     with pytest.raises(DomainError):
         parametric_bootstrap(StillModel(), [], None, 0.0, bootstrap_template(),
                              SamplerSpec("mbb"), 8, 4, n_replicates=1)
+    with pytest.raises(DomainError, match="at least one dataset"):
+        parametric_bootstrap(StillModel(), [], None, 0.0, [], SamplerSpec("mbb"), 8, 4)
 
 
 def test_bootstrap_degenerate_estimates_give_zero_width():
@@ -375,3 +466,61 @@ def test_bootstrap_frozen_rho_recorded():
         seed=9, estimate_rho=False,
     )
     np.testing.assert_array_equal(res.rho_replicates, [0.8, 0.8])
+
+
+def test_bootstrap_hook_sees_the_refit_datasets(monkeypatch):
+    templates = [ou_dataset(n=3, seed=5), ou_dataset(n=2, seed=6)]
+    kwargs = dict(n_replicates=3, seed=9, data_substeps=16)
+    hooked = []
+
+    def hook(sims, b):
+        hooked.append(sims)
+        return OU_THETA, None
+
+    parametric_bootstrap(OuModel(), OU_THETA, None, 0.0, templates, SamplerSpec("mbb"), 8, 4,
+                         estimate=hook, **kwargs)
+    refit = []
+
+    def fake_fit(model, datasets, *args, **kw):
+        refit.append(datasets)
+        return PsmlFit(OU_THETA, None, 0.0, 0.0, 0.0, [], 1, True)
+
+    monkeypatch.setattr("psml.tune.maximize_psml", fake_fit)
+    parametric_bootstrap(OuModel(), OU_THETA, None, 0.0, templates, SamplerSpec("mbb"), 8, 4,
+                         **kwargs)
+    assert len(hooked) == len(refit) == 3
+    for a_sims, b_sims in zip(hooked, refit):
+        assert len(a_sims) == len(b_sims) == 2
+        for a, b in zip(a_sims, b_sims):
+            assert a.values.tobytes() == b.values.tobytes()
+            assert a.times.tobytes() == b.times.tobytes()
+            assert a.x0.tobytes() == b.x0.tobytes()
+    assert not np.array_equal(hooked[0][0].values, hooked[1][0].values)
+
+
+def test_bootstrap_hook_runs_in_this_process_whatever_the_workers():
+    pids = []
+
+    def hook(sims, b):
+        pids.append((os.getpid(), b))
+        return np.array([float(b)]), None
+
+    res = parametric_bootstrap(
+        StillModel(), np.array([]), None, 0.0, bootstrap_template(),
+        SamplerSpec("mbb"), 8, 4, n_replicates=4, workers=2, estimate=hook,
+    )
+    assert pids == [(os.getpid(), b) for b in range(4)]
+    np.testing.assert_array_equal(res.replicates, [[0.0], [1.0], [2.0], [3.0]])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_bootstrap_refit_failures_are_counted(workers):
+    template = Dataset(0.0, np.array([0.0]), np.array([1.0, 2.0]), np.array([[0.1], [0.2]]), (0,))
+    args = (np.array([0.5]), None, 0.0, template, SamplerSpec("mbb"), 4, 2)
+    # NumericalError inside a refit makes the replicate a counted failure
+    with pytest.raises(EstimationError, match="2 of 2 bootstrap replicates failed"):
+        parametric_bootstrap(BrokenFitModel(), *args, n_replicates=2, workers=workers)
+    # any other exception still propagates, from a pool worker too
+    with pytest.raises(ZeroDivisionError, match="bridge proposals refused"):
+        parametric_bootstrap(BrokenFitModel(ZeroDivisionError), *args, n_replicates=2,
+                             workers=workers)
