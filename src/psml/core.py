@@ -277,7 +277,11 @@ class GaussianSpec:
         return GaussianSpec(self.mean[idx], self.cov[np.ix_(idx, idx)])
 
     def conditional(self, idx: Sequence[int], values: Sequence[float]) -> "GaussianSpec":
-        """Law of the remaining coordinates given that coords idx equal values."""
+        """Law of the remaining coordinates given that coords idx equal values.
+
+        Solves through the chol_spd factor of the observed block, so a
+        block that its jitter cannot repair raises NumericalError.
+        """
         idx = np.asarray(idx, dtype=int)
         rest = np.array([i for i in range(self.dim) if i not in set(idx.tolist())])
         if rest.size == 0:
@@ -286,23 +290,12 @@ class GaussianSpec:
         s_oo = self.cov[np.ix_(idx, idx)]
         s_ro = self.cov[np.ix_(rest, idx)]
         s_rr = self.cov[np.ix_(rest, rest)]
-        sol = np.linalg.solve(_jitter_if_needed(s_oo), s_ro.T)  # S_oo^{-1} S_or
+        chol = chol_spd(s_oo)
+        sol = np.linalg.solve(chol.T, np.linalg.solve(chol, s_ro.T))  # S_oo^{-1} S_or
         mean = self.mean[rest] + sol.T @ (values - self.mean[idx])
         cov = s_rr - s_ro @ sol
         cov = 0.5 * (cov + cov.T)
         return GaussianSpec(mean, cov)
-
-
-def _jitter_if_needed(mat: np.ndarray) -> np.ndarray:
-    """Return mat, or mat plus trace-scaled diagonal jitter if it is singular."""
-    try:
-        np.linalg.cholesky(mat)
-        return mat
-    except np.linalg.LinAlgError:
-        k = mat.shape[-1]
-        tr = np.trace(mat, axis1=-2, axis2=-1)
-        jitter = 1e-10 * np.maximum(tr, 0.0) / k + 1e-30
-        return mat + np.asarray(jitter)[..., None, None] * np.eye(k)
 
 
 def chol_spd(cov: np.ndarray) -> np.ndarray:
@@ -310,13 +303,18 @@ def chol_spd(cov: np.ndarray) -> np.ndarray:
 
     On failure the diagonal is bumped by 1e-10 * trace / k (plus a tiny
     absolute floor for all-zero blocks); a second failure raises
-    NumericalError. Accepts a single (k, k) matrix or a batch (..., k, k);
-    the batched form jitters the whole batch if any member fails.
+    NumericalError. Accepts a single (k, k) matrix or a batch (..., k, k).
+    A (J, k, k) batch, the paths of one transition, is jittered as a whole
+    if any member fails. An (n, J, k, k) batch holds n independent
+    transitions, so each is retried on its own: a transition that factors
+    keeps its exact factor, and the repair of one never reaches another.
     """
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         pass
+    if cov.ndim == 4:
+        return np.stack([chol_spd(row) for row in cov])
     k = cov.shape[-1]
     tr = np.trace(cov, axis1=-2, axis2=-1)
     jitter = 1e-10 * np.maximum(tr, 0.0) / k + 1e-30

@@ -210,6 +210,52 @@ def _dataset_draws(dseed: int, n: int, n_paths: int, substeps: int, k: int, n_un
     return draws
 
 
+def _propose(model, theta, sampler, n_paths, substeps, inputs, clouds, blocks):
+    """One kernel call over the blocks (dataset, first, stop) of a step.
+
+    inputs and clouds are log_likelihood's per-dataset rows and particle
+    clouds. Returns, per transition, ((dataset, index), outcome): the error
+    that stopped it, or (log_phat, cv, ess, r, endpoints, weights), where
+    row r of the last two is the transition's.
+    """
+    obs, uno = list(model.observed), list(model.unobserved)
+    rows = [(d, i) for d, lo, hi in blocks for i in range(lo, hi)]
+    # a lone block passes views of its dataset's draws, not copies
+    prev, y, t0, dt, u, z, z_end = (
+        parts[0] if len(parts) == 1 else np.concatenate(parts)
+        for parts in zip(*([a[lo:hi] for a in inputs[d]] for d, lo, hi in blocks))
+    )
+    starts = np.empty((len(rows), n_paths, model.dim))
+    starts[..., obs] = prev[:, None, :]
+    if uno:  # partially observed blocks hold one transition each
+        for r, (d, _, _) in enumerate(blocks):
+            starts[r][:, uno] = clouds[d]._pick(u[r])
+    try:
+        # rows after a failing one still run in the call; keep them quiet
+        with np.errstate(all="ignore"):
+            paths = propose_transition(
+                model, theta, starts, y, t0, dt, substeps, sampler, (z, z_end)
+            )
+            log_phat, cv, ess, w = _weight_stats(paths.log_target - paths.log_proposal, n_paths)
+    except NumericalError as exc:
+        if len(rows) == 1:
+            return [(rows[0], exc)]
+        # rerun one at a time to find the failing rows
+        return [
+            out
+            for d, i in rows
+            for out in _propose(
+                model, theta, sampler, n_paths, substeps, inputs, clouds, [(d, i, i + 1)]
+            )
+        ]
+    vanished = TransitionFailure("all importance weights vanished")
+    ends = paths.endpoints
+    return [
+        (row, vanished if math.isnan(lp) else (lp, c, e, r, ends, w))
+        for r, (row, lp, c, e) in enumerate(zip(rows, log_phat.tolist(), cv.tolist(), ess.tolist()))
+    ]
+
+
 def log_likelihood(
     model: SdeModel,
     theta,
@@ -225,69 +271,72 @@ def log_likelihood(
     Each dataset d gets the derived seed (seed, d), and transition i of
     that dataset draws from the stream (dataset seed, i), so the joint
     value over several datasets equals the sum of single-dataset runs and
-    draws never depend on theta. With every coordinate observed, each
-    transition starts from an observation, so all transitions of a
-    dataset run as one batch; otherwise the particle cloud chains them
-    and they run one at a time. on_failure selects between raising a
-    TransitionFailure for the first failing transition and returning -inf
-    with the diagnostics of the transitions before it.
+    draws never depend on theta. The datasets run in lockstep, one kernel
+    call per step: with every coordinate observed, each transition starts
+    from an observation, so one step holds every transition of every
+    dataset; otherwise each dataset's particle cloud chains its
+    transitions, and step i holds transition i of every dataset still
+    running. on_failure selects between raising a TransitionFailure for
+    the first failing transition in dataset-major order and returning
+    -inf with the diagnostics of the transitions before it; a failure
+    stops its own dataset and the ones after it.
     """
     if on_failure not in ("raise", "neginf"):
         raise DomainError("on_failure must be 'raise' or 'neginf'")
     validate_model(model)
     theta = model.validate_theta(theta)
     obs, uno = list(model.observed), list(model.unobserved)
-    total = 0.0
-    diags = []
-    for d_idx, ds in enumerate(_as_datasets(datasets)):
-        if tuple(ds.observed) != tuple(model.observed):
-            raise DomainError("dataset observed coordinates do not match the model")
-        u, z, z_end = _dataset_draws(
-            derive_seed(seed, d_idx), ds.n, n_paths, substeps, model.dim, len(uno)
-        )
+    data = _as_datasets(datasets)
+    if any(tuple(ds.observed) != tuple(model.observed) for ds in data):
+        raise DomainError("dataset observed coordinates do not match the model")
+    # Per dataset, one row per transition: previous observation, observation,
+    # start time, length, then the cached uniforms and normals.
+    inputs = []
+    for d_idx, ds in enumerate(data):
         t_start = np.concatenate(([ds.t0], ds.times[:-1]))
         prev_obs = np.concatenate((ds.x0[obs][None], ds.values[:-1]))
-        cloud = ParticleCloud.point_mass(ds.x0[uno])
-        blocks = [range(i, i + 1) for i in range(ds.n)] if uno else [range(ds.n)]
-        while blocks:
-            rows = blocks.pop(0)
-            b = slice(rows.start, rows.stop)
-            starts = np.empty((len(rows), n_paths, model.dim))
-            starts[..., obs] = prev_obs[b, None, :]
+        draws = _dataset_draws(
+            derive_seed(seed, d_idx), ds.n, n_paths, substeps, model.dim, len(uno)
+        )
+        inputs.append((prev_obs, ds.values, t_start, ds.times - t_start) + draws)
+    clouds = [ParticleCloud.point_mass(ds.x0[uno]) for ds in data]
+    if uno:
+        steps = [
+            [(d, i, i + 1) for d, ds in enumerate(data) if i < ds.n]
+            for i in range(max(ds.n for ds in data))
+        ]
+    else:
+        steps = [[(d, 0, ds.n) for d, ds in enumerate(data)]]
+    diags = [[] for _ in data]
+    failed = None  # (dataset, transition, error) first in dataset-major order
+    for step in steps:
+        blocks = [b for b in step if failed is None or b[0] < failed[0]]
+        if not blocks:
+            break
+        for (d_idx, i), out in _propose(
+            model, theta, sampler, n_paths, substeps, inputs, clouds, blocks
+        ):
+            if isinstance(out, Exception):
+                failed = (d_idx, i, out)
+                break  # the rest of the step comes after it
+            log_phat, cv, ess, r, ends, w = out
+            diags[d_idx].append(TransitionDiag(d_idx, i, log_phat, cv, ess))
             if uno:
-                starts[0][:, uno] = cloud._pick(u[b.start])
-            failure = TransitionFailure("all importance weights vanished")
-            try:
-                # rows after a failing one still run in a batch; keep them quiet
-                with np.errstate(all="ignore"):
-                    paths = propose_transition(
-                        model, theta, starts, ds.values[b], t_start[b],
-                        ds.times[b] - t_start[b], substeps, sampler, (z[b], z_end[b]),
-                    )
-                    log_phat, cv, ess, w = _weight_stats(
-                        paths.log_target - paths.log_proposal, n_paths
-                    )
-            except NumericalError as exc:
-                if len(rows) > 1:  # rerun one at a time to find the failing row
-                    blocks[:0] = [range(i, i + 1) for i in rows]
-                    continue
-                log_phat, failure = [math.nan], exc
-            for j, i in enumerate(rows):
-                if math.isnan(log_phat[j]):
-                    if on_failure == "raise":
-                        raise TransitionFailure(
-                            f"transition {i} of dataset {d_idx} failed: {failure}",
-                            dataset_index=d_idx,
-                            index=i,
-                        ) from failure
-                    return LikelihoodResult(-math.inf, diags, failed=True)
-                diags.append(TransitionDiag(
-                    d_idx, i, float(log_phat[j]), float(cv[j]), float(ess[j])
-                ))
-                total += float(log_phat[j])
-            if uno:
-                cloud = ParticleCloud(paths.endpoints[0][:, uno], w[0] / w[0].sum())
-    return LikelihoodResult(float(total), diags)
+                clouds[d_idx] = ParticleCloud(ends[r][:, uno], w[r] / w[r].sum())
+    if failed is not None:
+        d_idx, i, cause = failed
+        if on_failure == "raise":
+            raise TransitionFailure(
+                f"transition {i} of dataset {d_idx} failed: {cause}",
+                dataset_index=d_idx,
+                index=i,
+            ) from cause
+        return LikelihoodResult(-math.inf, [g for d in diags[: d_idx + 1] for g in d], failed=True)
+    diagnostics = [g for d in diags for g in d]
+    total = 0.0
+    for g in diagnostics:
+        total += g.log_phat
+    return LikelihoodResult(total, diagnostics)
 
 
 def penalized_log_likelihood(

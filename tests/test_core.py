@@ -11,6 +11,7 @@ from psml.core import (
     Dataset,
     DomainError,
     GaussianSpec,
+    NumericalError,
     SdeModel,
     TimeGrid,
     chol_spd,
@@ -169,6 +170,70 @@ def test_conditional_two_dim_frozen():
     cond = spec.conditional((0,), np.array([3.0]))
     assert cond.mean[0] == pytest.approx(3.0, rel=1e-14)
     assert cond.cov[0, 0] == pytest.approx(0.5, rel=1e-14)
+
+
+def test_conditional_matches_precision_closed_form():
+    # Given x_o, x_r is N(m_r - P_rr^{-1} P_ro (x_o - m_o), P_rr^{-1}), P = cov^{-1}
+    rng = np.random.default_rng(11)
+    cov = random_spd(rng, 3)
+    mean = rng.standard_normal(3)
+    spec = GaussianSpec(mean, cov)
+    prec = np.linalg.inv(cov)
+    for idx, rest in (((0,), [1, 2]), ((2, 0), [1])):
+        values = rng.standard_normal(len(idx))
+        cond = spec.conditional(idx, values)
+        p_rr = prec[np.ix_(rest, rest)]
+        p_ro = prec[np.ix_(rest, list(idx))]
+        expected_cov = np.linalg.inv(p_rr)
+        expected_mean = mean[rest] - expected_cov @ p_ro @ (values - mean[list(idx)])
+        np.testing.assert_allclose(cond.mean, expected_mean, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(cond.cov, expected_cov, rtol=1e-12, atol=1e-12)
+
+
+def test_conditional_on_a_singular_observed_block():
+    # Coordinates 0 and 1 are one variable observed twice: the jitter
+    # repairs the rank-deficient block and the law given both equals the
+    # law given coordinate 0 alone.
+    cov = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 2.0]])
+    spec = GaussianSpec(np.array([1.0, 1.0, -1.0]), cov)
+    both = spec.conditional((0, 1), np.array([2.0, 2.0]))
+    one = spec.conditional((0,), np.array([2.0]))
+    np.testing.assert_allclose(both.mean, one.mean[1:], rtol=1e-9)
+    np.testing.assert_allclose(both.cov, one.cov[1:, 1:], rtol=1e-9)
+    # An observed block that is indefinite beyond the jitter is an error,
+    # not a silently bad solve.
+    eps = 1e-6
+    cov = np.array([[1.0, 1.0 + eps, 0.0], [1.0 + eps, 1.0, 0.0], [0.0, 0.0, 1e6]])
+    spec = GaussianSpec(np.zeros(3), cov)
+    with pytest.raises(NumericalError):
+        spec.conditional((0, 1), np.array([0.5, 0.5]))
+
+
+def test_chol_spd_repairs_one_transition_of_a_batch():
+    rng = np.random.default_rng(5)
+    cov = np.stack([np.stack([random_spd(rng, 3) for _ in range(4)]) for _ in range(3)])
+    cov[1, 2] = np.ones((3, 3))  # singular: only jitter factors it
+    chol = chol_spd(cov)
+    for n in (0, 2):
+        np.testing.assert_array_equal(chol[n], np.linalg.cholesky(cov[n]))
+    np.testing.assert_array_equal(chol[1], chol_spd(cov[1]))
+
+
+def test_chol_spd_raises_when_a_row_fails_after_jitter():
+    cov = np.broadcast_to(np.eye(2), (3, 2, 2, 2)).copy()
+    cov[2, 1] = [[1.0, 2.0], [2.0, 1.0]]  # indefinite, beyond any jitter
+    with pytest.raises(NumericalError):
+        chol_spd(cov)
+
+
+def test_chol_spd_jitters_a_three_dim_batch_as_a_whole():
+    rng = np.random.default_rng(6)
+    cov = np.stack([random_spd(rng, 3) for _ in range(4)])
+    cov[2] = np.ones((3, 3))
+    jitter = 1e-10 * np.trace(cov, axis1=-2, axis2=-1) / 3 + 1e-30
+    bumped = cov + jitter[:, None, None] * np.eye(3)
+    np.testing.assert_array_equal(chol_spd(cov), np.linalg.cholesky(bumped))
+    assert not np.array_equal(chol_spd(cov)[0], np.linalg.cholesky(cov[0]))
 
 
 def test_gaussian_spec_rejects_asymmetry():

@@ -1,5 +1,6 @@
 """Chained likelihood estimates, weight diagnostics, penalty arithmetic."""
 
+import gc
 import math
 import sys
 import threading
@@ -314,6 +315,129 @@ def test_numerical_failure_located_inside_a_batch():
                          on_failure="neginf")
     assert res.failed
     assert [d.index for d in res.diagnostics] == [0, 1]
+
+
+class SignedNoiseCwd(CwdDirectModel):
+    """cwd-direct whose noise covariance turns negative once C drops below -0.5."""
+
+    nonnegative = (0, 1)
+
+    def diffusion_outer(self, x, theta, t):
+        out = super().diffusion_outer(x, theta, t)
+        return np.where((np.asarray(x)[..., 2] < -0.5)[..., None, None], -out, out)
+
+
+def unequal_epidemics():
+    """Epidemics of 11, 10 and 1 transitions, the first two as in the cwd-direct preset."""
+    return [
+        simulate_dataset(CwdDirectModel(), np.array([0.03, 0.2]), np.array(x0),
+                         TimeGrid(0.0, np.arange(1.0, n + 1.0), 12), rng_stream(505, e))
+        for e, (x0, n) in enumerate([((36.0, 4.0, 0.0), 11), ((46.0, 4.0, 0.0), 10),
+                                     ((40.0, 6.0, 0.0), 1)])
+    ]
+
+
+def with_observation(ds, i, value):
+    values = ds.values.copy()
+    values[i, 0] = value
+    return Dataset(ds.t0, ds.x0, ds.times, values, ds.observed)
+
+
+# Failure at transition 6 of dataset 0 (when it is broken) and transition 2
+# of dataset 1: (dataset, transition) raised, diagnostics per dataset under
+# "neginf", and the fsums of their log_phat, cv and ess, all recorded from
+# the implementation that ran the datasets one after the other.
+FAILURE_ORDER = {
+    True: ((0, 6), (6, 0, 0), -11.619145612827646, 6.130467787001668, 49.02057709724204),
+    False: ((1, 2), (11, 2, 0), -27.30950020308945, 13.330140748143652, 106.16877121744827),
+}
+
+
+@pytest.mark.parametrize("kind", ["vanished", "numerical"])
+@pytest.mark.parametrize("break_first", [True, False])
+def test_failure_found_in_dataset_major_order(kind, break_first):
+    # Dataset 1 fails at an earlier transition than dataset 0, but dataset 0
+    # comes first, so its failure is the one reported.
+    model, value, cause = {
+        "vanished": (CwdDirectModel(), 1e6, "all importance weights vanished"),
+        "numerical": (SignedNoiseCwd(), -2.0, "covariance not positive definite after jitter"),
+    }[kind]
+    data = unequal_epidemics()
+    if break_first:
+        data[0] = with_observation(data[0], 6, value)
+    data[1] = with_observation(data[1], 2, value)
+    (d, i), counts, log_phat, cv, ess = FAILURE_ORDER[break_first]
+    args = (model, np.array([0.03, 0.2]), data, 16, 6, SamplerSpec("aux-mbb", 0.8), 3)
+    with pytest.raises(TransitionFailure) as err:
+        log_likelihood(*args)
+    assert (err.value.dataset_index, err.value.index) == (d, i)
+    assert str(err.value) == f"transition {i} of dataset {d} failed: {cause}"
+    res = log_likelihood(*args, on_failure="neginf")
+    assert res.failed and res.loglik == -math.inf
+    assert [(g.dataset_index, g.index) for g in res.diagnostics] == [
+        (k, j) for k, n in enumerate(counts) for j in range(n)
+    ]
+    assert math.fsum(g.log_phat for g in res.diagnostics) == log_phat
+    assert math.fsum(g.cv for g in res.diagnostics) == cv
+    assert math.fsum(g.ess for g in res.diagnostics) == ess
+
+
+def extinct_epidemic():
+    """From 0.3 infected, C stays flat at 0.15 from t = 2: the infection must
+    die out, so proposal paths reach I = 0 inside an interval."""
+    return Dataset(0.0, np.array([40.0, 0.3, 0.0]), np.arange(1.0, 7.0),
+                   np.array([[0.1]] + [[0.15]] * 5), (2,))
+
+
+@pytest.mark.parametrize("spec", [
+    SamplerSpec("pedersen"), SamplerSpec("mbb"), SamplerSpec("regularized", 0.5),
+    SamplerSpec("aux-mbb", 0.8),
+], ids=lambda s: s.kind)
+def test_cwd_extinction_inside_an_interval(spec, monkeypatch):
+    model, theta = CwdDirectModel(), np.array([0.03, 0.2])
+    healthy = unequal_epidemics()[0]
+    cholesky, repaired = np.linalg.cholesky, []
+
+    def counting(a):
+        try:
+            return cholesky(a)
+        except np.linalg.LinAlgError:
+            repaired.append(a.shape)
+            raise
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    solo = log_likelihood(model, theta, extinct_epidemic(), 48, 12, spec, seed=1)
+    assert repaired, "the extinct epidemic should need the jitter"
+    assert math.isfinite(solo.loglik)
+    assert not any(math.isnan(v) for d in solo.diagnostics for v in (d.log_phat, d.cv, d.ess))
+    # Jitter for the extinct epidemic must not reach the healthy one in
+    # the same kernel call, whichever comes first.
+    for data in ([extinct_epidemic(), healthy], [healthy, extinct_epidemic()]):
+        joint = log_likelihood(model, theta, data, 48, 12, spec, seed=1)
+        head = log_likelihood(model, theta, data[:1], 48, 12, spec, seed=1)
+        assert math.isfinite(joint.loglik)
+        assert [d for d in joint.diagnostics if d.dataset_index == 0] == head.diagnostics
+
+
+def test_evaluation_leaves_no_cyclic_garbage():
+    # A reference cycle would keep each evaluation's step inputs alive until
+    # the cyclic collector runs, and every evaluation would pay for that run.
+    cases = [
+        (CwdDirectModel(), np.array([0.03, 0.2]), unequal_epidemics()),
+        (OuModel(), OU_THETA, [ou_dataset(seed=1), ou_dataset(n=3, seed=2)]),
+    ]
+    for model, theta, data in cases:
+        log_likelihood(model, theta, data, 16, 6, SamplerSpec("aux-mbb", 0.8), seed=3)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for model, theta, data in cases:
+            log_likelihood(model, theta, data, 16, 6, SamplerSpec("aux-mbb", 0.8), seed=3)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_draw_cache_stays_within_its_byte_bound(monkeypatch):

@@ -99,3 +99,20 @@ def test_cached_draws_are_read_only_fresh_stream_values(seed, n, n_paths, m, k, 
         for step in range(m - 1):
             np.testing.assert_array_equal(z[i, step], rng.standard_normal((n_paths, k)))
         np.testing.assert_array_equal(z_end[i], rng.standard_normal((n_paths, n_u)))
+
+
+@settings(max_examples=60)
+@given(steps=st.lists(st.integers(-3200, 3200), min_size=2, max_size=24),
+       shift=st.integers(-32000, 32000))
+def test_weight_stats_are_shift_invariant(steps, shift):
+    # Log-weights in (-50, 50) and a shift c in (-500, 500), on a 1/64 grid
+    # so that adding c is exact: cv and ESS must not move, and log p-hat
+    # must move by c.
+    lw = np.array([steps], dtype=float) / 64.0
+    c = shift / 64.0
+    lp, cv, ess, _ = likelihood._weight_stats(lw, lw.shape[1])
+    lp_c, cv_c, ess_c, _ = likelihood._weight_stats(lw + c, lw.shape[1])
+    assert cv_c == pytest.approx(cv, rel=1e-12)
+    assert ess_c == pytest.approx(ess, rel=1e-12)
+    # abs covers rounding when lp + c is near zero: a few ulp of 550
+    assert lp_c == pytest.approx(lp + c, rel=1e-12, abs=1e-12)
