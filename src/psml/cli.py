@@ -58,6 +58,12 @@ def _add_model_flags(sub):
                      help="cwd-direct only: background mortality rate")
 
 
+def _threads(args) -> int:
+    if args.threads < 1:
+        raise DomainError(f"--threads must be >= 1, got {args.threads}")
+    return args.threads
+
+
 def _write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -229,7 +235,7 @@ def cmd_study(args) -> int:
         if args.seed is not None:
             kwargs["seed"] = args.seed
         config = STUDY_PRESETS[args.preset](**kwargs)
-    run_study(config, workers=args.threads, out_dir=args.out)
+    run_study(config, workers=_threads(args), out_dir=args.out)
     print(str(Path(args.out) / "report.json"))
     return 0
 
@@ -259,7 +265,7 @@ def cmd_bootstrap(args) -> int:
         n_replicates=args.replicates, alpha=args.alpha,
         optimizer=OptimizerConfig(max_evals=int(cfg.get("max_evals", 1500))),
         seed=args.seed, estimate_rho=bool(cfg.get("estimate_rho", False)),
-        data_substeps=args.data_substeps, workers=args.threads,
+        data_substeps=args.data_substeps, workers=_threads(args),
     )
     payload = {
         "source_fit": str(args.fit),

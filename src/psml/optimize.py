@@ -222,7 +222,8 @@ def maximize_psml(
     rho is appended to the search space as a unit-interval coordinate
     when the family has one and estimate_rho is not disabled; otherwise
     it stays frozen at rho_init. One evaluation seed drives every
-    objective call.
+    objective call. The evaluation budget must cover the initial simplex,
+    dim + 2 evaluations; a smaller one raises DomainError.
     """
     theta_init = model.validate_theta(theta_init)
     cons = model.param_constraints
@@ -248,14 +249,25 @@ def maximize_psml(
         x = untransform(z, cons)
         return (x[:p], float(x[p])) if estimate_rho else (x, rho0)
 
+    if optimizer.max_evals < x0.size + 2:
+        raise DomainError("evaluation budget must be at least dim + 2")
+    # The best point so far and its evaluation, (z, value, result), so
+    # that the fit needs no extra run for its diagnostics. Of equal values
+    # the first is kept, as the simplex keeps it; should the simplex still
+    # end on another point, that point is evaluated again.
+    best = None
+
     def objective(z):
+        nonlocal best
         theta, rho = split(z)
         try:
-            value, _ = penalized_log_likelihood(
+            value, lik = penalized_log_likelihood(
                 model, theta, rho, datasets, config, seed, on_failure="neginf"
             )
         except DomainError:
             return -math.inf
+        if best is None or value > best[1]:
+            best = (z, value, lik)
         return value
 
     try:
@@ -264,9 +276,12 @@ def maximize_psml(
         raise EstimationError(f"objective not usable at the initial point: {exc}") from exc
 
     theta_hat, rho_hat = split(res.x)
-    value, lik = penalized_log_likelihood(
-        model, theta_hat, rho_hat, datasets, config, seed, on_failure="neginf"
-    )
+    if np.array_equal(best[0], res.x):
+        _, value, lik = best
+    else:
+        value, lik = penalized_log_likelihood(
+            model, theta_hat, rho_hat, datasets, config, seed, on_failure="neginf"
+        )
     return PsmlFit(
         theta=theta_hat,
         rho=rho_hat,

@@ -351,6 +351,8 @@ def run_study(config: StudyConfig, workers: int = 1, out_dir=None):
     configurations produce byte-identical report files at any worker
     count.
     """
+    if workers < 1:
+        raise DomainError("workers must be >= 1")
     outcomes = _map(partial(run_replicate, config), range(config.n_replicates), workers)
     records = [rec for rec, _ in outcomes]
     timings = {

@@ -253,6 +253,8 @@ def parametric_bootstrap(
         raise DomainError("alpha must lie in (0, 1]")
     if n_replicates < 2:
         raise DomainError("need at least 2 bootstrap replicates")
+    if workers < 1:
+        raise DomainError("workers must be >= 1")
     templates = _as_datasets(templates)
     data_substeps = substeps if data_substeps is None else data_substeps
 

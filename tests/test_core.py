@@ -14,6 +14,7 @@ from psml.core import (
     NumericalError,
     SdeModel,
     TimeGrid,
+    chol_mul,
     chol_spd,
     dataset_from_dict,
     dataset_to_dict,
@@ -57,6 +58,40 @@ class BrokenDriftModel(StillModel):
         out = np.zeros_like(x)
         out[..., 1] = np.nan
         return out
+
+
+class SkewNoiseModel(SdeModel):
+    """Linear drift with a constant, non-diagonal diffusion factor."""
+
+    dim = 2
+    state_names = ("a", "b")
+    observed = (0, 1)
+    param_names = ("k", "s")
+    param_constraints = ("positive", "positive")
+    constant_diffusion = True
+
+    def drift(self, x, theta, t):
+        return -theta[0] * x + np.array([0.3, -0.1])
+
+    def diffusion(self, x, theta, t):
+        return theta[1] * np.array([[1.0, 0.0], [0.7, 0.6]])
+
+
+class BrokenNoiseModel(StillModel):
+    """Finite drift, NaN diffusion; constant or state-dependent."""
+
+    def __init__(self, constant):
+        self.constant_diffusion = constant
+
+    def diffusion(self, x, theta, t):
+        return np.full(x.shape + (2,), np.nan)
+
+
+class BrokenModel(BrokenNoiseModel):
+    """Both the drift and the diffusion are non-finite."""
+
+    def drift(self, x, theta, t):
+        return BrokenDriftModel.drift(self, x, theta, t)
 
 
 def random_spd(rng, k):
@@ -236,6 +271,17 @@ def test_chol_spd_jitters_a_three_dim_batch_as_a_whole():
     assert not np.array_equal(chol_spd(cov)[0], np.linalg.cholesky(cov[0]))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_chol_mul_broadcast_factor_equals_materialized(k):
+    rng = np.random.default_rng(8)
+    chol = np.linalg.cholesky(np.stack([random_spd(rng, k) for _ in range(5)]))[:, None]
+    z = rng.standard_normal((5, 32, k))
+    full = np.broadcast_to(chol, (5, 32, k, k)).copy()
+    out = chol_mul(chol, z)
+    assert out.tobytes() == chol_mul(full, z).tobytes()
+    assert out.tobytes() == np.einsum("...ab,...b->...a", chol, z).tobytes()
+
+
 def test_gaussian_spec_rejects_asymmetry():
     with pytest.raises(DomainError):
         GaussianSpec(np.zeros(2), np.array([[1.0, 0.5], [0.1, 1.0]]))
@@ -326,6 +372,50 @@ def test_simulate_path_still_model():
                                   rng_stream(0))
     np.testing.assert_array_equal(times, [0.0, 1.0])
     np.testing.assert_array_equal(states, [[2.0, 3.0], [2.0, 3.0]])
+
+
+SIM_CASES = {  # model, theta, x0, substeps
+    "ou": (OuModel(), OU_THETA, [1.0], 16),
+    "lorenz63": (Lorenz63Model(), np.array([10.0, 28.0, 8.0 / 3.0, 2.0]), [-10.0, -10.0, 30.0], 16),
+    "cwd-direct": (CwdDirectModel(), np.array([0.03, 0.2]), [36.0, 4.0, 0.0], 12),
+    "skew-noise": (SkewNoiseModel(), np.array([0.8, 0.5]), [1.0, -1.0], 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIM_CASES))
+def test_simulate_path_equals_an_euler_step_loop(name):
+    model, theta, x0, substeps = SIM_CASES[name]
+    # unequal intervals, so the substep length changes between intervals
+    grid = TimeGrid(0.5, np.array([0.55, 0.6, 0.8, 0.85, 1.5]) * (20.0 if name == "cwd-direct" else 1.0),
+                    substeps)
+    times, states = simulate_path(model, theta, np.array(x0), grid, rng_stream(31, 7))
+    rng = rng_stream(31, 7)
+    ref_t, ref_x = [grid.t0], [np.array(x0, dtype=float)]
+    for i in range(grid.n):
+        t_start, dt = grid.interval(i)
+        delta = dt / substeps
+        for m in range(substeps):
+            ref_x.append(euler_step(model, ref_x[-1], theta, t_start + m * delta, delta,
+                                    rng.standard_normal(model.dim)))
+            ref_t.append(t_start + (m + 1) * delta)
+    assert times.tobytes() == np.array(ref_t).tobytes()
+    assert states.tobytes() == np.array(ref_x).tobytes()
+
+
+@pytest.mark.parametrize("model, message", [
+    (BrokenDriftModel(), "drift is non-finite at coordinate 'b'"),
+    (BrokenNoiseModel(constant=True), "diffusion is non-finite"),
+    (BrokenNoiseModel(constant=False), "diffusion is non-finite"),
+    (BrokenModel(constant=True), "drift is non-finite at coordinate 'b'"),
+    (BrokenModel(constant=False), "drift is non-finite at coordinate 'b'"),
+])
+def test_simulate_path_reports_nonfinite_terms_as_euler_step_does(model, message):
+    grid = TimeGrid(0.0, np.array([1.0, 2.0]), substeps=4)
+    x0 = np.array([0.5, 0.5])
+    with pytest.raises(DomainError, match=message):
+        euler_step(model, x0, np.array([]), 0.0, 0.25, np.zeros(2))
+    with pytest.raises(DomainError, match=message):
+        simulate_path(model, np.array([]), x0, grid, rng_stream(0))
 
 
 def test_simulate_path_deterministic_given_seed():

@@ -26,7 +26,7 @@ from psml.likelihood import (
     penalized_log_likelihood,
     weight_cv,
 )
-from psml.models import CwdDirectModel, OuModel, make_model, ou_exact_loglik
+from psml.models import CwdDirectModel, Lorenz63Model, OuModel, make_model, ou_exact_loglik
 from psml.samplers import SamplerSpec, importance_weight, propose_transition
 
 OU_THETA = np.array([0.0187, 0.2610, 0.0224])
@@ -246,6 +246,48 @@ def test_log_likelihood_pinned_values(name):
         res = log_likelihood(model, np.array(theta), data, n_paths, substeps, spec, seed=11)
         assert res.loglik == pytest.approx(PINNED[name][2 * j], rel=1e-9), spec.kind
         assert res.cv_sum == pytest.approx(PINNED[name][2 * j + 1], rel=1e-9), spec.kind
+
+
+class SkewLorenz(Lorenz63Model):
+    """Lorenz63 with a constant, non-diagonal noise factor, observing x1 and x3.
+
+    The observed set is not contiguous, so the kernel indexes its
+    covariance blocks with index arrays rather than slices.
+    """
+
+    observed = (0, 2)
+    tilt = np.array([[1.0, 0.0, 0.0], [0.3, 1.0, 0.0], [0.2, -0.4, 1.0]])
+
+    def diffusion(self, x, theta, t):
+        return theta[3] * self.tilt
+
+    def diffusion_outer(self, x, theta, t):
+        g = self.diffusion(x, theta, t)
+        return g @ g.T
+
+
+# (loglik, cv_sum) for pedersen, mbb, regularized 0.5 and aux-mbb 0.8 in
+# turn, recorded before the kernel indexed contiguous coordinate sets by
+# slices.
+PINNED_SKEW = (-35.20273906769849, 27.658611121635477, -15.358267607790621,
+               11.214095914662485, -14.193529065522608, 12.334293866201207,
+               -14.451617681648925, 14.689892755838608)
+
+
+def test_log_likelihood_pinned_for_scattered_observations():
+    model = SkewLorenz()
+    theta = np.array([10.0, 28.0, 8.0 / 3.0, 2.0])
+    data = [
+        simulate_dataset(model, theta, np.array(x0), TimeGrid(0.0, dt * np.arange(1, n + 1), 16),
+                         rng_stream(404, e))
+        for e, (x0, n, dt) in enumerate([((-10.0, -10.0, 30.0), 6, 0.05), ((5.0, 5.0, 20.0), 5, 0.05)])
+    ]
+    specs = [SamplerSpec("pedersen"), SamplerSpec("mbb"), SamplerSpec("regularized", 0.5),
+             SamplerSpec("aux-mbb", 0.8)]
+    for j, spec in enumerate(specs):
+        res = log_likelihood(model, theta, data, 16, 6, spec, seed=11)
+        assert res.loglik == pytest.approx(PINNED_SKEW[2 * j], rel=1e-9), spec.kind
+        assert res.cv_sum == pytest.approx(PINNED_SKEW[2 * j + 1], rel=1e-9), spec.kind
 
 
 @pytest.mark.parametrize("observed, message", [

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psml.core import FREE, POSITIVE, UNIT_INTERVAL, DomainError, TimeGrid, rng_stream, simulate_dataset
-from psml.likelihood import PenaltyConfig
-from psml.models import OuModel
+from psml import optimize
+from psml.likelihood import PenaltyConfig, penalized_log_likelihood
+from psml.models import OuModel, make_model
 from psml.optimize import (
     EstimationError,
     OptimizerConfig,
@@ -241,3 +242,109 @@ def test_fit_unusable_start_raises_estimation_error():
     with pytest.raises(EstimationError):
         maximize_psml(OuModel(), bad, small_config(SamplerSpec("mbb")),
                       (0.05, 0.5, 0.05), seed=0)
+
+
+# Capped fits recorded when maximize_psml still evaluated its best point a
+# second time: theta, rho, objective and loglik as float.hex, then evals
+# and the fsums of log_phat, cv and ess over the diagnostics.
+FIT_CASES = {  # theta0, start, episodes (x0, n, dt), J, M, sampler, rho
+    "ou": ((0.0187, 0.2610, 0.0224), (0.05, 0.5, 0.05), [((1.0,), 12, 1.0)], 8, 6,
+           "aux-mbb", 0.8),
+    "lorenz63": ((10.0, 28.0, 8.0 / 3.0, 2.0), (10.0, 28.0, 8.0 / 3.0, 2.0),
+                 [((-10.0, -10.0, 30.0), 6, 0.05)], 12, 6, "regularized", 0.5),
+    "cwd-direct": ((0.03, 0.20), (0.05, 0.3), [((36.0, 4.0, 0.0), 4, 1.0), ((46.0, 4.0, 0.0), 3, 1.0)],
+                   16, 6, "aux-mbb", 0.8),
+}
+PINNED_FITS = {
+    "ou": (("0x1.b5bfffffffffep-4", "0x1.cf15a319f19e2p-2", "0x1.a85026a00bfe0p-5"),
+           "0x1.a374e2cfdb652p-1", "0x1.490ac8f705b94p+4", "0x1.75d8a746d086bp+4", 16,
+           (23.365393902415615, 5.60052168214468, 79.30066438127017)),
+    "lorenz63": (("0x1.4000000000001p+3", "0x1.bffffffffffffp+4", "0x1.5555555555555p+1",
+                  "0x1.1aec7b35a00d3p+1"),
+                 "0x1.0000000000000p-1", "-0x1.c1d49814c1771p+3", "-0x1.47b8414751244p+3", 16,
+                 (-10.241242064753472, 7.631918718810244, 31.3932286009659)),
+    "cwd-direct": (("0x1.10896c003e0d1p-5", "0x1.040a08161489ep-2"),
+                   "0x1.b647ca4365c04p-1", "-0x1.0fb48adc9b01fp+4", "-0x1.ae209d8ded886p+3", 16,
+                   (-13.441481377795082, 7.08019272716021, 63.99086450138035)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIT_CASES))
+def test_fit_reuses_its_best_evaluation(name, monkeypatch):
+    theta0, start, episodes, n_paths, substeps, kind, rho = FIT_CASES[name]
+    model = make_model(name)
+    data = [
+        simulate_dataset(model, np.array(theta0), np.array(x0),
+                         TimeGrid(0.0, dt * np.arange(1, n + 1), 8), rng_stream(505, e))
+        for e, (x0, n, dt) in enumerate(episodes)
+    ]
+    cfg = PenaltyConfig(0.5, n_paths, substeps, SamplerSpec(kind, rho))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return penalized_log_likelihood(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "penalized_log_likelihood", counted)
+    fit = maximize_psml(model, data, cfg, np.array(start), rho, OptimizerConfig(max_evals=16),
+                        seed=21)
+    assert len(calls) == fit.evals
+    theta, rho_hat, objective, loglik, evals, sums = PINNED_FITS[name]
+    assert [float(v).hex() for v in fit.theta] == list(theta)
+    assert (fit.rho.hex(), fit.objective.hex(), fit.loglik.hex(), fit.evals) == (
+        rho_hat, objective, loglik, evals)
+    assert (math.fsum(d.log_phat for d in fit.diagnostics), math.fsum(d.cv for d in fit.diagnostics),
+            math.fsum(d.ess for d in fit.diagnostics)) == sums
+    # the kept evaluation is the one a fresh run at the estimate gives
+    value, lik = penalized_log_likelihood(model, fit.theta, fit.rho, data, cfg, 21,
+                                          on_failure="neginf")
+    assert (value, lik.loglik) == (fit.objective, fit.loglik)
+    assert lik.diagnostics == fit.diagnostics
+
+
+def test_fit_reruns_an_estimate_it_did_not_keep(monkeypatch):
+    # Should the simplex end on a point other than the best one evaluated
+    # (the simplex breaks ties the same way, so this is a stand-in), the
+    # fit evaluates that point once more rather than report another's
+    # diagnostics.
+    ds = ou_dataset(n=3)
+    cfg = small_config(SamplerSpec("mbb"))
+    search = optimize.nelder_mead
+
+    def second_vertex(objective, x0, config):
+        res = search(objective, x0, config)
+        x = np.array(x0)
+        x[1] += config.simplex_step
+        return optimize.OptResult(x, res.value, res.evals, res.converged)
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return penalized_log_likelihood(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "nelder_mead", second_vertex)
+    monkeypatch.setattr(optimize, "penalized_log_likelihood", counted)
+    fit = maximize_psml(OuModel(), ds, cfg, (0.05, 0.5, 0.05),
+                        optimizer=OptimizerConfig(max_evals=12), seed=0)
+    assert len(calls) == fit.evals + 1
+    np.testing.assert_array_equal(calls[-1], fit.theta)
+    value, lik = penalized_log_likelihood(OuModel(), fit.theta, None, ds, cfg, 0)
+    assert (fit.objective, fit.diagnostics) == (value, lik.diagnostics)
+
+
+@pytest.mark.parametrize("max_evals", [0, 1, 4])
+def test_fit_budget_below_dim_plus_two_is_a_domain_error(max_evals, monkeypatch):
+    calls = []
+    monkeypatch.setattr(optimize, "penalized_log_likelihood",
+                        lambda *a, **k: calls.append(a) or penalized_log_likelihood(*a, **k))
+    with pytest.raises(DomainError, match="evaluation budget must be at least dim \\+ 2"):
+        maximize_psml(OuModel(), ou_dataset(n=3), small_config(SamplerSpec("mbb")),
+                      (0.05, 0.5, 0.05), optimizer=OptimizerConfig(max_evals=max_evals), seed=0)
+    assert calls == []
+    # dim + 2 is enough; with rho estimated dim grows by one
+    maximize_psml(OuModel(), ou_dataset(n=3), small_config(SamplerSpec("mbb")),
+                  (0.05, 0.5, 0.05), optimizer=OptimizerConfig(max_evals=5), seed=0)
+    with pytest.raises(DomainError):
+        maximize_psml(OuModel(), ou_dataset(n=3), small_config(SamplerSpec("aux-mbb", 0.8)),
+                      (0.05, 0.5, 0.05), optimizer=OptimizerConfig(max_evals=5), seed=0)

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from psml.core import rng_stream
+from psml.core import NumericalError, chol_spd, rng_stream
 from psml.models import CwdDirectModel, Lorenz63Model, OuModel
 from psml.samplers import (
     KINDS,
     SamplerSpec,
     SubPathBatch,
     _blend_weight,
+    _chol_pair,
+    _Coords,
     _kernel,
     _path_draws,
     importance_weight,
@@ -28,7 +30,7 @@ def proposal_kernel(model, theta, x, y_obs, t, m, substeps, delta, spec):
     x = np.asarray(x, dtype=float)[None, None]
     y = np.asarray(y_obs, dtype=float)[None]
     _, _, mean, chol = _kernel(model, theta, x, y, np.full((1, 1), t), m, substeps,
-                               np.array([delta]), spec)
+                               np.array([delta]), spec, _Coords.of(model))
     return mean[0], chol[0] @ np.swapaxes(chol[0], -1, -2)
 
 
@@ -169,6 +171,36 @@ def test_kernel_partial_observation_conditioning():
     d_obs = y[0] - (x[2] + f[2] * (r - 1) * delta)
     corr = outer[:2, 2] / g_oo * d_obs / (delta * r)
     np.testing.assert_allclose(mean[0, :2], x[:2] + (f[:2] + corr) * delta, rtol=1e-12)
+
+
+def test_stacked_factorization_equals_two_calls():
+    rng = np.random.default_rng(12)
+
+    def batch():
+        a = rng.standard_normal((3, 5, 3, 3))
+        return a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(3)
+
+    euler, proposal, clean = batch(), batch(), batch()
+    euler[1, 2] = np.ones((3, 3))  # singular: only the jitter factors it
+    proposal[2, 0] = np.ones((3, 3))
+    for a, b in ((euler, clean), (clean, proposal), (euler, proposal), (clean, batch())):
+        pair = _chol_pair(a, b)
+        assert pair[0].tobytes() == chol_spd(a).tobytes()
+        assert pair[1].tobytes() == chol_spd(b).tobytes()
+    proposal[0, 1] = [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]  # beyond jitter
+    with pytest.raises(NumericalError):
+        _chol_pair(euler, proposal)
+
+
+def test_coords_take_slices_only_for_contiguous_blocks():
+    cwd = _Coords.of(CwdDirectModel())  # observed (2,), unobserved (0, 1)
+    assert (cwd.o, cwd.u, cwd.o_rows, cwd.u_cols) == (slice(2, 3), slice(0, 2), slice(2, 3), slice(0, 2))
+    skew = _Coords.of(type("Skew", (Lorenz63Model,), {"observed": (0, 2)})())
+    assert skew.u == slice(1, 2)  # a contiguous set still slices along one axis
+    np.testing.assert_array_equal(skew.o, [0, 2])
+    outer = np.arange(9.0).reshape(3, 3)
+    np.testing.assert_array_equal(outer[skew.o_rows, skew.u_cols], [[1.0], [7.0]])
+    np.testing.assert_array_equal(outer[skew.u_rows, skew.o_cols], [[3.0, 5.0]])
 
 
 # ---------------------------------------------------------------------------

@@ -431,6 +431,35 @@ def test_cli_bootstrap(tmp_path, ou_fit):
     assert run_cli("bootstrap", tmp_path / "nope.json", "--out", out) == 2
 
 
+@pytest.mark.parametrize("max_evals", ["0", "4"])
+def test_cli_estimate_budget_below_dim_plus_two_is_a_configuration_error(
+        tmp_path, capsys, ou_data, max_evals):
+    out = tmp_path / "fit.json"
+    assert run_cli("estimate", ou_data, "--model", "ou", "--sampler", "mbb",
+                   "--max-evals", max_evals, "--out", out) == 2
+    assert "evaluation budget must be at least dim + 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("bootstrap", "FIT", "-B", "2", "--threads", "0"),
+    ("bootstrap", "FIT", "-B", "2", "--threads", "-1"),
+    ("study", "--preset", "ou", "--replicates", "1", "--threads", "0"),
+])
+def test_cli_rejects_thread_counts_below_one(tmp_path, capsys, ou_fit, argv):
+    argv = [ou_fit if a == "FIT" else a for a in argv]
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", out) == 2
+    assert "--threads must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_study_rejects_workers_below_one(tmp_path):
+    with pytest.raises(DomainError, match="workers must be >= 1"):
+        run_study(tiny_study(n_replicates=1), workers=0, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture(scope="module")
 def cwd_boot(tmp_path_factory):
     root = tmp_path_factory.mktemp("cwd")

@@ -371,6 +371,25 @@ def test_bootstrap_validation():
         parametric_bootstrap(StillModel(), [], None, 0.0, [], SamplerSpec("mbb"), 8, 4)
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_bootstrap_rejects_workers_below_one(workers):
+    calls = []
+    with pytest.raises(DomainError, match="workers must be >= 1"):
+        parametric_bootstrap(StillModel(), np.array([]), None, 0.0, bootstrap_template(),
+                             SamplerSpec("mbb"), 8, 4, workers=workers,
+                             estimate=lambda sims, b: calls.append(b))
+    assert calls == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_bootstrap_budget_below_dim_plus_two_is_a_domain_error(workers):
+    # a configuration error, not a replicate failure to count
+    with pytest.raises(DomainError, match="evaluation budget must be at least dim \\+ 2"):
+        parametric_bootstrap(OuModel(), OU_THETA, None, 0.0, ou_dataset(n=3, seed=5),
+                             SamplerSpec("mbb"), 8, 4, n_replicates=2, workers=workers,
+                             optimizer=OptimizerConfig(max_evals=4))
+
+
 def test_bootstrap_degenerate_estimates_give_zero_width():
     res = parametric_bootstrap(
         StillModel(), np.array([]), None, 0.0, bootstrap_template(),
