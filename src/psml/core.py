@@ -74,6 +74,16 @@ class SdeModel:
     ``(n, J, k)`` it is ``(n, 1)``, one substep time per transition, which
     broadcasts against ``x[..., 0]``. Time-dependent terms must therefore
     broadcast over t as well as over the state.
+
+    The parameter vector follows the same rule. It is a ``(p,)`` vector
+    for one fit; a batch that holds the transitions of several fits, as
+    a lockstep group of bootstrap refits does, passes it as a ``(p, n,
+    1)`` array, so that each entry ``theta[i]`` is ``(n, 1)``, one value
+    per transition, like t. Write each term with the entries as factors
+    that broadcast against ``x[..., j]`` and t: ``theta[0] * x[..., 0]``
+    works either way, ``theta[0] * x`` does not. A constant diffusion
+    keeps a trailing ``(k, k)`` matrix after the entry's shape, as
+    ``np.multiply.outer(theta[3] ** 2, np.eye(3))`` does.
     """
 
     dim: int = 0
@@ -346,16 +356,12 @@ def chol_spd(cov: np.ndarray) -> np.ndarray:
 def chol_mul(chol: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Apply a Cholesky factor to standard-normal draws, L z per row.
 
-    A k > 1 factor broadcast over rows of z, such as one (n, 1, k, k)
-    factor per transition against (n, J, k) draws, is copied out to the
-    rows first: einsum over a stride-0 axis is about 3x slower, and the
-    product is the same bit for bit.
+    A batched factor broadcasts against the rows of z. The proposal
+    kernel applies a factor shared by the paths of a transition by
+    batched matmul instead, since einsum over a stride-0 axis is slow.
     """
     if chol.ndim == 2:
         return z @ chol.T
-    if chol.shape[-1] > 1 and chol.shape[:-2] != z.shape[:-1]:
-        rows = np.broadcast_shapes(chol.shape[:-2], z.shape[:-1])
-        chol = np.broadcast_to(chol, rows + chol.shape[-2:]).copy()
     return np.einsum("...ab,...b->...a", chol, z)
 
 

@@ -35,13 +35,13 @@ class OuModel(SdeModel):
     constant_diffusion = True
 
     def drift(self, x, theta, t):
-        return theta[0] - theta[1] * x
+        return (theta[0] - theta[1] * x[..., 0])[..., None]
 
     def diffusion(self, x, theta, t):
-        return np.array([[theta[2]]])
+        return np.asarray(theta[2])[..., None, None]
 
     def diffusion_outer(self, x, theta, t):
-        return np.array([[theta[2] ** 2]])
+        return np.asarray(theta[2] ** 2)[..., None, None]
 
 
 def ou_exact_moments(x, theta, dt: float):
@@ -113,10 +113,10 @@ class Lorenz63Model(SdeModel):
         )
 
     def diffusion(self, x, theta, t):
-        return theta[3] * np.eye(3)
+        return np.multiply.outer(theta[3], np.eye(3))
 
     def diffusion_outer(self, x, theta, t):
-        return theta[3] ** 2 * np.eye(3)
+        return np.multiply.outer(theta[3] ** 2, np.eye(3))
 
 
 # ---------------------------------------------------------------------------

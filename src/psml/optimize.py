@@ -24,7 +24,7 @@ from .core import (
     DomainError,
     SdeModel,
 )
-from .likelihood import PenaltyConfig, penalized_log_likelihood
+from .likelihood import PenaltyConfig, _likelihoods, _objective, penalized_log_likelihood
 
 # Clip for transformed coordinates; exp of the bound stays finite.
 _Z_CLIP = 700.0
@@ -111,12 +111,15 @@ def untransform(z, constraints: Sequence[str]) -> np.ndarray:
     return out
 
 
-def nelder_mead(objective: Callable, x0, config: OptimizerConfig = OptimizerConfig()) -> OptResult:
-    """Maximize objective from x0; stops when the simplex function spread
-    falls below f_tol or the evaluation budget runs out.
+def _simplex(x0, config: OptimizerConfig):
+    """Ask/tell Nelder-Mead maximization from x0.
 
-    The first evaluation must be finite; -inf is tolerated afterwards and
-    simply repels the simplex.
+    A generator: it yields lists of points to evaluate, the d + 1
+    vertices at the start, d at a shrink and otherwise one, receives
+    their objective values in the same order, and returns the OptResult.
+    It stops when the simplex function spread falls below f_tol or the
+    evaluation budget runs out. The first value must be finite; -inf is
+    tolerated afterwards and simply repels the simplex.
     """
     x0 = np.asarray(x0, dtype=float)
     d = x0.size
@@ -124,20 +127,18 @@ def nelder_mead(objective: Callable, x0, config: OptimizerConfig = OptimizerConf
         raise DomainError("evaluation budget must be at least dim + 2")
     evals = 0
 
-    def g(x):
+    def ask(points):
         nonlocal evals
-        evals += 1
-        val = objective(x)
-        if math.isnan(val):
-            return math.inf
-        return -float(val)
+        values = yield points
+        evals += len(points)
+        return [math.inf if math.isnan(v) else -float(v) for v in values]
 
     simplex = [x0.copy()]
     for i in range(d):
         v = x0.copy()
         v[i] += config.simplex_step
         simplex.append(v)
-    values = [g(v) for v in simplex]
+    values = yield from ask(simplex)
     if not math.isfinite(values[0]):
         raise DomainError("objective is not finite at the initial point")
 
@@ -154,13 +155,13 @@ def nelder_mead(objective: Callable, x0, config: OptimizerConfig = OptimizerConf
             break
         centroid = np.mean(simplex[:-1], axis=0)
         reflected = centroid + (centroid - simplex[-1])
-        f_r = g(reflected)
+        [f_r] = yield from ask([reflected])
         if f_r < values[0]:
             if evals + 1 > config.max_evals:
                 simplex[-1], values[-1] = reflected, f_r
                 continue
             expanded = centroid + 2.0 * (centroid - simplex[-1])
-            f_e = g(expanded)
+            [f_e] = yield from ask([expanded])
             if f_e < f_r:
                 simplex[-1], values[-1] = expanded, f_e
             else:
@@ -172,23 +173,34 @@ def nelder_mead(objective: Callable, x0, config: OptimizerConfig = OptimizerConf
                 break
             if f_r < values[-1]:
                 contracted = centroid + 0.5 * (reflected - centroid)
-                f_c = g(contracted)
+                [f_c] = yield from ask([contracted])
                 accept = f_c <= f_r
             else:
                 contracted = centroid - 0.5 * (centroid - simplex[-1])
-                f_c = g(contracted)
+                [f_c] = yield from ask([contracted])
                 accept = f_c < values[-1]
             if accept:
                 simplex[-1], values[-1] = contracted, f_c
             else:
                 if evals + d > config.max_evals:
                     break
-                for j in range(1, d + 1):
-                    simplex[j] = simplex[0] + 0.5 * (simplex[j] - simplex[0])
-                    values[j] = g(simplex[j])
+                simplex[1:] = [simplex[0] + 0.5 * (v - simplex[0]) for v in simplex[1:]]
+                values[1:] = yield from ask(simplex[1:])
 
     best = int(np.argmin(values))
     return OptResult(simplex[best], -values[best], evals, converged)
+
+
+def nelder_mead(objective: Callable, x0, config: OptimizerConfig = OptimizerConfig()) -> OptResult:
+    """Maximize objective from x0 with the simplex of _simplex, evaluating
+    its points one at a time, in order."""
+    search = _simplex(x0, config)
+    points = next(search)
+    while True:
+        try:
+            points = search.send([objective(x) for x in points])
+        except StopIteration as done:
+            return done.value
 
 
 @dataclass
@@ -205,6 +217,85 @@ class PsmlFit:
     converged: bool
     prediction_error: float | None = None
     tune_trace: list = field(default_factory=list)
+
+
+class _Fit:
+    """One fit's side of the search, shared by maximize_psml and
+    _maximize_group: its start z0 in the search space, the map from search
+    points to (theta, rho), the best evaluation so far and the PsmlFit.
+
+    The best evaluation is kept as (z, value, result), so that the fit
+    needs no extra run for its diagnostics. Of equal values the first is
+    kept, as the simplex keeps it; should the simplex still end on
+    another point, that point is evaluated again.
+    """
+
+    def __init__(self, model, datasets, config, theta_init, rho_init, optimizer, seed,
+                 estimate_rho):
+        theta_init = model.validate_theta(theta_init)
+        cons = model.param_constraints
+        has_rho = config.sampler.has_rho
+        if estimate_rho is None:
+            estimate_rho = has_rho
+        if estimate_rho and not has_rho:
+            raise DomainError(f"sampler {config.sampler.kind!r} has no rho to estimate")
+        if has_rho:
+            rho0 = config.sampler.rho if rho_init is None else float(rho_init)
+            if rho0 is None:
+                raise DomainError("rho_init required for a rho-bearing sampler")
+        else:
+            rho0 = None
+        x0 = theta_init
+        if estimate_rho:
+            cons = (*cons, UNIT_INTERVAL)
+            x0 = np.append(x0, min(max(rho0, 1e-8), 1.0 - 1e-8))
+        if optimizer.max_evals < x0.size + 2:
+            raise DomainError("evaluation budget must be at least dim + 2")
+        self.model, self.datasets, self.config, self.seed = model, datasets, config, seed
+        self.z0, self.cons, self.rho0 = transform(x0, cons), cons, rho0
+        self.p, self.estimate_rho = len(model.param_constraints), estimate_rho
+        self.best = None
+
+    def split(self, z):
+        x = untransform(z, self.cons)
+        return (x[: self.p], float(x[self.p])) if self.estimate_rho else (x, self.rho0)
+
+    def tell(self, z, outcome) -> float:
+        """The objective value at z, given what evaluating it gave: a
+        (value, LikelihoodResult) pair, or the DomainError it raised,
+        which reads as -inf."""
+        if isinstance(outcome, DomainError):
+            return -math.inf
+        value, lik = outcome
+        if self.best is None or value > self.best[1]:
+            self.best = (z, value, lik)
+        return value
+
+    def result(self, res: OptResult) -> PsmlFit:
+        theta_hat, rho_hat = self.split(res.x)
+        if np.array_equal(self.best[0], res.x):
+            _, value, lik = self.best
+        else:
+            value, lik = penalized_log_likelihood(
+                self.model, theta_hat, rho_hat, self.datasets, self.config, self.seed,
+                on_failure="neginf",
+            )
+        return PsmlFit(
+            theta=theta_hat,
+            rho=rho_hat,
+            lam=self.config.lam,
+            loglik=lik.loglik,
+            objective=float(value),
+            diagnostics=lik.diagnostics,
+            evals=res.evals,
+            converged=res.converged,
+        )
+
+
+def _unusable_start(exc: DomainError) -> EstimationError:
+    err = EstimationError(f"objective not usable at the initial point: {exc}")
+    err.__cause__ = exc
+    return err
 
 
 def maximize_psml(
@@ -225,70 +316,76 @@ def maximize_psml(
     objective call. The evaluation budget must cover the initial simplex,
     dim + 2 evaluations; a smaller one raises DomainError.
     """
-    theta_init = model.validate_theta(theta_init)
-    cons = model.param_constraints
-    p = len(cons)
-    has_rho = config.sampler.has_rho
-    if estimate_rho is None:
-        estimate_rho = has_rho
-    if estimate_rho and not has_rho:
-        raise DomainError(f"sampler {config.sampler.kind!r} has no rho to estimate")
-    if has_rho:
-        rho0 = config.sampler.rho if rho_init is None else float(rho_init)
-        if rho0 is None:
-            raise DomainError("rho_init required for a rho-bearing sampler")
-    else:
-        rho0 = None
-
-    x0 = theta_init
-    if estimate_rho:
-        cons = (*cons, UNIT_INTERVAL)
-        x0 = np.append(x0, min(max(rho0, 1e-8), 1.0 - 1e-8))
-
-    def split(z):
-        x = untransform(z, cons)
-        return (x[:p], float(x[p])) if estimate_rho else (x, rho0)
-
-    if optimizer.max_evals < x0.size + 2:
-        raise DomainError("evaluation budget must be at least dim + 2")
-    # The best point so far and its evaluation, (z, value, result), so
-    # that the fit needs no extra run for its diagnostics. Of equal values
-    # the first is kept, as the simplex keeps it; should the simplex still
-    # end on another point, that point is evaluated again.
-    best = None
+    fit = _Fit(model, datasets, config, theta_init, rho_init, optimizer, seed, estimate_rho)
 
     def objective(z):
-        nonlocal best
-        theta, rho = split(z)
+        theta, rho = fit.split(z)
         try:
-            value, lik = penalized_log_likelihood(
+            outcome = penalized_log_likelihood(
                 model, theta, rho, datasets, config, seed, on_failure="neginf"
             )
-        except DomainError:
-            return -math.inf
-        if best is None or value > best[1]:
-            best = (z, value, lik)
-        return value
+        except DomainError as exc:
+            outcome = exc
+        return fit.tell(z, outcome)
 
     try:
-        res = nelder_mead(objective, transform(x0, cons), optimizer)
+        res = nelder_mead(objective, fit.z0, optimizer)
     except DomainError as exc:
-        raise EstimationError(f"objective not usable at the initial point: {exc}") from exc
+        raise _unusable_start(exc) from exc
+    return fit.result(res)
 
-    theta_hat, rho_hat = split(res.x)
-    if np.array_equal(best[0], res.x):
-        _, value, lik = best
-    else:
-        value, lik = penalized_log_likelihood(
-            model, theta_hat, rho_hat, datasets, config, seed, on_failure="neginf"
-        )
-    return PsmlFit(
-        theta=theta_hat,
-        rho=rho_hat,
-        lam=config.lam,
-        loglik=lik.loglik,
-        objective=float(value),
-        diagnostics=lik.diagnostics,
-        evals=res.evals,
-        converged=res.converged,
-    )
+
+def _evaluate(model, config: PenaltyConfig, points) -> list:
+    """Outcomes, as _Fit.tell takes them, of the points (fit, z) of
+    several fits, from one lockstep likelihood run."""
+    outcomes = [None] * len(points)
+    problems, slots = [], []
+    for j, (fit, z) in enumerate(points):
+        theta, rho = fit.split(z)
+        try:
+            sampler = config.sampler if rho is None else config.sampler.with_rho(rho)
+        except DomainError as exc:
+            outcomes[j] = exc
+            continue
+        problems.append((theta, sampler, fit.datasets, fit.seed))
+        slots.append(j)
+    results = _likelihoods(model, problems, config.n_paths, config.substeps, "neginf")
+    for j, res in zip(slots, results):
+        outcomes[j] = res if isinstance(res, DomainError) else (_objective(res, config.lam), res)
+    return outcomes
+
+
+def _maximize_group(model, fits, config: PenaltyConfig,
+                    optimizer: OptimizerConfig = OptimizerConfig(),
+                    estimate_rho: bool | None = None) -> list:
+    """maximize_psml of independent fits, (datasets, theta_init, rho_init,
+    seed) each, that share the model, the penalty configuration and the
+    optimizer, run in lockstep.
+
+    Each round evaluates every point that the running fits ask for in one
+    likelihood run, whose kernel calls hold the transitions of all of
+    them. Returns per fit its PsmlFit, or the EstimationError that ended
+    it. A fit's result equals maximize_psml run on it alone, bit for bit,
+    whichever fits share its group.
+    """
+    fits = [_Fit(model, data, config, theta, rho, optimizer, seed, estimate_rho)
+            for data, theta, rho, seed in fits]
+    out = [None] * len(fits)
+    searches = [_simplex(fit.z0, optimizer) for fit in fits]
+    asks = {i: next(search) for i, search in enumerate(searches)}
+    while asks:
+        points = [(i, z) for i, zs in asks.items() for z in zs]
+        outcomes = _evaluate(model, config, [(fits[i], z) for i, z in points])
+        values = {i: [] for i in asks}
+        for (i, z), outcome in zip(points, outcomes):
+            values[i].append(fits[i].tell(z, outcome))
+        for i, told in values.items():
+            try:
+                asks[i] = searches[i].send(told)
+            except StopIteration as done:
+                out[i] = fits[i].result(done.value)
+                del asks[i]
+            except DomainError as exc:
+                out[i] = _unusable_start(exc)
+                del asks[i]
+    return out

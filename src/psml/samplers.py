@@ -21,8 +21,17 @@ call takes 0.87x the time it took with index arrays and separate
 factorizations for Lorenz63 (21 transitions, J = 32, M = 10), 0.89x for
 cwd-direct (2 transitions, J = 48, M = 12) and 0.93x for OU (100
 transitions, J = 8, M = 8), in interleaved timings on a 2-core Xeon.
-Most of the Lorenz63 saving is core.chol_mul copying a factor shared by
-the paths out to them before einsum applies it.
+A factor shared by the paths of a transition is applied to them in one
+batched matmul, (n, J, k) by (n, k, k), where einsum needed the factor
+copied out to every path first: a Lorenz63 evaluation takes 0.72x the
+time it took that way, and for OU (k = 1) and Lorenz63 (a diagonal
+factor) every bit stays the same.
+
+A batch may hold the transitions of several fits, as the lockstep
+bootstrap refits do: theta entries then carry one value per transition,
+as the time does, and so does the sampler's rho. Each transition still
+takes the branches of its own solo call, so its row equals that call
+bit for bit.
 
 The final substep is common to all families. The observed endpoint
 coordinates are pinned to the observation, whose Euler marginal density
@@ -36,6 +45,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,6 +150,14 @@ def importance_weight(paths: SubPathBatch):
         return np.exp(lw), lw
 
 
+class _RowRho(NamedTuple):
+    """The sampler of a batch whose transitions come from several fits:
+    one family, and rho as an (n,) array, one value per transition."""
+
+    kind: str
+    rho: np.ndarray
+
+
 def _blend_weight(m: int, substeps: int, rho: float) -> float:
     """Mixing scalar pulling a regularized step from blind toward bridge."""
     left = substeps - m
@@ -151,13 +169,27 @@ def _mix(spec: SamplerSpec, m: int, substeps: int) -> tuple[float, float]:
 
     The proposal mean is (1 - w) Euler + w bridge and its covariance
     (1 - w) Euler + w s bridge: pedersen has w = 0, mbb w = s = 1, aux-mbb
-    w = 1 and s = rho, regularized the blend weight and s = 1.
+    w = 1 and s = rho, regularized the blend weight and s = 1. With rho
+    per transition, w or s is an (n,) array.
     """
     if spec.kind == "pedersen":
         return 0.0, 1.0
     if spec.kind == "regularized":
         return _blend_weight(m, substeps, spec.rho), 1.0
     return 1.0, spec.rho if spec.kind == "aux-mbb" else 1.0
+
+
+def _convex(w, s, a, b):
+    """(1 - w) a + (w s) b, and (w s) b alone where w is 1, as each
+    transition's own call takes it; w and s are floats, or (n,) arrays of
+    one value per transition."""
+    if not isinstance(w, np.ndarray) and not isinstance(s, np.ndarray):
+        wb = b if w * s == 1.0 else (w * s) * b
+        return wb if w == 1.0 else (1.0 - w) * a + wb
+    lead = (-1,) + (1,) * (b.ndim - 1)
+    wb = np.reshape(np.multiply(w, s), lead) * b
+    w = np.reshape(w, lead)
+    return np.where(w == 1.0, wb, (1.0 - w) * a + wb)
 
 
 def _floor_obs_diag(mat: np.ndarray) -> np.ndarray:
@@ -277,27 +309,33 @@ def _kernel(model: SdeModel, theta, x, y_obs, t, m: int, substeps: int, delta,
     A constant-diffusion, fully observed model passes its one Euler factor
     as chol_e, (n, 1, k, k); otherwise the factor is built per path, in
     one chol_spd call with the proposal's own factor where it has one.
+    theta entries and the sampler's rho may hold one value per transition
+    (see propose_transition).
     """
     if not 0 <= m <= substeps - 2:
         raise DomainError("the proposal kernel covers intermediate substeps only")
     f, mean_e, outer, cov_e = _euler(model, theta, x, t, delta, chol_e is None)
     w, s = _mix(spec, m, substeps)
-    if w == 0.0:
+    if not isinstance(w, np.ndarray) and w == 0.0:
         if chol_e is None:
             chol_e = chol_spd(cov_e)
         return mean_e, chol_e, mean_e, chol_e
     eta, sig = _bridge_moments(f, outer, x, y_obs, c, m, substeps, delta)
     mean_b = x + eta * delta[:, None, None]
-    q_mean = mean_b if w == 1.0 else (1.0 - w) * mean_e + w * mean_b
+    q_mean = _convex(w, 1.0, mean_e, mean_b)
     if sig is None:
         # every kernel covariance is a multiple of the Euler one
         if chol_e is None:
             chol_e = chol_spd(cov_e)
         r = substeps - m
         frac = (r - 1) / r
-        return mean_e, chol_e, q_mean, math.sqrt((1.0 - w) + w * s * frac) * chol_e
-    cov_b = (w * s) * (sig * delta[:, None, None, None])
-    q_cov = cov_b if w == 1.0 else (1.0 - w) * cov_e + cov_b
+        scale = (1.0 - w) + w * s * frac
+        if isinstance(scale, np.ndarray):
+            scale = np.sqrt(scale).reshape((-1,) + (1,) * (chol_e.ndim - 1))
+        else:
+            scale = math.sqrt(scale)
+        return mean_e, chol_e, q_mean, scale * chol_e
+    q_cov = _convex(w, s, cov_e, sig * delta[:, None, None, None])
     chol_e, chol_q = _chol_pair(cov_e, q_cov)
     return mean_e, chol_e, q_mean, chol_q
 
@@ -327,7 +365,11 @@ def propose_transition(
     A batch of n independent transitions puts a leading axis on each:
     starts (n, J, k), y_obs (n, n_observed), t_start and dt (n,); the
     returned states, (substeps + 1, n, J, k), and log-densities, (n, J),
-    carry it too, and row i equals transition i run alone.
+    carry it too, and row i equals transition i run alone. A batch whose
+    transitions come from several fits passes each theta entry as an
+    (n, 1) array of per-transition values (SdeModel's broadcasting
+    contract), and a spec whose rho is an (n,) array; row i still equals
+    transition i run alone with its own theta and rho, bit for bit.
 
     rng is a Generator, from which each transition in turn draws one
     (J, k) block per intermediate substep and then one (J, n_unobserved)
@@ -362,21 +404,27 @@ def propose_transition(
 
     delta = dt / substeps
     shared = c.n_uno == 0 and model.constant_diffusion
-    chol_e = inv_e = None
+    chol_e = None
     if shared:
-        # one Euler factor per transition serves every substep and path
+        # one Euler factor per transition, (n, 1, k, k), serves every
+        # substep and path
         x0 = starts[:, :1]
         outer = np.asarray(model.diffusion_outer(x0, theta, t_start[:, None]), dtype=float)
         chol_e = chol_spd(np.broadcast_to(outer, x0.shape + (k,)) * delta[:, None, None, None])
         logdet_e = _logdet(chol_e)
         inv_e = np.linalg.inv(chol_e)
-        if k > 1:  # copied out to the paths once here, not by chol_mul per substep
-            inv_e = np.broadcast_to(inv_e, (n, n_paths, k, k)).copy()
+
+    def mul(chol, v):
+        """chol v per path: a factor shared by the paths of each transition
+        goes in one batched matmul, (n, J, k) by (n, k, k)."""
+        if shared:
+            return v @ np.swapaxes(chol[:, 0], -1, -2)
+        return chol_mul(chol, v)
 
     def log_target(diff, chol):
-        if inv_e is None:
+        if not shared:
             return gauss_logpdf(diff, chol)
-        return _white_logpdf(chol_mul(inv_e, diff), logdet_e)
+        return _white_logpdf(mul(inv_e, diff), logdet_e)
 
     states = np.empty((substeps + 1, n, n_paths, k))
     states[0] = starts
@@ -388,7 +436,7 @@ def propose_transition(
         mean_e, chol_m, q_mean, chol_q = _kernel(
             model, theta, x, y_obs, t, m, substeps, delta, spec, c, chol_e
         )
-        x = q_mean + chol_mul(chol_q, z[:, m])
+        x = q_mean + mul(chol_q, z[:, m])
         dens = _white_logpdf(z[:, m], _logdet(chol_q))
         log_p += dens
         log_t += dens if spec.kind == "pedersen" else log_target(x - mean_e, chol_m)

@@ -27,7 +27,7 @@ from psml.likelihood import (
     weight_cv,
 )
 from psml.models import CwdDirectModel, Lorenz63Model, OuModel, make_model, ou_exact_loglik
-from psml.samplers import SamplerSpec, importance_weight, propose_transition
+from psml.samplers import SamplerSpec, _RowRho, importance_weight, propose_transition
 
 OU_THETA = np.array([0.0187, 0.2610, 0.0224])
 
@@ -487,9 +487,9 @@ def test_draw_cache_stays_within_its_byte_bound(monkeypatch):
     monkeypatch.setattr(likelihood, "_DRAW_CACHE_BYTES", 40_000)
     likelihood._DRAW_CACHE.clear()
     for seed in range(4):
-        likelihood._dataset_draws(seed, 10, 16, 8, 3, 0)
+        likelihood._dataset_draws(seed, 0, 10, 16, 8, 3, 0)
         assert sum(a.nbytes for d in likelihood._DRAW_CACHE.values() for a in d) <= 40_000
-    assert list(likelihood._DRAW_CACHE) == [(3, 10, 16, 8, 3, 0)]
+    assert list(likelihood._DRAW_CACHE) == [(3, 0, 10, 16, 8, 3, 0)]
     likelihood._DRAW_CACHE.clear()
 
 
@@ -497,7 +497,7 @@ def test_draw_cache_shared_by_threads(monkeypatch):
     # More threads than cores, a short switch interval and a bound that
     # holds one entry, so lookups, inserts and evictions interleave.
     monkeypatch.setattr(likelihood, "_DRAW_CACHE_BYTES", 200)
-    keys = [(seed, 2, 4, 3, 1, 0) for seed in range(3)]
+    keys = [(seed, 0, 2, 4, 3, 1, 0) for seed in range(3)]
     expected = {key: likelihood._dataset_draws(*key) for key in keys}
     errors = []
 
@@ -602,3 +602,211 @@ def test_penalized_neginf_on_failure():
     )
     assert value == -math.inf
     assert res.failed
+
+
+# (loglik, fsum of cv, fsum of ess) as float.hex for pedersen, mbb,
+# regularized 0.5 and aux-mbb 0.8 in turn, on the PIN_CASES data, recorded
+# while the kernel still applied a factor shared by the paths with einsum.
+# The factors of OU (k = 1) and Lorenz63 (diagonal) have one term per row,
+# so applying them by matmul must not move a bit.
+PINNED_EXACT = {
+    "ou": (("0x1.4b8b5c29d5e64p+5", "0x1.bc2a98416e866p+4", "0x1.f9c735ceb7c09p+5"),
+           ("0x1.91b3335697aefp+5", "0x1.8fa994e7c5d48p+1", "0x1.343a7e0389143p+7"),
+           ("0x1.858c9ab692012p+5", "0x1.85e4c12c0e975p+3", "0x1.d90ea16dee46fp+6"),
+           ("0x1.8ca2cd00b5873p+5", "0x1.30061b02722a3p+3", "0x1.043515ff04e4cp+7")),
+    "lorenz63": (("-0x1.1a471a2672f75p+4", "0x1.6d6b5d3620eafp+4", "0x1.d58cbb7e1ec9ap+3"),
+                 ("-0x1.73d60b3ed25a0p+3", "0x1.2640f6467510cp+2", "0x1.80f781135d7bcp+6"),
+                 ("-0x1.742a5a85b5d5fp+3", "0x1.e8ac96cc47e44p+2", "0x1.0e9c644d6be66p+6"),
+                 ("-0x1.90d9e267880fcp+3", "0x1.dca43bab6ebd7p+2", "0x1.1f15e7361af68p+6")),
+}
+ALL_SPECS = [SamplerSpec("pedersen"), SamplerSpec("mbb"), SamplerSpec("regularized", 0.5),
+             SamplerSpec("aux-mbb", 0.8)]
+
+
+def pin_data(model, theta, episodes):
+    return [
+        simulate_dataset(model, np.array(theta), np.array(x0),
+                         TimeGrid(0.0, dt * np.arange(1, n + 1), 16), rng_stream(404, e))
+        for e, (x0, n, dt) in enumerate(episodes)
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_EXACT))
+def test_log_likelihood_pinned_exactly(name):
+    theta, episodes, n_paths, substeps = PIN_CASES[name]
+    model = make_model(name)
+    data = pin_data(model, theta, episodes)
+    for spec, pins in zip(ALL_SPECS, PINNED_EXACT[name]):
+        res = log_likelihood(model, np.array(theta), data, n_paths, substeps, spec, seed=11)
+        got = (res.loglik, math.fsum(d.cv for d in res.diagnostics),
+               math.fsum(d.ess for d in res.diagnostics))
+        assert tuple(v.hex() for v in got) == pins, spec.kind
+
+
+class TiltedLorenz(Lorenz63Model):
+    """Lorenz63 with a constant, non-diagonal noise factor, every coordinate
+    observed: the proposal kernel applies one full 3 x 3 factor per
+    transition to all of its paths."""
+
+    tilt = np.array([[1.0, 0.0, 0.0], [0.3, 1.0, 0.0], [0.2, -0.4, 1.0]])
+
+    def diffusion(self, x, theta, t):
+        return np.multiply.outer(theta[3], self.tilt)
+
+    def diffusion_outer(self, x, theta, t):
+        return np.multiply.outer(theta[3] ** 2, self.tilt @ self.tilt.T)
+
+
+# (loglik, cv_sum) per family, recorded while the shared factor was applied
+# with einsum; matmul sums the three terms of a row in another order.
+PINNED_TILTED = ((-34.22147148589676, 32.569799744042086), (-21.39954539038185, 11.41118593841858),
+                 (-22.592198999113478, 12.973430636539431), (-22.137827122383356, 14.35702023166502))
+
+
+def test_log_likelihood_with_a_full_shared_factor_agrees_with_einsum():
+    model = TiltedLorenz()
+    theta = np.array([10.0, 28.0, 8.0 / 3.0, 2.0])
+    data = pin_data(model, theta, [((-10.0, -10.0, 30.0), 6, 0.05), ((5.0, 5.0, 20.0), 5, 0.05)])
+    for spec, (loglik, cv_sum) in zip(ALL_SPECS, PINNED_TILTED):
+        res = log_likelihood(model, theta, data, 16, 6, spec, seed=11)
+        assert res.loglik == pytest.approx(loglik, rel=1e-13, abs=0.0), spec.kind
+        assert res.cv_sum == pytest.approx(cv_sum, rel=1e-13, abs=0.0), spec.kind
+
+
+def likelihood_problems():
+    """Problems of one group: TiltedLorenz fits with 1 or 2 datasets, one
+    with an invalid theta and one whose weights vanish at transition 2."""
+    model = TiltedLorenz()
+    theta = np.array([10.0, 28.0, 8.0 / 3.0, 2.0])
+    data = pin_data(model, theta, [((-10.0, -10.0, 30.0), 6, 0.05), ((5.0, 5.0, 20.0), 5, 0.05)])
+    far = Dataset(data[0].t0, data[0].x0, data[0].times,
+                  np.where(np.arange(6)[:, None] == 2, 1e6, data[0].values), (0, 1, 2))
+    spec = SamplerSpec("regularized", 0.5)
+    return model, [
+        (theta, spec, data, 11),
+        (theta * 1.1, SamplerSpec("regularized", 0.0), data[:1], 12),
+        (-theta, spec, data, 13),
+        (theta, SamplerSpec("regularized", 0.9), [data[1], far], 14),
+        (theta * 0.9, spec, data[1:], 15),
+    ]
+
+
+@pytest.mark.parametrize("on_failure", ["raise", "neginf"])
+def test_lockstep_problems_equal_their_own_runs(on_failure, monkeypatch):
+    model, problems = likelihood_problems()
+    sizes = []
+
+    def recorded(*args):
+        sizes.append(len(args[2]))
+        return propose_transition(*args)
+
+    monkeypatch.setattr(likelihood, "propose_transition", recorded)
+    group = likelihood._likelihoods(model, problems, 16, 6, on_failure)
+    assert sizes == [11 + 6 + 11 + 5]  # one call: every transition of every valid problem
+    for (theta, spec, data, seed), got in zip(problems, group):
+        try:
+            want = log_likelihood(model, theta, data, 16, 6, spec, seed, on_failure)
+        except (DomainError, TransitionFailure) as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+            continue
+        assert (got.loglik, got.failed, got.diagnostics) == (want.loglik, want.failed, want.diagnostics)
+
+
+def test_numerical_failure_reruns_only_its_fit(monkeypatch):
+    # The middle problem starts a transition at a negative state, whose
+    # variance no jitter repairs: the group call fails, each problem runs
+    # on its own, and only the failing one is run again row by row.
+    model = StateNoiseModel()
+    good = Dataset(0.0, np.array([1.0]), np.arange(1.0, 5.0), np.array([[1.1], [0.7], [0.8], [1.0]]), (0,))
+    bad = Dataset(0.0, np.array([1.0]), np.arange(1.0, 4.0), np.array([[1.1], [-0.5], [0.8]]), (0,))
+    spec = SamplerSpec("mbb")
+    problems = [(OU_THETA, spec, [good], 1), (OU_THETA, spec, [bad], 2), (OU_THETA * 2, spec, [good], 3)]
+    sizes = []
+
+    def recorded(*args):
+        sizes.append(len(args[2]))
+        return propose_transition(*args)
+
+    monkeypatch.setattr(likelihood, "propose_transition", recorded)
+    group = likelihood._likelihoods(model, problems, 8, 1, "neginf")
+    assert sizes == [11, 4, 3, 1, 1, 1, 4]
+    assert group[1].failed and [d.index for d in group[1].diagnostics] == [0, 1]
+    for (theta, _, data, seed), got in zip(problems, group):
+        want = log_likelihood(model, theta, data, 8, 1, spec, seed, on_failure="neginf")
+        assert (got.loglik, got.diagnostics) == (want.loglik, want.diagnostics)
+
+
+@pytest.mark.parametrize("name", ["lorenz63", "cwd-direct"])
+def test_kernel_calls_split_at_the_byte_bound(name, monkeypatch):
+    # A bound of one transition's states: every call holds one row, and
+    # every result stays the same bit for bit.
+    theta, episodes, n_paths, substeps = PIN_CASES[name]
+    model = make_model(name)
+    data = pin_data(model, theta, episodes)
+    problems = [(np.array(theta) * s, SamplerSpec("aux-mbb", r), data, seed)
+                for s, r, seed in [(1.0, 0.8, 11), (1.05, 0.6, 12), (0.95, 0.9, 13)]]
+    whole = likelihood._likelihoods(model, problems, n_paths, substeps, "raise")
+    sizes = []
+
+    def recorded(*args):
+        sizes.append(len(args[2]))
+        return propose_transition(*args)
+
+    monkeypatch.setattr(likelihood, "propose_transition", recorded)
+    monkeypatch.setattr(likelihood, "_CALL_BYTES", (substeps + 1) * n_paths * model.dim * 8)
+    split = likelihood._likelihoods(model, problems, n_paths, substeps, "raise")
+    assert set(sizes) == {1} and len(sizes) == 3 * sum(ds.n for ds in data)
+    assert [(r.loglik, r.diagnostics) for r in split] == [(r.loglik, r.diagnostics) for r in whole]
+
+
+@pytest.mark.parametrize("name", ["ou", "lorenz63", "cwd-direct", "tilted"])
+def test_kernel_rows_with_their_own_parameters_equal_solo_rows(name):
+    # Three transitions with a theta and a rho each, in one call, against
+    # each run alone. regularized at rho = 0 has a bridge weight of exactly
+    # 1 and takes the bridge branch; its neighbours take the blend.
+    model = TiltedLorenz() if name == "tilted" else make_model(name)
+    theta = {"ou": OU_THETA, "cwd-direct": np.array([0.03, 0.2])}.get(
+        name, np.array([10.0, 28.0, 8.0 / 3.0, 2.0]))
+    thetas = np.stack([theta, theta * 1.1, theta * 0.9])
+    rng = rng_stream(77)
+    n_paths, substeps, k = 8, 5, model.dim
+    x0 = {"ou": [1.0], "cwd-direct": [40.0, 6.0, 0.0]}.get(name, [-10.0, -10.0, 30.0])
+    starts = np.array(x0) + 0.1 * rng.standard_normal((3, n_paths, k))
+    starts = np.abs(starts) if name == "cwd-direct" else starts
+    y_obs = starts[:, 0, list(model.observed)] + 0.05
+    t0, dt = np.array([0.0, 0.5, 1.0]), np.array([0.25, 0.2, 0.3])
+    n_uno = len(model.unobserved)
+    draws = (rng.standard_normal((3, substeps - 1, n_paths, k)), rng.standard_normal((3, n_paths, n_uno)))
+    for kind, rhos in [("pedersen", None), ("mbb", None), ("regularized", (0.0, 0.5, 1.0)),
+                       ("aux-mbb", (0.8, 1.0, 0.3))]:
+        spec = _RowRho(kind, np.array(rhos)) if rhos else SamplerSpec(kind)
+        both = propose_transition(model, thetas.T[:, :, None], starts, y_obs, t0, dt, substeps,
+                                  spec, draws)
+        for r in range(3):
+            solo = propose_transition(
+                model, thetas[r], starts[r:r + 1], y_obs[r:r + 1], t0[r:r + 1], dt[r:r + 1],
+                substeps, SamplerSpec(kind, rhos[r] if rhos else None),
+                (draws[0][r:r + 1], draws[1][r:r + 1]),
+            )
+            assert both.states[:, r].tobytes() == solo.states[:, 0].tobytes(), (kind, r)
+            assert both.log_target[r].tobytes() == solo.log_target[0].tobytes(), (kind, r)
+            assert both.log_proposal[r].tobytes() == solo.log_proposal[0].tobytes(), (kind, r)
+
+
+def test_bridge_rows_stay_finite_beside_an_overflowing_euler_mean():
+    # regularized at rho = 0 follows the bridge alone: a transition whose
+    # drift overflows keeps finite states, as in its own call, even when
+    # it shares the call with a transition that blends.
+    model = Lorenz63Model()
+    thetas = np.array([[1e308, 28.0, 8.0 / 3.0, 2.0], [10.0, 28.0, 8.0 / 3.0, 2.0]])
+    rng = rng_stream(78)
+    starts = np.array([-10.0, -10.0, 30.0]) + rng.standard_normal((2, 8, 3))
+    y_obs, t0, dt = starts[:, 0] + 0.05, np.array([0.0, 0.5]), np.array([0.05, 0.05])
+    draws = (rng.standard_normal((2, 5, 8, 3)), np.empty((2, 8, 0)))
+    with np.errstate(all="ignore"):
+        both = propose_transition(model, thetas.T[:, :, None], starts, y_obs, t0, dt, 6,
+                                  _RowRho("regularized", np.array([0.0, 0.5])), draws)
+        solo = propose_transition(model, thetas[0], starts[:1], y_obs[:1], t0[:1], dt[:1], 6,
+                                  SamplerSpec("regularized", 0.0), (draws[0][:1], draws[1][:1]))
+    assert np.all(np.isfinite(solo.states))
+    assert both.states[:, 0].tobytes() == solo.states[:, 0].tobytes()

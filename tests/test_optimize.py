@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psml.core import FREE, POSITIVE, UNIT_INTERVAL, DomainError, TimeGrid, rng_stream, simulate_dataset
+from psml.core import (
+    FREE,
+    POSITIVE,
+    UNIT_INTERVAL,
+    Dataset,
+    DomainError,
+    TimeGrid,
+    rng_stream,
+    simulate_dataset,
+)
 from psml import optimize
 from psml.likelihood import PenaltyConfig, penalized_log_likelihood
 from psml.models import OuModel, make_model
@@ -348,3 +357,100 @@ def test_fit_budget_below_dim_plus_two_is_a_domain_error(max_evals, monkeypatch)
     with pytest.raises(DomainError):
         maximize_psml(OuModel(), ou_dataset(n=3), small_config(SamplerSpec("aux-mbb", 0.8)),
                       (0.05, 0.5, 0.05), optimizer=OptimizerConfig(max_evals=5), seed=0)
+
+
+# ---------------------------------------------------------------------------
+# lockstep fits
+
+
+def rosenbrock(x):
+    return -((1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2)
+
+
+def rugged(x):
+    # ripples on a bowl make contractions fail, so the simplex shrinks
+    return -float(np.sum(x ** 2)) + math.sin(97.0 * x[0]) * math.cos(89.0 * x[-1])
+
+
+@pytest.mark.parametrize("objective, x0", [
+    (rosenbrock, (-1.2, 1.0)),
+    (rugged, (2.0, -1.0, 0.5)),
+    (lambda x: math.nan if x[0] > 0.35 else -(x[0] - 0.3) ** 2 - x[1] ** 2, (0.0, 0.2)),
+], ids=["rosenbrock", "rugged", "nan-wall"])
+@pytest.mark.parametrize("max_evals", [5, 9, 17, 40, 1500])
+def test_simplex_answered_in_batches_equals_nelder_mead(objective, x0, max_evals):
+    x0 = np.array(x0)
+    config = OptimizerConfig(f_tol=1e-9, max_evals=max_evals)
+    asked = []
+
+    def recorded(x):
+        asked.append(np.array(x))
+        return objective(x)
+
+    ref = nelder_mead(recorded, x0, config)
+    # drive the generator with one answer per request, as a group round does
+    search = optimize._simplex(x0, config)
+    batches = [next(search)]
+    while True:
+        try:
+            batches.append(search.send([objective(x) for x in batches[-1]]))
+        except StopIteration as done:
+            res = done.value
+            break
+    points = [x for batch in batches for x in batch]
+    assert len(points) == len(asked) == res.evals == ref.evals <= max_evals
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(points, asked))
+    assert (res.x.tobytes(), res.value, res.converged) == (ref.x.tobytes(), ref.value, ref.converged)
+    assert {len(b) for b in batches[1:]} <= {1, x0.size}
+    if objective is rugged and max_evals == 1500:
+        assert any(len(b) == x0.size for b in batches[1:]), "the ripples should force a shrink"
+
+
+def fit_summary(fit):
+    return ([float(v).hex() for v in fit.theta], fit.rho, fit.objective.hex(), fit.loglik.hex(),
+            fit.evals, fit.converged, math.fsum(d.log_phat for d in fit.diagnostics),
+            math.fsum(d.cv for d in fit.diagnostics), math.fsum(d.ess for d in fit.diagnostics),
+            fit.diagnostics)
+
+
+def replicate_fits(name, count):
+    """count fits of one FIT_CASES model, with 1, 2, ... datasets in turn."""
+    theta0, start, episodes, n_paths, substeps, kind, rho = FIT_CASES[name]
+    model = make_model(name)
+    fits = []
+    for r in range(count):
+        chosen = episodes * 2 if r % 2 else episodes[:1]
+        data = [
+            simulate_dataset(model, np.array(theta0), np.array(x0),
+                             TimeGrid(0.0, dt * np.arange(1, n + 1), 8), rng_stream(707, r, e))
+            for e, (x0, n, dt) in enumerate(chosen)
+        ]
+        fits.append((data, np.array(start) * (1.0 + 0.05 * r), rho, 40 + r))
+    return model, PenaltyConfig(0.5, n_paths, substeps, SamplerSpec(kind, rho)), fits
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5])
+@pytest.mark.parametrize("name", sorted(FIT_CASES))
+def test_group_fits_equal_solo_fits(name, count):
+    model, cfg, fits = replicate_fits(name, count)
+    optimizer = OptimizerConfig(max_evals=24)
+    solo = [maximize_psml(model, data, cfg, theta, rho, optimizer, seed=seed)
+            for data, theta, rho, seed in fits]
+    group = optimize._maximize_group(model, fits, cfg, optimizer)
+    assert [fit_summary(f) for f in group] == [fit_summary(f) for f in solo]
+
+
+def test_group_fit_with_an_unusable_start_fails_alone():
+    model, cfg, fits = replicate_fits("ou", 3)
+    data, theta, rho, seed = fits[1]
+    hopeless = np.array(data[0].values)
+    hopeless[0, 0] = 1e6
+    fits[1] = ([Dataset(data[0].t0, data[0].x0, data[0].times, hopeless, (0,))], theta, rho, seed)
+    optimizer = OptimizerConfig(max_evals=20)
+    group = optimize._maximize_group(model, fits, cfg, optimizer)
+    assert isinstance(group[1], EstimationError)
+    assert "not usable at the initial point" in str(group[1])
+    for i in (0, 2):
+        data, theta, rho, seed = fits[i]
+        solo = maximize_psml(model, data, cfg, theta, rho, optimizer, seed=seed)
+        assert fit_summary(group[i]) == fit_summary(solo)

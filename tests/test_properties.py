@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psml import likelihood
-from psml.core import TimeGrid, rng_stream, simulate_dataset
+from psml.core import TimeGrid, derive_seed, rng_stream, simulate_dataset
 from psml.likelihood import log_likelihood
 from psml.models import CwdDirectModel, Lorenz63Model, OuModel
 from psml.samplers import SamplerSpec
@@ -85,7 +85,7 @@ def test_cold_and_warm_draw_cache_agree_bitwise(name, seed, n_paths, m, spec):
        data=st.data())
 def test_cached_draws_are_read_only_fresh_stream_values(seed, n, n_paths, m, k, data):
     n_u = data.draw(st.integers(0, k - 1))
-    draws = likelihood._dataset_draws(seed, n, n_paths, m, k, n_u)
+    draws = likelihood._dataset_draws(seed, 0, n, n_paths, m, k, n_u)
     for a in draws:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -93,7 +93,7 @@ def test_cached_draws_are_read_only_fresh_stream_values(seed, n, n_paths, m, k, 
     u, z, z_end = draws
     # the per-substep draws a transition's own stream gives, in order
     for i in range(n):
-        rng = rng_stream(seed, i)
+        rng = rng_stream(derive_seed(seed, 0), i)
         if n_u:
             np.testing.assert_array_equal(u[i], rng.random(n_paths))
         for step in range(m - 1):

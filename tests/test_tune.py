@@ -14,12 +14,14 @@ from psml.core import (
     NumericalError,
     SdeModel,
     TimeGrid,
+    derive_seed,
     rng_stream,
     simulate_dataset,
 )
 from psml.likelihood import PenaltyConfig
 from psml.models import OuModel
-from psml.optimize import EstimationError, OptimizerConfig, PsmlFit
+from psml import tune
+from psml.optimize import EstimationError, OptimizerConfig, PsmlFit, maximize_psml
 from psml.samplers import SamplerSpec
 from psml.tune import (
     TUNE_PRESETS,
@@ -500,11 +502,11 @@ def test_bootstrap_hook_sees_the_refit_datasets(monkeypatch):
                          estimate=hook, **kwargs)
     refit = []
 
-    def fake_fit(model, datasets, *args, **kw):
-        refit.append(datasets)
-        return PsmlFit(OU_THETA, None, 0.0, 0.0, 0.0, [], 1, True)
+    def fake_group(model, fits, *args, **kw):
+        refit.extend(datasets for datasets, *_ in fits)
+        return [PsmlFit(OU_THETA, None, 0.0, 0.0, 0.0, [], 1, True) for _ in fits]
 
-    monkeypatch.setattr("psml.tune.maximize_psml", fake_fit)
+    monkeypatch.setattr("psml.tune._maximize_group", fake_group)
     parametric_bootstrap(OuModel(), OU_THETA, None, 0.0, templates, SamplerSpec("mbb"), 8, 4,
                          **kwargs)
     assert len(hooked) == len(refit) == 3
@@ -543,3 +545,88 @@ def test_bootstrap_refit_failures_are_counted(workers):
     with pytest.raises(ZeroDivisionError, match="bridge proposals refused"):
         parametric_bootstrap(BrokenFitModel(ZeroDivisionError), *args, n_replicates=2,
                              workers=workers)
+
+
+# ---------------------------------------------------------------------------
+# lockstep refits
+
+
+def solo_refit(model, sims, b, seed=9, rho=None, kind="mbb", max_evals=30):
+    """Replicate b's refit as maximize_psml runs it alone."""
+    cfg = PenaltyConfig(lam=0.0, n_paths=8, substeps=4, sampler=SamplerSpec(kind, rho))
+    return maximize_psml(model, sims, cfg, OU_THETA, rho, OptimizerConfig(max_evals=max_evals),
+                         seed=derive_seed(seed, tune._TAG_BOOT_FIT, b))
+
+
+def replicate_data(model, templates, b, seed=9):
+    return [simulate_dataset(model, OU_THETA, t.x0, t.grid(16), rng_stream(seed, tune._TAG_BOOT_DATA, b, j))
+            for j, t in enumerate(templates)]
+
+
+@pytest.mark.parametrize("n_replicates, workers", [(5, 1), (5, 2), (5, 3), (2, 3), (3, 2)])
+def test_bootstrap_replicates_equal_solo_refits_at_any_worker_count(n_replicates, workers):
+    templates = [ou_dataset(n=3, seed=5), ou_dataset(n=2, seed=6)]
+    res = parametric_bootstrap(
+        OuModel(), OU_THETA, 0.8, 0.0, templates, SamplerSpec("aux-mbb", 0.8), 8, 4,
+        n_replicates=n_replicates, optimizer=OptimizerConfig(max_evals=30), seed=9,
+        data_substeps=16, workers=workers,
+    )
+    assert res.n_failed == 0
+    for b in range(n_replicates):
+        fit = solo_refit(OuModel(), replicate_data(OuModel(), templates, b), b, rho=0.8,
+                         kind="aux-mbb")
+        assert res.replicates[b].tobytes() == fit.theta.tobytes()
+        assert res.rho_replicates[b] == fit.rho
+
+
+def test_bootstrap_chunks_are_contiguous_near_equal_and_cover_every_replicate():
+    assert tune._chunks(5, 2, 32) == [[0, 1, 2], [3, 4]]
+    assert tune._chunks(2, 3, 32) == [[0], [1]]
+    sizes = [len(chunk) for chunk in tune._chunks(200, 2, 32)]
+    assert sizes == [29, 29, 29, 29, 28, 28, 28]
+    assert sum(tune._chunks(200, 2, 32), []) == list(range(200))
+    assert tune._chunks(7, 1, 3) == [[0, 1, 2], [3, 4], [5, 6]]
+
+
+class SignedNoiseOu(OuModel):
+    """OU whose noise variance turns negative below -0.25, so that a
+    transition that starts there fails in chol_spd after jitter."""
+
+    constant_diffusion = False
+
+    def diffusion_outer(self, x, theta, t):
+        sign = np.where(np.asarray(x) < -0.25, -1.0, 1.0)[..., None]
+        return sign * super().diffusion_outer(x, theta, t)
+
+
+def test_bootstrap_failures_stay_with_their_replicate(monkeypatch):
+    # Replicate 1's data simulation fails; replicate 2 has an unreachable
+    # observation, so its start objective is -inf; replicate 3 starts below
+    # -0.25, where the kernel raises NumericalError for its rows only.
+    # Replicates 0 and 4 share the group with them.
+    model = SignedNoiseOu()
+    template = Dataset(0.0, np.array([1.0]), np.arange(1.0, 4.0), np.array([[0.9], [0.8], [0.7]]), (0,))
+    simulate, calls = tune.simulate_dataset, []
+
+    def sabotaged(*args):
+        b = len(calls)
+        calls.append(b)
+        if b == 1:
+            raise NumericalError("simulation failed")
+        ds = simulate(*args)
+        x0, values = np.array(ds.x0), np.array(ds.values)
+        if b == 2:
+            values[1, 0] = 1e6
+        if b == 3:
+            x0[0] = -0.5
+        return Dataset(ds.t0, x0, ds.times, values, ds.observed)
+
+    monkeypatch.setattr(tune, "simulate_dataset", sabotaged)
+    payload = (model, OU_THETA, None, 0.0, [template], SamplerSpec("mbb"), 8, 4,
+               OptimizerConfig(max_evals=30), 9, [0, 1, 2, 3, 4], None, 16, None)
+    out = tune._bootstrap_one(payload)
+    assert out[1:4] == [None, None, None]
+    monkeypatch.setattr(tune, "simulate_dataset", simulate)
+    for b in (0, 4):
+        fit = solo_refit(model, replicate_data(model, [template], b), b)
+        assert out[b][0].tobytes() == fit.theta.tobytes() and out[b][1] is None
