@@ -244,27 +244,47 @@ def cmd_study(args) -> int:
 # bootstrap
 
 
+def _read_object(path, what: str) -> dict:
+    payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise DomainError(f"{what} must be a JSON object")
+    return payload
+
+
+def _malformed(what: str, exc: Exception) -> DomainError:
+    if isinstance(exc, KeyError):
+        return DomainError(f"{what} missing key {exc.args[0]!r}")
+    return DomainError(f"{what} is malformed: {exc}")
+
+
+# What reading a field of a JSON object of the wrong shape raises.
+_SHAPE_ERRORS = (KeyError, TypeError, AttributeError, IndexError)
+
+
 def cmd_bootstrap(args) -> int:
-    fit = json.loads(Path(args.fit).read_text())
+    fit = _read_object(args.fit, "fit file")
     try:
         model = make_model(fit["model"]["name"], **fit["model"].get("kwargs", {}))
         templates = [dataset_from_dict(d) for d in fit["datasets"]]
         cfg = fit["config"]
         estimate = fit["estimate"]
         sampler_kind = cfg["sampler"]["kind"]
-        theta = np.asarray(estimate["theta"], dtype=float)
+        theta = model.validate_theta(estimate["theta"])
         rho = estimate["rho"]
         lam = float(estimate["lam"])
-    except KeyError as exc:
-        raise DomainError(f"fit file missing key {exc.args[0]!r}") from exc
+        n_paths, substeps = int(cfg["n_paths"]), int(cfg["substeps"])
+        max_evals = int(cfg.get("max_evals", 1500))
+        estimate_rho = bool(cfg.get("estimate_rho", False))
+    except _SHAPE_ERRORS as exc:
+        raise _malformed("fit file", exc) from exc
 
     sampler = SamplerSpec(sampler_kind, rho)
     result = parametric_bootstrap(
         model, theta, rho, lam, templates, sampler,
-        n_paths=int(cfg["n_paths"]), substeps=int(cfg["substeps"]),
+        n_paths=n_paths, substeps=substeps,
         n_replicates=args.replicates, alpha=args.alpha,
-        optimizer=OptimizerConfig(max_evals=int(cfg.get("max_evals", 1500))),
-        seed=args.seed, estimate_rho=bool(cfg.get("estimate_rho", False)),
+        optimizer=OptimizerConfig(max_evals=max_evals),
+        seed=args.seed, estimate_rho=estimate_rho,
         data_substeps=args.data_substeps, workers=_threads(args),
     )
     payload = {
@@ -293,25 +313,25 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_r0(args) -> int:
-    boot = json.loads(Path(args.boot).read_text())
+    boot = _read_object(args.boot, "bootstrap file")
     try:
         name = boot["model"]["name"]
         kwargs = boot["model"].get("kwargs", {})
         estimate = boot["estimate"]
         replicates = boot["replicates"]
-    except KeyError as exc:
-        raise DomainError(f"bootstrap file missing key {exc.args[0]!r}") from exc
-    if name != "cwd-direct":
-        raise DomainError("r0 is defined for the cwd-direct model only")
-    if not replicates:
-        raise DomainError("bootstrap file has no replicate estimates")
-    model = make_model(name, **kwargs)
+        if name != "cwd-direct":
+            raise DomainError("r0 is defined for the cwd-direct model only")
+        if not replicates:
+            raise DomainError("bootstrap file has no replicate estimates")
+        model = make_model(name, **kwargs)
+        beta_i = model.param_names.index("beta")
+        mu_i = model.param_names.index("mu")
+        draws = np.asarray(replicates, dtype=float)[:, [beta_i, mu_i]]
+        theta = model.validate_theta(estimate["theta"])
+        alpha = float(boot.get("alpha", 0.05))
+    except _SHAPE_ERRORS as exc:
+        raise _malformed("bootstrap file", exc) from exc
     m = model.natural_mortality
-    beta_i = model.param_names.index("beta")
-    mu_i = model.param_names.index("mu")
-    draws = np.asarray(replicates, dtype=float)[:, [beta_i, mu_i]]
-    theta = estimate["theta"]
-    alpha = float(boot.get("alpha", 0.05))
 
     lines = ["n0,point,lower,upper"]
     for n0 in args.n0_grid:

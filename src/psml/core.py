@@ -463,41 +463,52 @@ def euler_transition(model: SdeModel, x, theta, t: float, delta: float) -> Gauss
     return GaussianSpec(x + f * delta, outer * delta)
 
 
-def simulate_path(model: SdeModel, theta, x0, grid: TimeGrid, rng: np.random.Generator):
-    """Simulate one Euler path over the grid.
+def _euler(model: SdeModel, theta, x0, grid: TimeGrid, rngs, every_substep: bool = False):
+    """The Euler-Maruyama loop behind every data simulation.
 
-    Returns (times, states) including the initial point, with ``substeps``
-    interior points per observation interval. Each substep is the
-    euler_step of its draw, bit for bit. The path's normals come from one
-    (n * substeps, k) draw, which reads the stream as one (k,) draw per
-    substep in time order would. A constant-diffusion model has its factor
-    evaluated and checked once per path; a non-finite factor is still
-    reported after the first substep's drift check. Against a loop of
-    euler_step calls this takes 0.66x the time on a Lorenz63 preset path
-    (21 intervals of 64 substeps), 0.55x on the OU preset and 0.84x on
-    cwd-direct, whose state-dependent factor stays per substep (medians
-    of 30 interleaved runs, 2-core Xeon, numpy 2.4).
+    ``x0`` is one ``(k,)`` start, stepped with ``rngs[0]``, or a
+    ``(P, k)`` batch of starts whose path p reads ``rngs[p]``. Each path
+    draws one ``(substeps, k)`` block of normals per observation
+    interval, which reads its stream as one ``(k,)`` draw per substep in
+    time order would. Every substep is the euler_step of its draw, bit
+    for bit: the factor g is applied as ``(g @ z[..., None])[..., 0]``,
+    one matrix-vector product per path, which equals euler_step's
+    one-path ``z @ g.T``, where chol_mul's einsum over a batch of
+    factors does not. So a path of a batch equals its own one-path run.
+    A constant-diffusion model has its factor evaluated and checked
+    once, and applied to a whole interval's draws at once; a non-finite
+    factor is still reported after the first substep's drift check.
+
+    Returns the states at the observation times, ``(n,) + x0.shape``, or
+    with ``every_substep`` the states after every substep with the start
+    first, ``(n * substeps + 1,) + x0.shape``. Beyond those the loop
+    holds one interval's normals per path.
     """
-    k = model.dim
     x = np.asarray(x0, dtype=float)
-    if x.shape != (k,):
-        raise DomainError(f"x0 has shape {x.shape}, expected ({k},)")
+    batch, k = x.ndim == 2, x.shape[-1]
     m_sub = grid.substeps
-    z = rng.standard_normal((grid.n * m_sub, k))
-    times = np.empty(grid.n * m_sub + 1)
-    states = np.empty((grid.n * m_sub + 1, k))
-    times[0], states[0] = grid.t0, x
+    states = np.empty((grid.n * m_sub + 1 if every_substep else grid.n,) + x.shape)
+    if every_substep:
+        states[0] = x
+    if batch:
+        z = np.empty((m_sub,) + x.shape)
     constant = model.constant_diffusion
     if constant:
         g = np.asarray(model.diffusion(x, theta, grid.t0), dtype=float)
         g_finite = bool(np.isfinite(g).all())
-    row = 0
     for i in range(grid.n):
         t_start, dt = grid.interval(i)
         delta = dt / m_sub
         if delta <= 0:
             raise DomainError("substep length must be positive")
         root = math.sqrt(delta)
+        if batch:
+            for p, rng in enumerate(rngs):
+                z[:, p] = rng.standard_normal((m_sub, k))
+        else:
+            z = rngs[0].standard_normal((m_sub, k))
+        if constant:
+            noise = root * (g @ z[..., None])[..., 0]
         for m in range(m_sub):
             t = t_start + m * delta
             f = np.asarray(model.drift(x, theta, t), dtype=float)
@@ -506,10 +517,42 @@ def simulate_path(model: SdeModel, theta, x0, grid: TimeGrid, rng: np.random.Gen
             _check_drift(model, f)
             if not (g_finite if constant else np.isfinite(g).all()):
                 raise DomainError("diffusion is non-finite")
-            x = model.clamp_state(x + f * delta + root * chol_mul(g, z[row]))
-            row += 1
-            times[row] = t_start + (m + 1) * delta
-            states[row] = x
+            step = noise[m] if constant else root * (g @ z[m][..., None])[..., 0]
+            x = model.clamp_state(x + f * delta + step)
+            if every_substep:
+                states[1 + i * m_sub + m] = x
+        if not every_substep:
+            states[i] = x
+    return states
+
+
+def _start(model: SdeModel, x0) -> np.ndarray:
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (model.dim,):
+        raise DomainError(f"x0 has shape {x.shape}, expected ({model.dim},)")
+    return x
+
+
+def simulate_path(model: SdeModel, theta, x0, grid: TimeGrid, rng: np.random.Generator):
+    """Simulate one Euler path over the grid.
+
+    Returns (times, states) including the initial point, with ``substeps``
+    interior points per observation interval. Each substep is the
+    euler_step of its draw, bit for bit (see _euler). Against a loop of
+    euler_step calls this takes 0.60x the time on a Lorenz63 preset path
+    (21 intervals of 64 substeps) and 0.47x on the OU preset; on
+    cwd-direct, whose state-dependent factor stays per substep, the two
+    take about the same time (medians of 21 interleaved runs, 2-core
+    Xeon, numpy 2.4).
+    """
+    x = _start(model, x0)
+    states = _euler(model, theta, x, grid, (rng,), every_substep=True)
+    m_sub = grid.substeps
+    times = np.empty(grid.n * m_sub + 1)
+    times[0] = grid.t0
+    for i in range(grid.n):
+        t_start, dt = grid.interval(i)
+        times[1 + i * m_sub : 1 + (i + 1) * m_sub] = t_start + np.arange(1, m_sub + 1) * (dt / m_sub)
     return times, states
 
 
@@ -520,6 +563,13 @@ def simulate_paths_batch(
 
     Returns states at the observation times only, shape (n, n_paths, k).
     Each substep consumes one (n_paths, k) normal block.
+
+    This stays apart from _euler on purpose. It reads one stream for all
+    paths, substep by substep, where _euler gives each path its own
+    stream; and it applies per-path factors by chol_mul's einsum, which
+    differs from _euler's batched matmul in the last bits. Routing the
+    prediction error through _euler would move cwd-direct errors in the
+    last bits, and a moved error can flip a rung of the lambda ladder.
     """
     k = model.dim
     x = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, k)).copy()
@@ -535,15 +585,32 @@ def simulate_paths_batch(
     return out
 
 
+def _observe(model: SdeModel, x0: np.ndarray, grid: TimeGrid, states: np.ndarray) -> Dataset:
+    """The dataset of one path's (n, k) observation-time states."""
+    values = states[:, list(model.observed)]
+    names = tuple(model.state_names[i] for i in model.observed)
+    return Dataset(grid.t0, x0, grid.times, values, model.observed, names)
+
+
 def simulate_dataset(
     model: SdeModel, theta, x0, grid: TimeGrid, rng: np.random.Generator
 ) -> Dataset:
     """Simulate a path and keep only the observed coordinates at grid times."""
-    _, states = simulate_path(model, theta, x0, grid, rng)
-    obs_states = states[grid.substeps :: grid.substeps]
-    values = obs_states[:, list(model.observed)]
-    names = tuple(model.state_names[i] for i in model.observed)
-    return Dataset(grid.t0, np.asarray(x0, dtype=float), grid.times, values, model.observed, names)
+    x0 = _start(model, x0)
+    return _observe(model, x0, grid, _euler(model, theta, x0, grid, (rng,)))
+
+
+def _simulate_datasets(model: SdeModel, theta, x0, grid: TimeGrid, rngs) -> list:
+    """simulate_dataset of one start for each generator, in one Euler loop.
+
+    Dataset p equals ``simulate_dataset(model, theta, x0, grid, rngs[p])``
+    bit for bit. A path that fails raises for the whole batch, so a
+    caller that needs to know which one failed, and how, reruns them one
+    at a time.
+    """
+    x0 = _start(model, x0)
+    states = _euler(model, theta, np.tile(x0, (len(rngs), 1)), grid, rngs)
+    return [_observe(model, x0, grid, states[:, p]) for p in range(len(rngs))]
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,20 @@ def _as_datasets(datasets) -> list:
     return out
 
 
+def _model_datasets(model, datasets) -> list:
+    """_as_datasets, each checked against the model: it must observe the
+    model's coordinates and start from a state of the model's size."""
+    out = _as_datasets(datasets)
+    for ds in out:
+        if tuple(ds.observed) != tuple(model.observed):
+            raise DomainError("dataset observed coordinates do not match the model")
+        if ds.x0.shape != (model.dim,):
+            raise DomainError(
+                f"dataset x0 has {ds.x0.size} entries, the model has {model.dim} states"
+            )
+    return out
+
+
 # Draws of recent datasets, newest last, and a bound on their total size.
 # An entry is a pure function of its key, so sharing it cannot change a result.
 _DRAW_CACHE: OrderedDict = OrderedDict()
@@ -343,9 +357,7 @@ def _likelihoods(model, problems, n_paths: int, substeps: int, on_failure: str) 
     for f, (theta, sampler, datasets, seed) in enumerate(problems):
         try:
             theta = model.validate_theta(theta)
-            data = _as_datasets(datasets)
-            if any(tuple(ds.observed) != tuple(model.observed) for ds in data):
-                raise DomainError("dataset observed coordinates do not match the model")
+            data = _model_datasets(model, datasets)
         except DomainError as exc:
             out[f] = exc
             continue

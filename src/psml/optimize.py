@@ -24,7 +24,13 @@ from .core import (
     DomainError,
     SdeModel,
 )
-from .likelihood import PenaltyConfig, _likelihoods, _objective, penalized_log_likelihood
+from .likelihood import (
+    PenaltyConfig,
+    _likelihoods,
+    _model_datasets,
+    _objective,
+    penalized_log_likelihood,
+)
 
 # Clip for transformed coordinates; exp of the bound stays finite.
 _Z_CLIP = 700.0
@@ -233,6 +239,7 @@ class _Fit:
     def __init__(self, model, datasets, config, theta_init, rho_init, optimizer, seed,
                  estimate_rho):
         theta_init = model.validate_theta(theta_init)
+        _model_datasets(model, datasets)
         cons = model.param_constraints
         has_rho = config.sampler.has_rho
         if estimate_rho is None:

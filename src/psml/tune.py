@@ -20,6 +20,7 @@ import numpy as np
 from .core import (
     DomainError,
     NumericalError,
+    _simulate_datasets,
     derive_seed,
     rng_stream,
     simulate_dataset,
@@ -207,24 +208,40 @@ def _map(fn, payloads, workers: int) -> list:
 def _bootstrap_one(payload):
     """Simulate the data of a chunk of replicates and estimate on it.
 
-    The chunk's refits run in one lockstep group (optimize._maximize_group),
-    each bit for bit its own maximize_psml; the estimate hook, when given,
-    replaces them and runs one replicate after another. Returns per
-    replicate (theta, rho), or None where the replicate failed
+    Each template's data for the whole chunk comes from one Euler loop,
+    one path per replicate. Should that loop raise, the replicates are
+    simulated again one at a time, in replicate order, so that the
+    replicate that fails, and how, is what a solo simulation gives. The
+    chunk's refits run in one lockstep group (optimize._maximize_group),
+    each bit for bit its own maximize_psml; the estimate hook, when
+    given, replaces them and runs one replicate after another. Returns
+    per replicate (theta, rho), or None where the replicate failed
     numerically, which never reaches another replicate of the chunk.
     """
     (model, theta, rho, lam, templates, sampler, n_paths, substeps,
      optimizer, seed, chunk, estimate_rho, data_substeps, estimate) = payload
     out = dict.fromkeys(chunk)
+    try:
+        per_template = [
+            _simulate_datasets(model, theta, t.x0, t.grid(data_substeps),
+                               [rng_stream(seed, _TAG_BOOT_DATA, b, j) for b in chunk])
+            for j, t in enumerate(templates)
+        ]
+        batch = dict(zip(chunk, map(list, zip(*per_template))))
+    except Exception:
+        batch = None
     data = {}
     for b in chunk:
         try:
-            sims = [
-                simulate_dataset(
-                    model, theta, t.x0, t.grid(data_substeps), rng_stream(seed, _TAG_BOOT_DATA, b, j)
-                )
-                for j, t in enumerate(templates)
-            ]
+            if batch is not None:
+                sims = batch[b]
+            else:
+                sims = [
+                    simulate_dataset(
+                        model, theta, t.x0, t.grid(data_substeps), rng_stream(seed, _TAG_BOOT_DATA, b, j)
+                    )
+                    for j, t in enumerate(templates)
+                ]
             if estimate is None:
                 data[b] = sims
             else:

@@ -14,6 +14,8 @@ from psml.core import (
     NumericalError,
     SdeModel,
     TimeGrid,
+    _euler,
+    _simulate_datasets,
     chol_mul,
     chol_spd,
     dataset_from_dict,
@@ -75,6 +77,15 @@ class SkewNoiseModel(SdeModel):
 
     def diffusion(self, x, theta, t):
         return theta[1] * np.array([[1.0, 0.0], [0.7, 0.6]])
+
+
+class FullFactorLorenz(Lorenz63Model):
+    """Lorenz63 with a constant, full lower-triangular noise factor."""
+
+    tilt = np.array([[1.0, 0.0, 0.0], [0.3, 1.0, 0.0], [0.2, -0.4, 1.0]])
+
+    def diffusion(self, x, theta, t):
+        return np.multiply.outer(theta[3], self.tilt)
 
 
 class BrokenNoiseModel(StillModel):
@@ -379,15 +390,23 @@ SIM_CASES = {  # model, theta, x0, substeps
     "lorenz63": (Lorenz63Model(), np.array([10.0, 28.0, 8.0 / 3.0, 2.0]), [-10.0, -10.0, 30.0], 16),
     "cwd-direct": (CwdDirectModel(), np.array([0.03, 0.2]), [36.0, 4.0, 0.0], 12),
     "skew-noise": (SkewNoiseModel(), np.array([0.8, 0.5]), [1.0, -1.0], 8),
+    # the epidemic dies out, so the clamp holds I at 0
+    "cwd-extinct": (CwdDirectModel(), np.array([0.001, 2.0]), [10.0, 1.0, 0.0], 12),
+    "full-factor-lorenz": (FullFactorLorenz(), np.array([10.0, 28.0, 8.0 / 3.0, 2.0]),
+                           [-10.0, -10.0, 30.0], 16),
 }
+
+
+def sim_grid(name, substeps):
+    """Unequal intervals, so the substep length changes between intervals."""
+    scale = 20.0 if name.startswith("cwd") else 1.0
+    return TimeGrid(0.5, np.array([0.55, 0.6, 0.8, 0.85, 1.5]) * scale, substeps)
 
 
 @pytest.mark.parametrize("name", sorted(SIM_CASES))
 def test_simulate_path_equals_an_euler_step_loop(name):
     model, theta, x0, substeps = SIM_CASES[name]
-    # unequal intervals, so the substep length changes between intervals
-    grid = TimeGrid(0.5, np.array([0.55, 0.6, 0.8, 0.85, 1.5]) * (20.0 if name == "cwd-direct" else 1.0),
-                    substeps)
+    grid = sim_grid(name, substeps)
     times, states = simulate_path(model, theta, np.array(x0), grid, rng_stream(31, 7))
     rng = rng_stream(31, 7)
     ref_t, ref_x = [grid.t0], [np.array(x0, dtype=float)]
@@ -400,6 +419,25 @@ def test_simulate_path_equals_an_euler_step_loop(name):
             ref_t.append(t_start + (m + 1) * delta)
     assert times.tobytes() == np.array(ref_t).tobytes()
     assert states.tobytes() == np.array(ref_x).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(SIM_CASES))
+@pytest.mark.parametrize("n_paths", [1, 2, 5, 32])
+def test_lockstep_paths_equal_their_own_simulate_path(name, n_paths):
+    model, theta, x0, substeps = SIM_CASES[name]
+    grid = sim_grid(name, substeps)
+    rngs = [rng_stream(31, p) for p in range(n_paths)]
+    states = _euler(model, theta, np.tile(x0, (n_paths, 1)), grid, rngs, every_substep=True)
+    data = _simulate_datasets(model, theta, np.array(x0), grid, [rng_stream(31, p) for p in range(n_paths)])
+    assert states.shape == (grid.n * substeps + 1, n_paths, model.dim)
+    for p in range(n_paths):
+        _, solo = simulate_path(model, theta, np.array(x0), grid, rng_stream(31, p))
+        assert states[:, p].tobytes() == solo.tobytes()
+        ds = simulate_dataset(model, theta, np.array(x0), grid, rng_stream(31, p))
+        assert data[p].values.tobytes() == ds.values.tobytes()
+        assert data[p].x0.tobytes() == ds.x0.tobytes() and data[p].names == ds.names
+    if name == "cwd-extinct":
+        assert (states[-1, :, 1] == 0.0).all()
 
 
 @pytest.mark.parametrize("model, message", [
@@ -416,6 +454,8 @@ def test_simulate_path_reports_nonfinite_terms_as_euler_step_does(model, message
         euler_step(model, x0, np.array([]), 0.0, 0.25, np.zeros(2))
     with pytest.raises(DomainError, match=message):
         simulate_path(model, np.array([]), x0, grid, rng_stream(0))
+    with pytest.raises(DomainError, match=message):
+        _simulate_datasets(model, np.array([]), x0, grid, [rng_stream(0), rng_stream(1)])
 
 
 def test_simulate_path_deterministic_given_seed():

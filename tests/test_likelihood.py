@@ -16,7 +16,7 @@ from psml.core import (
     rng_stream,
     simulate_dataset,
 )
-from psml import likelihood
+from psml import likelihood, optimize
 from psml.likelihood import (
     ParticleCloud,
     PenaltyConfig,
@@ -27,6 +27,7 @@ from psml.likelihood import (
     weight_cv,
 )
 from psml.models import CwdDirectModel, Lorenz63Model, OuModel, make_model, ou_exact_loglik
+from psml.optimize import maximize_psml
 from psml.samplers import SamplerSpec, _RowRho, importance_weight, propose_transition
 
 OU_THETA = np.array([0.0187, 0.2610, 0.0224])
@@ -307,6 +308,36 @@ def test_likelihood_rejects_mismatched_observation():
     with pytest.raises(DomainError):
         log_likelihood(CwdDirectModel(), np.array([0.03, 0.2]), ds, 8, 4,
                        SamplerSpec("mbb"), seed=0)
+
+
+@pytest.mark.parametrize("x0, observed, message", [
+    ([40.0, 6.0], (2,), "x0 has 2 entries, the model has 3 states"),
+    ([40.0, 6.0, 0.0, 1.0], (2,), "x0 has 4 entries, the model has 3 states"),
+    ([40.0, 6.0, 0.0], (1,), "observed coordinates do not match the model"),
+])
+def test_datasets_that_do_not_fit_the_model_are_rejected(monkeypatch, x0, observed, message):
+    # A short x0 used to fail in the kernel's indexing, and a long one was
+    # cut to the model's size without a word.
+    good = cwd_dataset()
+    bad = Dataset(good.t0, np.array(x0), good.times, good.values, observed)
+    model, theta = CwdDirectModel(), np.array([0.03, 0.2])
+    with pytest.raises(DomainError, match=message):
+        log_likelihood(model, theta, bad, 8, 4, SamplerSpec("mbb"), seed=0)
+    # in lockstep the bad problem fails alone
+    res = likelihood._likelihoods(
+        model, [(theta, SamplerSpec("mbb"), [good, bad], 0), (theta, SamplerSpec("mbb"), good, 0)],
+        8, 4, "neginf",
+    )
+    assert isinstance(res[0], DomainError) and message in str(res[0])
+    assert res[1].loglik == log_likelihood(model, theta, good, 8, 4, SamplerSpec("mbb"), seed=0).loglik
+    # a fit refuses the data before its first evaluation
+    monkeypatch.setattr(optimize, "penalized_log_likelihood", None)
+    monkeypatch.setattr(optimize, "_likelihoods", None)
+    cfg = PenaltyConfig(lam=0.0, n_paths=8, substeps=4, sampler=SamplerSpec("mbb"))
+    with pytest.raises(DomainError, match=message):
+        maximize_psml(model, [good, bad], cfg, theta)
+    with pytest.raises(DomainError, match=message):
+        optimize._maximize_group(model, [([good], theta, None, 0), ([bad], theta, None, 1)], cfg)
 
 
 def test_failure_raise_records_position():

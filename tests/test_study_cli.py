@@ -431,6 +431,64 @@ def test_cli_bootstrap(tmp_path, ou_fit):
     assert run_cli("bootstrap", tmp_path / "nope.json", "--out", out) == 2
 
 
+def test_cli_bootstrap_file_is_independent_of_threads(tmp_path):
+    # One chunk of six replicates, so one data loop of six paths, against
+    # two chunks of three.
+    data, fit = tmp_path / "lz.csv", tmp_path / "fit.json"
+    assert run_cli("simulate", "--model", "lorenz63", "--n", "8", "--seed", "3", "--out", data) == 0
+    assert run_cli("estimate", data, "--model", "lorenz63", "--sampler", "mbb", "-J", "8",
+                   "-M", "4", "--max-evals", "60", "--out", fit) == 0
+    outs = [tmp_path / f"boot{threads}.json" for threads in (1, 2)]
+    for threads, out in zip((1, 2), outs):
+        assert run_cli("bootstrap", fit, "-B", "6", "--threads", threads, "--out", out) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert json.loads(outs[0].read_text())["n_failed"] == 0
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    pytest.param("bootstrap", lambda p: [p], "fit file must be a JSON object", id="bootstrap-list"),
+    pytest.param("bootstrap", lambda p: p["estimate"].update(lam=None), "fit file is malformed",
+                 id="bootstrap-null-lam"),
+    pytest.param("bootstrap", lambda p: p["estimate"].update(theta=None), "expected 3 parameters",
+                 id="bootstrap-null-theta"),
+    pytest.param("bootstrap", lambda p: p.update(config=[]), "fit file is malformed",
+                 id="bootstrap-list-config"),
+    pytest.param("r0", lambda p: [p], "bootstrap file must be a JSON object", id="r0-list"),
+    pytest.param("r0", lambda p: p["estimate"].update(theta=None), "expected 2 parameters",
+                 id="r0-null-theta"),
+    pytest.param("r0", lambda p: p.update(replicates=[1.0, 2.0]), "bootstrap file is malformed",
+                 id="r0-flat-replicates"),
+])
+def test_cli_json_inputs_of_the_wrong_shape_are_configuration_errors(
+        tmp_path, capsys, ou_fit, cwd_boot, command, edit, message):
+    payload = json.loads((ou_fit if command == "bootstrap" else cwd_boot).read_text())
+    payload = edit(payload) or payload
+    bad, out = tmp_path / "bad.json", tmp_path / "out"
+    bad.write_text(json.dumps(payload))
+    assert run_cli(command, bad, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sidecar, message", [
+    ({"x0": [40.0, 6.0]}, "dataset x0 has 2 entries, the model has 3 states"),
+    ({"x0": [40.0, 6.0, 0.0, 1.0]}, "dataset x0 has 4 entries, the model has 3 states"),
+    ({"observed": [1]}, "dataset observed coordinates do not match the model"),
+])
+def test_cli_estimate_rejects_data_that_do_not_fit_the_model(tmp_path, capsys, sidecar, message):
+    data = tmp_path / "herd.csv"
+    assert run_cli("simulate", "--model", "cwd-direct", "--x0", "40,6,0", "--n", "3",
+                   "--substeps", "8", "--seed", "2", "--out", data) == 0
+    side = data.with_suffix(".json")
+    side.write_text(json.dumps({**json.loads(side.read_text()), **sidecar}))
+    out = tmp_path / "fit.json"
+    assert run_cli("estimate", data, "--model", "cwd-direct", "--sampler", "mbb", "-J", "6",
+                   "-M", "3", "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("max_evals", ["0", "4"])
 def test_cli_estimate_budget_below_dim_plus_two_is_a_configuration_error(
         tmp_path, capsys, ou_data, max_evals):

@@ -603,7 +603,9 @@ def test_bootstrap_failures_stay_with_their_replicate(monkeypatch):
     # Replicate 1's data simulation fails; replicate 2 has an unreachable
     # observation, so its start objective is -inf; replicate 3 starts below
     # -0.25, where the kernel raises NumericalError for its rows only.
-    # Replicates 0 and 4 share the group with them.
+    # Replicates 0 and 4 share the group with them. The failure of
+    # replicate 1 fails the chunk's lockstep data loop as a whole, so the
+    # data come from the one-at-a-time rerun through tune.simulate_dataset.
     model = SignedNoiseOu()
     template = Dataset(0.0, np.array([1.0]), np.arange(1.0, 4.0), np.array([[0.9], [0.8], [0.7]]), (0,))
     simulate, calls = tune.simulate_dataset, []
@@ -621,12 +623,49 @@ def test_bootstrap_failures_stay_with_their_replicate(monkeypatch):
             x0[0] = -0.5
         return Dataset(ds.t0, x0, ds.times, values, ds.observed)
 
+    def lockstep_fails(*args):
+        raise NumericalError("a path of the chunk failed")
+
     monkeypatch.setattr(tune, "simulate_dataset", sabotaged)
+    monkeypatch.setattr(tune, "_simulate_datasets", lockstep_fails)
+    payload = (model, OU_THETA, None, 0.0, [template], SamplerSpec("mbb"), 8, 4,
+               OptimizerConfig(max_evals=30), 9, [0, 1, 2, 3, 4], None, 16, None)
+    out = tune._bootstrap_one(payload)
+    assert calls == [0, 1, 2, 3, 4]
+    assert out[1:4] == [None, None, None]
+    monkeypatch.setattr(tune, "simulate_dataset", simulate)
+    for b in (0, 4):
+        fit = solo_refit(model, replicate_data(model, [template], b), b)
+        assert out[b][0].tobytes() == fit.theta.tobytes() and out[b][1] is None
+
+
+class FloorOu(OuModel):
+    """OU whose data simulation fails once a path falls below 0.48; the
+    likelihood's proposals, which pass t as an array, never check."""
+
+    def drift(self, x, theta, t):
+        if np.ndim(t) == 0 and np.any(np.asarray(x)[..., 0] < 0.48):
+            raise NumericalError("path fell below the floor")
+        return super().drift(x, theta, t)
+
+
+def test_bootstrap_data_failure_in_the_lockstep_loop_stays_with_its_replicate():
+    # Replicates 1, 2 and 3 fall below the floor on their own, so the
+    # chunk's one data loop fails and the chunk is simulated again one
+    # replicate at a time. Replicates 0 and 4 fit as they would alone.
+    model = FloorOu()
+    template = Dataset(0.0, np.array([1.0]), np.arange(1.0, 4.0), np.array([[0.9], [0.8], [0.7]]), (0,))
+    failing = []
+    for b in range(5):
+        try:
+            replicate_data(model, [template], b)
+        except NumericalError:
+            failing.append(b)
+    assert failing == [1, 2, 3]
     payload = (model, OU_THETA, None, 0.0, [template], SamplerSpec("mbb"), 8, 4,
                OptimizerConfig(max_evals=30), 9, [0, 1, 2, 3, 4], None, 16, None)
     out = tune._bootstrap_one(payload)
     assert out[1:4] == [None, None, None]
-    monkeypatch.setattr(tune, "simulate_dataset", simulate)
     for b in (0, 4):
         fit = solo_refit(model, replicate_data(model, [template], b), b)
         assert out[b][0].tobytes() == fit.theta.tobytes() and out[b][1] is None
