@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -221,20 +222,10 @@ def cmd_study(args) -> int:
         raise DomainError("give exactly one of --config or --preset")
     if args.config is not None:
         config = StudyConfig.from_json(Path(args.config).read_text())
-        if args.replicates is not None or args.seed is not None:
-            payload = config.to_dict()
-            if args.replicates is not None:
-                payload["n_replicates"] = args.replicates
-            if args.seed is not None:
-                payload["seed"] = args.seed
-            config = StudyConfig.from_dict(payload)
     else:
-        kwargs = {}
-        if args.replicates is not None:
-            kwargs["n_replicates"] = args.replicates
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        config = STUDY_PRESETS[args.preset](**kwargs)
+        config = STUDY_PRESETS[args.preset]()
+    overrides = {"n_replicates": args.replicates, "seed": args.seed}
+    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     run_study(config, workers=_threads(args), out_dir=args.out)
     print(str(Path(args.out) / "report.json"))
     return 0

@@ -270,62 +270,6 @@ def _sym_check(cov: np.ndarray, rtol: float = 1e-12) -> None:
         raise DomainError("matrix is not symmetric within tolerance")
 
 
-@dataclass(frozen=True)
-class GaussianSpec:
-    """Mean and covariance of a multivariate normal.
-
-    The covariance must be symmetric to 1e-12 relative tolerance and
-    positive semidefinite up to a -1e-10 * trace eigenvalue slack.
-    """
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
-            raise DomainError("mean must be (k,) and cov (k, k)")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise DomainError("Gaussian spec has non-finite entries")
-        _sym_check(cov)
-        w = np.linalg.eigvalsh(cov)
-        if w.min() < -1e-10 * max(np.trace(cov), 1e-300):
-            raise DomainError("covariance has a significantly negative eigenvalue")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-    @property
-    def dim(self) -> int:
-        return int(self.mean.size)
-
-    def marginal(self, idx: Sequence[int]) -> "GaussianSpec":
-        """Marginal law of the coordinates in idx, in the given order."""
-        idx = np.asarray(idx, dtype=int)
-        return GaussianSpec(self.mean[idx], self.cov[np.ix_(idx, idx)])
-
-    def conditional(self, idx: Sequence[int], values: Sequence[float]) -> "GaussianSpec":
-        """Law of the remaining coordinates given that coords idx equal values.
-
-        Solves through the chol_spd factor of the observed block, so a
-        block that its jitter cannot repair raises NumericalError.
-        """
-        idx = np.asarray(idx, dtype=int)
-        rest = np.array([i for i in range(self.dim) if i not in set(idx.tolist())])
-        if rest.size == 0:
-            raise DomainError("conditioning on every coordinate leaves nothing")
-        values = np.asarray(values, dtype=float)
-        s_oo = self.cov[np.ix_(idx, idx)]
-        s_ro = self.cov[np.ix_(rest, idx)]
-        s_rr = self.cov[np.ix_(rest, rest)]
-        chol = chol_spd(s_oo)
-        sol = np.linalg.solve(chol.T, np.linalg.solve(chol, s_ro.T))  # S_oo^{-1} S_or
-        mean = self.mean[rest] + sol.T @ (values - self.mean[idx])
-        cov = s_rr - s_ro @ sol
-        cov = 0.5 * (cov + cov.T)
-        return GaussianSpec(mean, cov)
-
-
 def chol_spd(cov: np.ndarray) -> np.ndarray:
     """Cholesky factor with a single jitter retry.
 
@@ -365,12 +309,10 @@ def chol_mul(chol: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.einsum("...ab,...b->...a", chol, z)
 
 
-def gauss_logpdf(diff: np.ndarray, chol: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Log-density of N(0, scale * L L^T) at diff, given the factor L of L L^T.
+def gauss_logpdf(diff: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """Log-density of N(0, L L^T) at diff, given the factor L.
 
     diff has shape (..., k); chol is (k, k) or broadcastable (..., k, k).
-    The scalar ``scale`` lets callers reuse one factor for proportional
-    covariances without refactorizing.
     """
     diff = np.asarray(diff, dtype=float)
     k = chol.shape[-1]
@@ -383,25 +325,7 @@ def gauss_logpdf(diff: np.ndarray, chol: np.ndarray, scale: float = 1.0) -> np.n
         v = np.linalg.solve(chol, diff[..., None])[..., 0]
         quad = np.einsum("...i,...i->...", v, v)
         ldet = np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-    out = -0.5 * (k * _LOG_2PI + quad) - ldet
-    if scale != 1.0:
-        out = -0.5 * (k * _LOG_2PI + k * math.log(scale) + quad / scale) - ldet
-    return out
-
-
-def mvn_logpdf(x: Sequence[float], spec: GaussianSpec, idx: Sequence[int] | None = None) -> float:
-    """Exact multivariate-normal log-density at x.
-
-    With ``idx`` the density is the marginal over those coordinates, and x
-    must carry just those entries in the same order.
-    """
-    if idx is not None:
-        spec = spec.marginal(idx)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.dim,):
-        raise DomainError(f"point has shape {x.shape}, expected ({spec.dim},)")
-    chol = chol_spd(spec.cov)
-    return float(gauss_logpdf(x - spec.mean, chol))
+    return -0.5 * (k * _LOG_2PI + quad) - ldet
 
 
 def matrix_sqrt(sigma: np.ndarray) -> np.ndarray:
@@ -451,16 +375,6 @@ def euler_step(model: SdeModel, x, theta, t: float, delta: float, z) -> np.ndarr
         raise DomainError("diffusion is non-finite")
     step = x + f * delta + math.sqrt(delta) * chol_mul(g, z)
     return model.clamp_state(step)
-
-
-def euler_transition(model: SdeModel, x, theta, t: float, delta: float) -> GaussianSpec:
-    """One-substep Euler transition law N(x + f delta, g g^T delta)."""
-    if delta <= 0:
-        raise DomainError("substep length must be positive")
-    x = np.asarray(x, dtype=float)
-    f = np.asarray(model.drift(x, theta, t), dtype=float)
-    outer = np.asarray(model.diffusion_outer(x, theta, t), dtype=float)
-    return GaussianSpec(x + f * delta, outer * delta)
 
 
 def _euler(model: SdeModel, theta, x0, grid: TimeGrid, rngs, every_substep: bool = False):

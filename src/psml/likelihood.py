@@ -13,7 +13,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,33 +120,6 @@ class PenaltyConfig:
             raise DomainError("need at least 2 paths per transition")
         if self.substeps < 1:
             raise DomainError("substeps must be >= 1")
-
-
-def weight_cv(log_weights: np.ndarray) -> float:
-    """Coefficient of variation of the weights, sample sd over mean.
-
-    Computed on max-shifted weights, which leaves the ratio unchanged and
-    avoids overflow. Uses the (J - 1) denominator.
-    """
-    lw = np.asarray(log_weights, dtype=float)
-    shift = np.max(lw)
-    if not np.isfinite(shift):
-        return math.inf
-    w = np.exp(lw - shift)
-    mean = w.mean()
-    if mean <= 0:
-        return math.inf
-    return float(w.std(ddof=1) / mean)
-
-
-def effective_sample_size(cvs: Sequence[float], n_paths: int) -> float:
-    """Paths discounted by weight variability, J / (1 + mean cv^2)."""
-    cvs = np.asarray(cvs, dtype=float)
-    if cvs.size == 0:
-        raise DomainError("need at least one cv")
-    if np.any(cvs < 0):
-        raise DomainError("cv values must be non-negative")
-    return float(n_paths / (1.0 + np.mean(cvs**2)))
 
 
 def _weight_stats(log_weights: np.ndarray, n_paths: int):

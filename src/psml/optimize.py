@@ -24,13 +24,7 @@ from .core import (
     DomainError,
     SdeModel,
 )
-from .likelihood import (
-    PenaltyConfig,
-    _likelihoods,
-    _model_datasets,
-    _objective,
-    penalized_log_likelihood,
-)
+from .likelihood import PenaltyConfig, _likelihoods, _model_datasets, _objective
 
 # Clip for transformed coordinates; exp of the bound stays finite.
 _Z_CLIP = 700.0
@@ -226,9 +220,9 @@ class PsmlFit:
 
 
 class _Fit:
-    """One fit's side of the search, shared by maximize_psml and
-    _maximize_group: its start z0 in the search space, the map from search
-    points to (theta, rho), the best evaluation so far and the PsmlFit.
+    """One fit's side of a _maximize_group search: its start z0 in the
+    search space, the map from search points to (theta, rho), the best
+    evaluation so far and the PsmlFit.
 
     The best evaluation is kept as (z, value, result), so that the fit
     needs no extra run for its diagnostics. Of equal values the first is
@@ -283,10 +277,10 @@ class _Fit:
         if np.array_equal(self.best[0], res.x):
             _, value, lik = self.best
         else:
-            value, lik = penalized_log_likelihood(
-                self.model, theta_hat, rho_hat, self.datasets, self.config, self.seed,
-                on_failure="neginf",
-            )
+            [outcome] = _evaluate(self.model, self.config, [(self, res.x)])
+            if isinstance(outcome, DomainError):
+                raise outcome
+            value, lik = outcome
         return PsmlFit(
             theta=theta_hat,
             rho=rho_hat,
@@ -297,12 +291,6 @@ class _Fit:
             evals=res.evals,
             converged=res.converged,
         )
-
-
-def _unusable_start(exc: DomainError) -> EstimationError:
-    err = EstimationError(f"objective not usable at the initial point: {exc}")
-    err.__cause__ = exc
-    return err
 
 
 def maximize_psml(
@@ -321,25 +309,16 @@ def maximize_psml(
     when the family has one and estimate_rho is not disabled; otherwise
     it stays frozen at rho_init. One evaluation seed drives every
     objective call. The evaluation budget must cover the initial simplex,
-    dim + 2 evaluations; a smaller one raises DomainError.
+    dim + 2 evaluations; a smaller one raises DomainError. The fit is a
+    lockstep group of one (_maximize_group), so the points that the
+    simplex asks for together, its start vertices and a shrink, share one
+    likelihood run.
     """
-    fit = _Fit(model, datasets, config, theta_init, rho_init, optimizer, seed, estimate_rho)
-
-    def objective(z):
-        theta, rho = fit.split(z)
-        try:
-            outcome = penalized_log_likelihood(
-                model, theta, rho, datasets, config, seed, on_failure="neginf"
-            )
-        except DomainError as exc:
-            outcome = exc
-        return fit.tell(z, outcome)
-
-    try:
-        res = nelder_mead(objective, fit.z0, optimizer)
-    except DomainError as exc:
-        raise _unusable_start(exc) from exc
-    return fit.result(res)
+    [fit] = _maximize_group(model, [(datasets, theta_init, rho_init, seed)], config, optimizer,
+                            estimate_rho)
+    if isinstance(fit, EstimationError):
+        raise fit
+    return fit
 
 
 def _evaluate(model, config: PenaltyConfig, points) -> list:
@@ -365,15 +344,16 @@ def _evaluate(model, config: PenaltyConfig, points) -> list:
 def _maximize_group(model, fits, config: PenaltyConfig,
                     optimizer: OptimizerConfig = OptimizerConfig(),
                     estimate_rho: bool | None = None) -> list:
-    """maximize_psml of independent fits, (datasets, theta_init, rho_init,
-    seed) each, that share the model, the penalty configuration and the
+    """The fits of maximize_psml, (datasets, theta_init, rho_init, seed)
+    each, that share the model, the penalty configuration and the
     optimizer, run in lockstep.
 
     Each round evaluates every point that the running fits ask for in one
     likelihood run, whose kernel calls hold the transitions of all of
     them. Returns per fit its PsmlFit, or the EstimationError that ended
-    it. A fit's result equals maximize_psml run on it alone, bit for bit,
-    whichever fits share its group.
+    it. A fit's result is the same, bit for bit, whichever fits share its
+    group, and equals that of a search that evaluates its points one at
+    a time.
     """
     fits = [_Fit(model, data, config, theta, rho, optimizer, seed, estimate_rho)
             for data, theta, rho, seed in fits]
@@ -393,6 +373,7 @@ def _maximize_group(model, fits, config: PenaltyConfig,
                 out[i] = fits[i].result(done.value)
                 del asks[i]
             except DomainError as exc:
-                out[i] = _unusable_start(exc)
+                out[i] = EstimationError(f"objective not usable at the initial point: {exc}")
+                out[i].__cause__ = exc
                 del asks[i]
     return out

@@ -139,17 +139,6 @@ class SubPathBatch:
         return self.states[-1]
 
 
-def importance_weight(paths: SubPathBatch):
-    """Per-path weights target/proposal; returns (weights, log_weights).
-
-    Aggregation downstream should use the log form; the plain weights can
-    overflow for extreme paths.
-    """
-    lw = paths.log_target - paths.log_proposal
-    with np.errstate(over="ignore"):
-        return np.exp(lw), lw
-
-
 class _RowRho(NamedTuple):
     """The sampler of a batch whose transitions come from several fits:
     one family, and rho as an (n,) array, one value per transition."""

@@ -11,7 +11,6 @@ replicate simulations from the fitted parameters.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -200,6 +199,9 @@ class BootstrapResult:
 def _map(fn, payloads, workers: int) -> list:
     """fn over payloads, on a process pool when workers > 1, in payload order."""
     if workers > 1:
+        # imported here: the pool machinery adds about 20 ms to `import psml`
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, payloads))
     return [fn(p) for p in payloads]
@@ -303,6 +305,7 @@ def parametric_bootstrap(
     refit (testing seam); it runs in this process, one replicate after
     another, whatever ``workers`` says.
     """
+    theta = model.validate_theta(theta)
     if not 0.0 < alpha <= 1.0:
         raise DomainError("alpha must lie in (0, 1]")
     if n_replicates < 2:
@@ -320,7 +323,7 @@ def parametric_bootstrap(
     )
     group = max(1, min(_GROUP_FITS, _DRAW_CACHE_BYTES // max(per_fit, 1)))
     payloads = [
-        (model, np.asarray(theta, float), rho, float(lam), templates, sampler,
+        (model, theta, rho, float(lam), templates, sampler,
          n_paths, substeps, optimizer, seed, chunk, estimate_rho, data_substeps, estimate)
         for chunk in _chunks(n_replicates, workers, group)
     ]

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 from psml.cli import main
-from psml.core import GaussianSpec, matrix_sqrt, mvn_logpdf, rng_stream, simulate_dataset, TimeGrid
-from psml.likelihood import PenaltyConfig, log_likelihood, penalized_log_likelihood, weight_cv
+from psml.core import matrix_sqrt, rng_stream, simulate_dataset, TimeGrid
+from psml.likelihood import PenaltyConfig, log_likelihood, penalized_log_likelihood
 from psml.models import make_model, OuModel, ou_exact_transition_logpdf
 from psml.optimize import nelder_mead, OptimizerConfig
-from psml.samplers import _blend_weight, importance_weight, propose_transition, SamplerSpec
+from psml.samplers import _blend_weight, propose_transition, SamplerSpec
 from psml.study import (
     cwd_study_config,
     EpisodeSpec,
@@ -29,6 +29,7 @@ from psml.study import (
     StudyConfig,
 )
 from psml.tune import run_lambda_ladder, TuneConfig
+from reference import GaussianSpec, importance_weight, mvn_logpdf, weight_cv
 
 THETA_OU = np.array([0.0187, 0.2610, 0.0224])
 

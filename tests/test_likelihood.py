@@ -21,14 +21,13 @@ from psml.likelihood import (
     ParticleCloud,
     PenaltyConfig,
     TransitionFailure,
-    effective_sample_size,
     log_likelihood,
     penalized_log_likelihood,
-    weight_cv,
 )
 from psml.models import CwdDirectModel, Lorenz63Model, OuModel, make_model, ou_exact_loglik
 from psml.optimize import maximize_psml
-from psml.samplers import SamplerSpec, _RowRho, importance_weight, propose_transition
+from psml.samplers import SamplerSpec, _RowRho, propose_transition
+from reference import effective_sample_size, importance_weight, weight_cv
 
 OU_THETA = np.array([0.0187, 0.2610, 0.0224])
 
@@ -331,7 +330,6 @@ def test_datasets_that_do_not_fit_the_model_are_rejected(monkeypatch, x0, observ
     assert isinstance(res[0], DomainError) and message in str(res[0])
     assert res[1].loglik == log_likelihood(model, theta, good, 8, 4, SamplerSpec("mbb"), seed=0).loglik
     # a fit refuses the data before its first evaluation
-    monkeypatch.setattr(optimize, "penalized_log_likelihood", None)
     monkeypatch.setattr(optimize, "_likelihoods", None)
     cfg = PenaltyConfig(lam=0.0, n_paths=8, substeps=4, sampler=SamplerSpec("mbb"))
     with pytest.raises(DomainError, match=message):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from psml.core import DomainError, euler_transition, matrix_sqrt
+from psml.core import DomainError, matrix_sqrt
 from psml.models import (
     CwdDirectModel,
     Lorenz63Model,
@@ -19,6 +19,7 @@ from psml.models import (
     ou_exact_transition_logpdf,
     r0_estimate,
 )
+from reference import euler_transition
 
 OU_THETA = np.array([0.0187, 0.2610, 0.0224])
 

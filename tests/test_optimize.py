@@ -30,6 +30,7 @@ from psml.optimize import (
     untransform,
 )
 from psml.samplers import SamplerSpec
+from reference import maximize_one_at_a_time
 
 OU_THETA = np.array([0.0187, 0.2610, 0.0224])
 
@@ -278,6 +279,20 @@ PINNED_FITS = {
 }
 
 
+def counted_problems(monkeypatch) -> list:
+    """The theta of every problem that optimize passes to _likelihoods,
+    one per objective evaluation, in order."""
+    calls = []
+    likelihoods = optimize._likelihoods
+
+    def counted(model, problems, *args):
+        calls.extend(theta for theta, *_ in problems)
+        return likelihoods(model, problems, *args)
+
+    monkeypatch.setattr(optimize, "_likelihoods", counted)
+    return calls
+
+
 @pytest.mark.parametrize("name", sorted(FIT_CASES))
 def test_fit_reuses_its_best_evaluation(name, monkeypatch):
     theta0, start, episodes, n_paths, substeps, kind, rho = FIT_CASES[name]
@@ -288,13 +303,7 @@ def test_fit_reuses_its_best_evaluation(name, monkeypatch):
         for e, (x0, n, dt) in enumerate(episodes)
     ]
     cfg = PenaltyConfig(0.5, n_paths, substeps, SamplerSpec(kind, rho))
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return penalized_log_likelihood(*args, **kwargs)
-
-    monkeypatch.setattr(optimize, "penalized_log_likelihood", counted)
+    calls = counted_problems(monkeypatch)
     fit = maximize_psml(model, data, cfg, np.array(start), rho, OptimizerConfig(max_evals=16),
                         seed=21)
     assert len(calls) == fit.evals
@@ -318,22 +327,16 @@ def test_fit_reruns_an_estimate_it_did_not_keep(monkeypatch):
     # diagnostics.
     ds = ou_dataset(n=3)
     cfg = small_config(SamplerSpec("mbb"))
-    search = optimize.nelder_mead
+    search = optimize._simplex
 
-    def second_vertex(objective, x0, config):
-        res = search(objective, x0, config)
+    def second_vertex(x0, config):
+        res = yield from search(x0, config)
         x = np.array(x0)
         x[1] += config.simplex_step
         return optimize.OptResult(x, res.value, res.evals, res.converged)
 
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return penalized_log_likelihood(*args, **kwargs)
-
-    monkeypatch.setattr(optimize, "nelder_mead", second_vertex)
-    monkeypatch.setattr(optimize, "penalized_log_likelihood", counted)
+    monkeypatch.setattr(optimize, "_simplex", second_vertex)
+    calls = counted_problems(monkeypatch)
     fit = maximize_psml(OuModel(), ds, cfg, (0.05, 0.5, 0.05),
                         optimizer=OptimizerConfig(max_evals=12), seed=0)
     assert len(calls) == fit.evals + 1
@@ -344,16 +347,15 @@ def test_fit_reruns_an_estimate_it_did_not_keep(monkeypatch):
 
 @pytest.mark.parametrize("max_evals", [0, 1, 4])
 def test_fit_budget_below_dim_plus_two_is_a_domain_error(max_evals, monkeypatch):
-    calls = []
-    monkeypatch.setattr(optimize, "penalized_log_likelihood",
-                        lambda *a, **k: calls.append(a) or penalized_log_likelihood(*a, **k))
+    calls = counted_problems(monkeypatch)
     with pytest.raises(DomainError, match="evaluation budget must be at least dim \\+ 2"):
         maximize_psml(OuModel(), ou_dataset(n=3), small_config(SamplerSpec("mbb")),
                       (0.05, 0.5, 0.05), optimizer=OptimizerConfig(max_evals=max_evals), seed=0)
     assert calls == []
     # dim + 2 is enough; with rho estimated dim grows by one
-    maximize_psml(OuModel(), ou_dataset(n=3), small_config(SamplerSpec("mbb")),
-                  (0.05, 0.5, 0.05), optimizer=OptimizerConfig(max_evals=5), seed=0)
+    fit = maximize_psml(OuModel(), ou_dataset(n=3), small_config(SamplerSpec("mbb")),
+                        (0.05, 0.5, 0.05), optimizer=OptimizerConfig(max_evals=5), seed=0)
+    assert len(calls) == fit.evals > 0  # the seam sees every evaluation
     with pytest.raises(DomainError):
         maximize_psml(OuModel(), ou_dataset(n=3), small_config(SamplerSpec("aux-mbb", 0.8)),
                       (0.05, 0.5, 0.05), optimizer=OptimizerConfig(max_evals=5), seed=0)
@@ -434,10 +436,15 @@ def replicate_fits(name, count):
 def test_group_fits_equal_solo_fits(name, count):
     model, cfg, fits = replicate_fits(name, count)
     optimizer = OptimizerConfig(max_evals=24)
+    one_at_a_time = [
+        fit_summary(maximize_one_at_a_time(model, data, cfg, theta, rho, optimizer, seed))
+        for data, theta, rho, seed in fits
+    ]
     solo = [maximize_psml(model, data, cfg, theta, rho, optimizer, seed=seed)
             for data, theta, rho, seed in fits]
     group = optimize._maximize_group(model, fits, cfg, optimizer)
-    assert [fit_summary(f) for f in group] == [fit_summary(f) for f in solo]
+    assert [fit_summary(f) for f in solo] == one_at_a_time
+    assert [fit_summary(f) for f in group] == one_at_a_time
 
 
 def test_group_fit_with_an_unusable_start_fails_alone():
@@ -450,7 +457,13 @@ def test_group_fit_with_an_unusable_start_fails_alone():
     group = optimize._maximize_group(model, fits, cfg, optimizer)
     assert isinstance(group[1], EstimationError)
     assert "not usable at the initial point" in str(group[1])
+    for maximize in (maximize_psml, maximize_one_at_a_time):
+        with pytest.raises(EstimationError, match="not usable at the initial point"):
+            maximize(model, fits[1][0], cfg, theta, rho, optimizer, seed)
     for i in (0, 2):
         data, theta, rho, seed = fits[i]
+        one_at_a_time = fit_summary(
+            maximize_one_at_a_time(model, data, cfg, theta, rho, optimizer, seed))
         solo = maximize_psml(model, data, cfg, theta, rho, optimizer, seed=seed)
-        assert fit_summary(group[i]) == fit_summary(solo)
+        assert fit_summary(solo) == one_at_a_time
+        assert fit_summary(group[i]) == one_at_a_time

@@ -16,9 +16,9 @@ from psml.samplers import (
     _Coords,
     _kernel,
     _path_draws,
-    importance_weight,
     propose_transition,
 )
+from reference import importance_weight
 
 OU_THETA = np.array([0.0187, 0.2610, 0.0224])
 CWD_THETA = np.array([0.03, 0.2])

@@ -405,6 +405,17 @@ def test_cli_study_config_file(tmp_path):
     assert report2["replicates"][0]["reference"] != report["replicates"][0]["reference"]
 
 
+def test_cli_study_preset_equals_its_config_file(tmp_path):
+    cfg_path = tmp_path / "ou.json"
+    cfg_path.write_text(STUDY_PRESETS["ou"]().to_json())
+    for flag, value in (("--preset", "ou"), ("--config", cfg_path)):
+        assert run_cli("study", flag, value, "--replicates", "1", "--seed", "9",
+                       "--out", tmp_path / flag[2:]) == 0
+    report = (tmp_path / "preset" / "report.json").read_bytes()
+    assert json.loads(report)["config"]["seed"] == 9
+    assert report == (tmp_path / "config" / "report.json").read_bytes()
+
+
 def test_cli_study_flag_conflicts(tmp_path):
     cfg_path = tmp_path / "study.json"
     cfg_path.write_text(tiny_study(n_replicates=1).to_json())

@@ -373,6 +373,13 @@ def test_bootstrap_validation():
         parametric_bootstrap(StillModel(), [], None, 0.0, [], SamplerSpec("mbb"), 8, 4)
 
 
+def test_bootstrap_rejects_a_theta_of_the_wrong_size():
+    # it used to fail in data simulation with the model's IndexError
+    with pytest.raises(DomainError, match="expected 3 parameters"):
+        parametric_bootstrap(OuModel(), OU_THETA[:2], None, 0.0, ou_dataset(n=3, seed=5),
+                             SamplerSpec("mbb"), 8, 4, n_replicates=2)
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_bootstrap_rejects_workers_below_one(workers):
     calls = []
