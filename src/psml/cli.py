@@ -23,16 +23,23 @@ from .core import (
     dataset_from_dict,
     dataset_to_dict,
     load_dataset,
-    rng_stream,
     save_dataset,
-    simulate_dataset,
 )
-from .likelihood import PenaltyConfig
 from .models import MODEL_NAMES, make_model, r0_estimate
-from .optimize import EstimationError, OptimizerConfig, maximize_psml
+from .optimize import EstimationError, OptimizerConfig
 from .samplers import KINDS, SamplerSpec
-from .study import _TAG_DATA, STUDY_PRESETS, EpisodeSpec, StudyConfig, run_study
-from .tune import TUNE_PRESETS, parametric_bootstrap, tune_lambda
+from .study import (
+    STUDY_PRESETS,
+    EpisodeSpec,
+    MethodSpec,
+    StudyConfig,
+    fit_method,
+    fit_record,
+    replicate_data,
+    run_study,
+    trace_record,
+)
+from .tune import parametric_bootstrap
 
 # Starting rho per family when --rho est is given without --rho-init.
 _RHO_INIT = {"aux-mbb": 0.8, "regularized": 0.5}
@@ -76,8 +83,7 @@ def _write_json(path, payload) -> None:
 def cmd_simulate(args) -> int:
     model = make_model(args.model, **_model_kwargs(args))
     preset = STUDY_PRESETS[args.model](seed=args.seed)
-    theta = np.asarray(args.theta if args.theta else preset.theta0, dtype=float)
-    model.validate_theta(theta)
+    theta = model.validate_theta(args.theta or preset.theta0)
     substeps = preset.data_substeps if args.substeps is None else args.substeps
     base = preset.episodes if args.x0 is None else preset.episodes[:1]
     episodes = [
@@ -91,11 +97,7 @@ def cmd_simulate(args) -> int:
 
     out = Path(args.out)
     paths = []
-    for e, ep in enumerate(episodes):
-        if len(ep.x0) != model.dim:
-            raise DomainError(f"x0 must have {model.dim} coordinates")
-        ds = simulate_dataset(model, theta, np.asarray(ep.x0), ep.grid(substeps),
-                              rng_stream(args.seed, _TAG_DATA, 0, e))
+    for e, ds in enumerate(replicate_data(model, theta, episodes, substeps, args.seed, 0)):
         if len(episodes) == 1:
             path = out
         else:
@@ -110,19 +112,14 @@ def cmd_simulate(args) -> int:
 # estimate
 
 
-def _parse_lam(text: str):
-    if text == "tune":
-        return "tune"
-    value = float(text)
-    if value < 0:
-        raise DomainError("lambda must be >= 0")
-    return value
-
-
-def _parse_rho(text):
-    if text is None or text == "est":
+def _number_or(text, word: str, flag: str):
+    """A flag's value: None, the one word it takes besides numbers, or a number."""
+    if text is None or text == word:
         return text
-    return float(text)
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise DomainError(f"{flag} must be a number or {word!r}, got {text!r}") from exc
 
 
 def cmd_estimate(args) -> int:
@@ -130,47 +127,21 @@ def cmd_estimate(args) -> int:
     datasets = [load_dataset(p) for p in args.data]
     theta_init = args.theta_init or STUDY_PRESETS[args.model]().theta_init
 
-    rho = _parse_rho(args.rho)
-    estimate_rho = rho == "est"
-    spec_rho = None
-    if args.sampler in _RHO_INIT:
-        if rho is None:
-            raise DomainError(
-                f"sampler {args.sampler!r} needs --rho (a number or 'est')"
-            )
-        if estimate_rho:
-            spec_rho = args.rho_init if args.rho_init is not None else _RHO_INIT[args.sampler]
-        else:
-            spec_rho = rho
-    elif rho is not None:
+    rho, rho_init = _number_or(args.rho, "est", "--rho"), args.rho_init
+    if args.sampler in _RHO_INIT and rho is None:
+        raise DomainError(f"sampler {args.sampler!r} needs --rho (a number or 'est')")
+    if args.sampler == "mbb" and rho == 1.0:
         # The plain bridge is the rho = 1 member of the scaled family, so
         # accept that one value as an explicit no-op.
-        if not (args.sampler == "mbb" and rho == 1.0):
-            raise DomainError(f"sampler {args.sampler!r} takes no rho")
-    sampler = SamplerSpec(args.sampler, spec_rho)
-
-    lam = _parse_lam(args.lam)
-    optimizer = OptimizerConfig(max_evals=args.max_evals)
-    penalty = PenaltyConfig(
-        lam=0.0 if lam == "tune" else lam,
-        n_paths=args.n_paths,
-        substeps=args.substeps,
-        sampler=sampler,
-    )
+        rho = None
+    if rho == "est" and rho_init is None:
+        rho_init = _RHO_INIT.get(args.sampler)
+    method = MethodSpec("estimate", args.sampler, n_paths=args.n_paths, substeps=args.substeps,
+                        lam=_number_or(args.lam, "tune", "--lambda"), rho=rho, rho_init=rho_init)
 
     start = time.perf_counter()
-    if lam == "tune":
-        result = tune_lambda(
-            model, datasets, TUNE_PRESETS[args.model], penalty, theta_init,
-            spec_rho, optimizer, seed=args.seed, estimate_rho=estimate_rho,
-        )
-        fit, fit_lam = result.fit, result.lam
-    else:
-        fit = maximize_psml(
-            model, datasets, penalty, theta_init, spec_rho, optimizer,
-            seed=args.seed, estimate_rho=estimate_rho,
-        )
-        fit_lam = lam
+    fit = fit_method(args.model, model, datasets, method, theta_init, args.seed,
+                     OptimizerConfig(max_evals=args.max_evals))
     elapsed = time.perf_counter() - start
 
     payload = {
@@ -178,34 +149,23 @@ def cmd_estimate(args) -> int:
         "dataset_paths": [str(p) for p in args.data],
         "datasets": [dataset_to_dict(ds) for ds in datasets],
         "config": {
-            "sampler": {"kind": sampler.kind, "rho": sampler.rho},
-            "n_paths": args.n_paths,
-            "substeps": args.substeps,
-            "lam": lam,
-            "estimate_rho": estimate_rho,
+            "sampler": {"kind": method.kind, "rho": method.sampler().rho},
+            "n_paths": method.n_paths,
+            "substeps": method.substeps,
+            "lam": method.lam,
+            "estimate_rho": method.estimates_rho,
             "theta_init": list(theta_init),
             "seed": args.seed,
             "max_evals": args.max_evals,
         },
-        "estimate": {
-            "theta": [float(v) for v in fit.theta],
-            "rho": None if fit.rho is None else float(fit.rho),
-            "lam": float(fit_lam),
-            "loglik": float(fit.loglik),
-            "objective": float(fit.objective),
-            "evals": fit.evals,
-            "converged": fit.converged,
-        },
+        "estimate": fit_record(fit),
         "diagnostics": [
             {"dataset": d.dataset_index, "i": d.index, "log_phat": float(d.log_phat),
              "cv": float(d.cv), "ess": float(d.ess)}
             for d in fit.diagnostics
         ],
         "prediction_error": fit.prediction_error,
-        "tune_trace": [
-            {"lam": float(t.lam), "eps": float(t.eps), "accepted": bool(t.accepted)}
-            for t in fit.tune_trace
-        ],
+        "tune_trace": trace_record(fit.tune_trace),
         "timing_seconds": elapsed,
     }
     _write_json(args.out, payload)

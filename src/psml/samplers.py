@@ -42,7 +42,6 @@ enters both accumulators (it cancels in the weight).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -103,22 +102,6 @@ class SamplerSpec:
                 raise DomainError(f"sampler {self.kind!r} takes no rho")
             return self
         return replace(self, rho=rho)
-
-    def to_json(self) -> str:
-        payload = {"kind": self.kind}
-        if self.rho is not None:
-            payload["rho"] = float(self.rho)
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SamplerSpec":
-        payload = json.loads(text)
-        if not isinstance(payload, dict) or "kind" not in payload:
-            raise DomainError("sampler spec JSON must be an object with a 'kind'")
-        extra = set(payload) - {"kind", "rho"}
-        if extra:
-            raise DomainError(f"unknown sampler spec keys {sorted(extra)}")
-        return cls(payload["kind"], payload.get("rho"))
 
 
 @dataclass

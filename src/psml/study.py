@@ -22,8 +22,8 @@ import numpy as np
 from .core import DomainError, NumericalError, TimeGrid, derive_seed, rng_stream, simulate_dataset
 from .likelihood import PenaltyConfig, TransitionFailure
 from .models import make_model, ou_exact_mle
-from .optimize import EstimationError, maximize_psml
-from .samplers import KINDS, SamplerSpec
+from .optimize import EstimationError, OptimizerConfig, maximize_psml
+from .samplers import _RHO_KINDS, KINDS, SamplerSpec
 from .tune import TUNE_PRESETS, _map, tune_lambda
 
 # Seed tags separating data generation from estimation.
@@ -64,8 +64,9 @@ class MethodSpec:
     """One estimation method: a sampler configuration or the exact MLE.
 
     lam is a fixed penalty weight or the string "tune"; rho is a fixed
-    value, the string "est" (estimated jointly, started at rho_init), or
-    None for families without the parameter.
+    value, the string "est" (estimated jointly, started at rho_init, which
+    only an estimated rho takes), or None for families without the
+    parameter.
     """
 
     name: str
@@ -78,19 +79,25 @@ class MethodSpec:
 
     def __post_init__(self):
         if self.kind == "exact-mle":
-            if self.rho is not None or self.lam not in (0.0, 0):
+            if (self.rho, self.rho_init) != (None, None) or self.lam not in (0.0, 0):
                 raise DomainError("exact-mle takes no sampler options")
             return
         if self.kind not in KINDS:
             raise DomainError(f"unknown method kind {self.kind!r}")
         if self.n_paths < 2:
             raise DomainError("need n_paths >= 2")
+        if self.substeps < 1:
+            raise DomainError("substeps must be >= 1")
         if isinstance(self.lam, str) and self.lam != _TUNE:
             raise DomainError(f"lam must be a number or {_TUNE!r}")
-        if not isinstance(self.lam, str) and self.lam < 0:
+        if not isinstance(self.lam, str) and not self.lam >= 0:
             raise DomainError("lam must be >= 0")
         if isinstance(self.rho, str) and self.rho != _EST:
             raise DomainError(f"rho must be a number, {_EST!r}, or None")
+        if self.estimates_rho and self.kind not in _RHO_KINDS:
+            raise DomainError(f"sampler {self.kind!r} has no rho to estimate")
+        if self.rho_init is not None and not self.estimates_rho:
+            raise DomainError(f"method {self.name!r} has a rho_init but does not estimate rho")
         # Build once to let the sampler family validate its parameter.
         self.sampler()
 
@@ -208,6 +215,8 @@ class StudyConfig:
             )
         except KeyError as exc:
             raise DomainError(f"study config missing key {exc.args[0]!r}") from exc
+        except (TypeError, AttributeError, IndexError) as exc:
+            raise DomainError(f"study config is malformed: {exc}") from exc
 
     @classmethod
     def from_json(cls, text: str) -> "StudyConfig":
@@ -220,23 +229,54 @@ class StudyConfig:
 _FAILURES = (EstimationError, NumericalError, TransitionFailure, DomainError)
 
 
-def _fit_entry(fit, lam, trace=None) -> dict:
-    entry = {
+def replicate_data(model, theta, episodes, data_substeps: int, seed: int, r: int) -> list:
+    """Replicate r's datasets, one per episode, simulated at theta."""
+    theta = np.asarray(theta, dtype=float)
+    return [
+        simulate_dataset(model, theta, np.asarray(ep.x0), ep.grid(data_substeps),
+                         rng_stream(seed, _TAG_DATA, r, e))
+        for e, ep in enumerate(episodes)
+    ]
+
+
+def fit_method(model_name: str, model, datasets, method: MethodSpec, theta_init, seed: int,
+               optimizer: OptimizerConfig = OptimizerConfig()):
+    """The PsmlFit of a sampler method: at its fixed lambda, or at the
+    lambda that the prediction-error ladder of the model's tuning preset
+    accepts, with the ladder's trace in fit.tune_trace."""
+    tune = method.lam == _TUNE
+    penalty = PenaltyConfig(
+        lam=0.0 if tune else float(method.lam),
+        n_paths=method.n_paths,
+        substeps=method.substeps,
+        sampler=method.sampler(),
+    )
+    if tune:
+        return tune_lambda(
+            model, datasets, TUNE_PRESETS[model_name], penalty, theta_init, method.rho_init,
+            optimizer, seed=seed, estimate_rho=method.estimates_rho,
+        ).fit
+    return maximize_psml(model, datasets, penalty, theta_init, method.rho_init, optimizer,
+                         seed=seed, estimate_rho=method.estimates_rho)
+
+
+def fit_record(fit) -> dict:
+    """The fields of a fit that every report of it carries."""
+    return {
         "theta": [float(v) for v in fit.theta],
         "rho": None if fit.rho is None else float(fit.rho),
-        "lam": float(lam),
+        "lam": float(fit.lam),
         "loglik": float(fit.loglik),
         "objective": float(fit.objective),
         "evals": fit.evals,
         "converged": fit.converged,
-        "prediction_error": None if fit.prediction_error is None else float(fit.prediction_error),
     }
-    if trace is not None:
-        entry["tune_trace"] = [
-            {"lam": float(t.lam), "eps": float(t.eps), "accepted": bool(t.accepted)}
-            for t in trace
-        ]
-    return entry
+
+
+def trace_record(trace) -> list:
+    """A lambda ladder's trace, one entry per rung."""
+    return [{"lam": float(t.lam), "eps": float(t.eps), "accepted": bool(t.accepted)}
+            for t in trace]
 
 
 def run_replicate(config: StudyConfig, r: int):
@@ -246,14 +286,8 @@ def run_replicate(config: StudyConfig, r: int):
     the times dict the wall-clock seconds per method fit.
     """
     model = config.build_model()
-    theta0 = np.asarray(config.theta0, dtype=float)
-    datasets = [
-        simulate_dataset(
-            model, theta0, np.asarray(ep.x0), ep.grid(config.data_substeps),
-            rng_stream(config.seed, _TAG_DATA, r, e),
-        )
-        for e, ep in enumerate(config.episodes)
-    ]
+    datasets = replicate_data(model, config.theta0, config.episodes, config.data_substeps,
+                              config.seed, r)
 
     record = {"replicate": r, "methods": {}, "reference": None}
     times = {}
@@ -278,27 +312,12 @@ def run_replicate(config: StudyConfig, r: int):
                     "prediction_error": None,
                 }
             else:
-                sampler = method.sampler()
-                penalty = PenaltyConfig(
-                    lam=0.0 if method.lam == _TUNE else float(method.lam),
-                    n_paths=method.n_paths,
-                    substeps=method.substeps,
-                    sampler=sampler,
-                )
+                fit = fit_method(config.model, model, datasets, method, config.theta_init,
+                                 fit_seed)
+                entry = fit_record(fit)
+                entry["prediction_error"] = fit.prediction_error
                 if method.lam == _TUNE:
-                    result = tune_lambda(
-                        model, datasets, TUNE_PRESETS[config.model], penalty,
-                        config.theta_init, method.rho_init,
-                        seed=fit_seed, estimate_rho=method.estimates_rho,
-                    )
-                    entry = _fit_entry(result.fit, result.lam, trace=result.trace)
-                else:
-                    fit = maximize_psml(
-                        model, datasets, penalty, config.theta_init,
-                        method.rho_init if method.estimates_rho else sampler.rho,
-                        seed=fit_seed, estimate_rho=method.estimates_rho,
-                    )
-                    entry = _fit_entry(fit, penalty.lam)
+                    entry["tune_trace"] = trace_record(fit.tune_trace)
         except _FAILURES as exc:
             entry = {"error": f"{type(exc).__name__}: {exc}"}
         entry["seed"] = fit_seed

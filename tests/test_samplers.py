@@ -75,16 +75,6 @@ def test_sampler_spec_validation():
     assert SamplerSpec("regularized", 0.0).rho == 0.0
 
 
-def test_sampler_spec_json_round_trip():
-    for spec in all_specs():
-        back = SamplerSpec.from_json(spec.to_json())
-        assert back == spec
-    with pytest.raises(Exception):
-        SamplerSpec.from_json('{"rho": 0.5}')
-    with pytest.raises(Exception):
-        SamplerSpec.from_json('{"kind": "mbb", "extra": 1}')
-
-
 def test_with_rho():
     assert SamplerSpec("aux-mbb", 0.8).with_rho(0.3).rho == 0.3
     assert SamplerSpec("mbb").with_rho(None).kind == "mbb"

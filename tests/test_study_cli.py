@@ -17,6 +17,7 @@ from psml.study import (
     cwd_study_config,
     lorenz_study_config,
     ou_study_config,
+    replicate_data,
     run_replicate,
     run_study,
     summarize,
@@ -76,6 +77,16 @@ def test_method_spec_validation():
         MethodSpec("x", "aux-mbb", rho="est")  # no starting value
     with pytest.raises(DomainError):
         MethodSpec("x", "mbb", rho=0.5)  # family takes no rho
+    with pytest.raises(DomainError, match="no rho to estimate"):
+        MethodSpec("x", "mbb", rho="est")
+    with pytest.raises(DomainError):
+        MethodSpec("x", "mbb", substeps=0)
+    # only an estimated rho has a starting value
+    for kind, rho in (("aux-mbb", 0.5), ("regularized", 0.5), ("mbb", None)):
+        with pytest.raises(DomainError, match="has a rho_init but does not estimate rho"):
+            MethodSpec("x", kind, rho=rho, rho_init=0.3)
+    with pytest.raises(DomainError):
+        MethodSpec("x", "exact-mle", rho_init=0.3)
     spec = MethodSpec("x", "aux-mbb", rho="est", rho_init=0.8)
     assert spec.estimates_rho
     assert spec.sampler().rho == 0.8
@@ -118,7 +129,15 @@ def test_study_config_validation():
     (cwd_study_config, {"episodes": [{"x0": [36.0, 4.0], "n": 3, "dt": 1.0}]},
      "episode 0 x0 must have 3 coordinates"),
     (ou_study_config, {"model": "nope"}, "unknown model 'nope'"),
-], ids=["ou-theta0", "lorenz-theta0", "theta_init", "x0", "model"])
+    (ou_study_config, {"methods": [5]}, "study config is malformed"),
+    (ou_study_config, {"episodes": [5]}, "study config is malformed"),
+    (ou_study_config, {"theta0": 5}, "study config is malformed"),
+    (cwd_study_config, {"model_kwargs": [1]}, "study config is malformed"),
+    (ou_study_config, {"methods": [{"name": "m", "kind": "regularized", "rho": 0.5,
+                                    "rho_init": 0.3}]},
+     "method 'm' has a rho_init but does not estimate rho"),
+], ids=["ou-theta0", "lorenz-theta0", "theta_init", "x0", "model", "methods-number",
+        "episodes-number", "theta0-number", "model_kwargs-list", "fixed-rho-with-rho_init"])
 def test_cli_study_config_must_fit_its_model(tmp_path, capsys, preset, change, message):
     cfg_path = tmp_path / "study.json"
     cfg_path.write_text(json.dumps(dict(preset(n_replicates=1).to_dict(), **change)))
@@ -334,7 +353,7 @@ def test_cli_estimate_payload(ou_fit):
     assert len(payload["datasets"]) == 1
 
 
-def test_cli_estimate_rho_rules(tmp_path, ou_data):
+def test_cli_estimate_rho_rules(tmp_path, capsys, ou_data):
     out = tmp_path / "f.json"
     # the plain bridge accepts rho 1 as an explicit no-op, nothing else
     assert run_cli("estimate", ou_data, "--model", "ou", "--sampler", "mbb",
@@ -349,6 +368,17 @@ def test_cli_estimate_rho_rules(tmp_path, ou_data):
                    "--out", out) == 2
     assert run_cli("estimate", ou_data, "--model", "ou", "--sampler", "regularized",
                    "--out", out) == 2
+    assert run_cli("estimate", ou_data, "--model", "ou", "--sampler", "mbb",
+                   "--rho", "est", "--out", out) == 2
+    assert "sampler 'mbb' has no rho to estimate" in capsys.readouterr().err
+    assert run_cli("estimate", ou_data, "--model", "ou", "--sampler", "aux-mbb",
+                   "--rho", "high", "--out", out) == 2
+    assert "--rho must be a number or 'est', got 'high'" in capsys.readouterr().err
+    # a starting rho goes only with --rho est
+    for sampler, rho in (("aux-mbb", ["--rho", "0.5"]), ("mbb", [])):
+        assert run_cli("estimate", ou_data, "--model", "ou", "--sampler", sampler, *rho,
+                       "--rho-init", "0.3", "--out", out) == 2
+        assert "has a rho_init but does not estimate rho" in capsys.readouterr().err
 
 
 def test_cli_estimate_joint_rho(tmp_path, ou_data):
@@ -375,6 +405,40 @@ def test_cli_estimate_bad_flags(tmp_path, ou_data):
         run_cli("estimate", ou_data, "--model", "ou", "--sampler", "warp",
                 "--out", out)
     assert exc.value.code == 2
+
+
+def test_cli_estimate_equals_a_study_replicate_entry(tmp_path):
+    # psml estimate with a method's flags, replicate 0's data, the entry's
+    # seed and the study's theta_init reports the fit that the study did.
+    methods = (
+        MethodSpec("fixed", "mbb", n_paths=4, substeps=2, lam=0.2),
+        MethodSpec("tuned", "aux-mbb", n_paths=4, substeps=2, lam="tune", rho="est",
+                   rho_init=0.7),
+    )
+    flags = {
+        "fixed": ["--sampler", "mbb", "--lambda", "0.2"],
+        "tuned": ["--sampler", "aux-mbb", "--lambda", "tune", "--rho", "est",
+                  "--rho-init", "0.7"],
+    }
+    config = tiny_study(n_replicates=1, methods=methods)
+    record, _ = run_replicate(config, 0)
+    [ds] = replicate_data(config.build_model(), config.theta0, config.episodes,
+                          config.data_substeps, config.seed, 0)
+    data = tmp_path / "ou.csv"
+    save_dataset(ds, data)
+    theta_init = ",".join(repr(v) for v in config.theta_init)
+    fields = ("theta", "rho", "lam", "loglik", "objective", "evals", "converged")
+    for method in methods:
+        entry = record["methods"][method.name]
+        out = tmp_path / f"{method.name}.json"
+        assert run_cli("estimate", data, "--model", "ou", *flags[method.name], "-J", "4",
+                       "-M", "2", "--seed", entry["seed"], "--theta-init", theta_init,
+                       "--out", out) == 0
+        payload = json.loads(out.read_text())
+        assert payload["estimate"] == {k: entry[k] for k in fields}
+        assert payload["prediction_error"] == entry["prediction_error"]
+        assert payload["tune_trace"] == entry.get("tune_trace", [])
+    assert len(record["methods"]["tuned"]["tune_trace"]) >= 1
 
 
 def test_cli_estimate_numerical_failure(tmp_path, ou_data):
