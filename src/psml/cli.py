@@ -18,8 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    _SHAPE_ERRORS,
     DomainError,
     NumericalError,
+    _shape_error,
     dataset_from_dict,
     dataset_to_dict,
     load_dataset,
@@ -202,16 +204,6 @@ def _read_object(path, what: str) -> dict:
     return payload
 
 
-def _malformed(what: str, exc: Exception) -> DomainError:
-    if isinstance(exc, KeyError):
-        return DomainError(f"{what} missing key {exc.args[0]!r}")
-    return DomainError(f"{what} is malformed: {exc}")
-
-
-# What reading a field of a JSON object of the wrong shape raises.
-_SHAPE_ERRORS = (KeyError, TypeError, AttributeError, IndexError)
-
-
 def cmd_bootstrap(args) -> int:
     fit = _read_object(args.fit, "fit file")
     try:
@@ -227,7 +219,7 @@ def cmd_bootstrap(args) -> int:
         max_evals = int(cfg.get("max_evals", 1500))
         estimate_rho = bool(cfg.get("estimate_rho", False))
     except _SHAPE_ERRORS as exc:
-        raise _malformed("fit file", exc) from exc
+        raise _shape_error("fit file", exc) from exc
 
     sampler = SamplerSpec(sampler_kind, rho)
     result = parametric_bootstrap(
@@ -281,7 +273,7 @@ def cmd_r0(args) -> int:
         theta = model.validate_theta(estimate["theta"])
         alpha = float(boot.get("alpha", 0.05))
     except _SHAPE_ERRORS as exc:
-        raise _malformed("bootstrap file", exc) from exc
+        raise _shape_error("bootstrap file", exc) from exc
     m = model.natural_mortality
 
     lines = ["n0,point,lower,upper"]

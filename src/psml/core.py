@@ -33,6 +33,19 @@ class NumericalError(RuntimeError):
     """A linear-algebra kernel failed beyond jitter repair."""
 
 
+# What reading a field of a JSON object of the wrong shape raises.
+_SHAPE_ERRORS = (KeyError, TypeError, AttributeError, IndexError)
+
+
+def _shape_error(what: str, exc: Exception) -> DomainError:
+    """The DomainError for one of _SHAPE_ERRORS, raised while reading the
+    fields of the JSON object named by what: a missing key, or a field of
+    the wrong shape."""
+    if isinstance(exc, KeyError):
+        return DomainError(f"{what} missing key {exc.args[0]!r}")
+    return DomainError(f"{what} is malformed: {exc}")
+
+
 # ---------------------------------------------------------------------------
 # Keyed random streams
 

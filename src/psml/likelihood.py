@@ -26,7 +26,7 @@ from .core import (
     rng_stream,
     validate_model,
 )
-from .samplers import SamplerSpec, _path_draws, _RowRho, propose_transition
+from .samplers import SamplerSpec, _draw_logpdf, _path_draws, _RowRho, propose_transition
 
 # Per-path log-weights at or below this are treated as vanished.
 _LOG_WEIGHT_FLOOR = -700.0
@@ -79,12 +79,7 @@ class ParticleCloud:
 
 
 class TransitionDiag(NamedTuple):
-    """Per-transition diagnostics, exported as {i, log_phat, cv, ess}.
-
-    A named tuple rather than a frozen dataclass: every evaluation builds
-    one per transition, and the tuple takes 0.4x the time to build (0.76
-    against 1.9 us by timeit on a 2-core Xeon).
-    """
+    """Per-transition diagnostics, exported as {i, log_phat, cv, ess}."""
 
     dataset_index: int
     index: int
@@ -93,15 +88,56 @@ class TransitionDiag(NamedTuple):
     ess: float
 
 
-@dataclass
+class _Segment(NamedTuple):
+    """Consecutive transitions first, first + 1, ... of one dataset: their
+    log p-hat, cv and ESS as arrays."""
+
+    dataset_index: int
+    first: int
+    log_phat: np.ndarray
+    cv: np.ndarray
+    ess: np.ndarray
+
+
+def _left_to_right(arrays) -> float:
+    """Sum of the arrays' entries in order. Python 3.12's sum() of floats
+    is compensated, so it would differ in the last bits from one Python
+    to another."""
+    total = 0.0
+    for a in arrays:
+        for v in a.tolist():
+            total += v
+    return total
+
+
 class LikelihoodResult:
-    loglik: float
-    diagnostics: list
-    failed: bool = False
+    """The chained estimate from per-transition segments in dataset-major
+    order: loglik and cv_sum are their left-to-right sums (loglik is -inf
+    when the run failed, and the segments end at the failing transition),
+    and diagnostics lists a TransitionDiag per transition, built only
+    when read; the optimizer reads only the sums."""
+
+    def __init__(self, segments: list, failed: bool = False):
+        self.segments, self.failed = segments, failed
+        self.cv_sum = _left_to_right(g.cv for g in segments)
+        self.loglik = -math.inf if failed else _left_to_right(g.log_phat for g in segments)
+
+    def __eq__(self, other):
+        if not isinstance(other, LikelihoodResult):
+            return NotImplemented
+        return (self.loglik, self.diagnostics, self.failed) == (
+            other.loglik, other.diagnostics, other.failed
+        )
 
     @property
-    def cv_sum(self) -> float:
-        return float(sum(d.cv for d in self.diagnostics))
+    def diagnostics(self) -> list:
+        return [
+            TransitionDiag(g.dataset_index, i, *values)
+            for g in self.segments
+            for i, values in enumerate(
+                zip(g.log_phat.tolist(), g.cv.tolist(), g.ess.tolist()), g.first
+            )
+        ]
 
 
 @dataclass(frozen=True)
@@ -126,14 +162,18 @@ def _weight_stats(log_weights: np.ndarray, n_paths: int):
     """Per-row log p-hat, cv, ESS and max-shifted weights of (n, J) log-weights.
 
     A row whose weights all vanished or went non-finite gets a NaN p-hat.
+    The cv is w.std(ddof=1) / w.mean() by numpy's own steps, without the
+    overhead of its Python wrappers.
     """
     lw = np.where(np.isfinite(log_weights), log_weights, -np.inf)
-    shift = lw.max(axis=-1)
+    shift = np.maximum.reduce(lw, axis=-1)
     shift = np.where(shift > _LOG_WEIGHT_FLOOR, shift, np.nan)
     w = np.exp(lw - shift[:, None])
-    mean_w = w.mean(axis=-1)
-    cv = w.std(axis=-1, ddof=1) / mean_w
-    return shift + np.log(mean_w), cv, n_paths / (1.0 + cv**2), w
+    mean_w = np.add.reduce(w, axis=-1, keepdims=True) / n_paths
+    dev = w - mean_w
+    dev *= dev
+    cv = np.sqrt(np.add.reduce(dev, axis=-1) / (n_paths - 1)) / mean_w[:, 0]
+    return shift + np.log(mean_w[:, 0]), cv, n_paths / (1.0 + cv**2), w
 
 
 def _as_datasets(datasets) -> list:
@@ -168,15 +208,18 @@ _DRAW_CACHE_LOCK = threading.Lock()
 # Bound on the path states, (substeps + 1) x J x k doubles per transition,
 # of one kernel call. A lockstep step with more transitions is split over
 # several calls, so that a group's working memory stays bounded whatever
-# its size; the draws and intermediates of a call come to about three
-# times its states.
+# its size. A run's peak allocation, draws and intermediates included,
+# comes to about three times its states for Lorenz63 (k = 3) and six for
+# OU (k = 1), where the moves and proposal densities that a shared factor
+# fixes before the substep loop weigh most (tracemalloc).
 _CALL_BYTES = 1 << 19
 
 
 def _draw_nbytes(n: int, n_paths: int, substeps: int, k: int, n_unobserved: int) -> int:
-    """Bytes of the cached draws of one dataset of n transitions."""
-    per_transition = (n_paths if n_unobserved else 0) + n_paths * ((substeps - 1) * k + n_unobserved)
-    return 8 * n * per_transition
+    """Bytes of the cached draws of one dataset of n transitions: per
+    transition, the uniforms, the normals and the normals' log-density."""
+    per_path = (1 if n_unobserved else 0) + (substeps - 1) * (k + 1) + n_unobserved
+    return 8 * n * n_paths * per_path
 
 
 def _dataset_draws(seed: int, d_idx: int, n: int, n_paths: int, substeps: int, k: int,
@@ -187,8 +230,10 @@ def _dataset_draws(seed: int, d_idx: int, n: int, n_paths: int, substeps: int, k
     the stream (dataset seed, i) in the order: J resample uniforms (only
     with unobserved coordinates), then the proposal's normals. Returns
     arrays with a leading transition axis: uniforms (n, J or 0),
-    intermediate normals (n, substeps - 1, J, k) and endpoint normals
-    (n, J, n_unobserved). Draws never depend on theta, so a fit makes them
+    intermediate normals (n, substeps - 1, J, k), endpoint normals
+    (n, J, n_unobserved) and the intermediate normals' own log-density
+    (n, substeps - 1, J), the part of each substep's proposal density
+    that theta does not touch. Draws never depend on theta, so a fit makes them
     on its first evaluation and reuses them on every later one; the key
     holds everything that fixes them, so the dataset's seed is derived
     only on a miss, and the least recently used entries go once the cache
@@ -208,7 +253,7 @@ def _dataset_draws(seed: int, d_idx: int, n: int, n_paths: int, substeps: int, k
         if n_unobserved:
             u[i] = rng.random(n_paths)
         z[i], z_end[i] = _path_draws(rng, n_paths, substeps, k, n_unobserved)
-    draws = (u, z, z_end)
+    draws = (u, z, z_end, _draw_logpdf(z))
     for a in draws:
         a.flags.writeable = False
     with _DRAW_CACHE_LOCK:
@@ -255,21 +300,20 @@ def _propose(model, problems, n_paths, substeps, inputs, clouds, blocks):
 
     problems are _likelihoods' (theta, sampler, datasets, seed), inputs
     and clouds its rows and particle clouds per (fit, dataset). Returns,
-    per transition, ((fit, dataset, index), outcome): the error that
-    stopped it, or (log_phat, cv, ess, r, endpoints, weights), where row r
-    of the last two is the transition's. A call that fails is run again
-    fit by fit, and a fit's block that fails row by row, so that a failure
-    stays with its fit and its transition. A DomainError stops the whole
-    fit: only the fit's first row reports it.
+    per block, (block, outcome): the error that stopped it, or the arrays
+    (log_phat, cv, ess, endpoints, weights) of its rows, where a row
+    whose weights all vanished has a NaN log_phat. A call that fails is
+    run again fit by fit, and a fit's block that fails row by row, so
+    that a failure stays with its fit and its transition. A DomainError
+    stops the whole fit: only the fit's first block reports it.
     """
     obs, uno = list(model.observed), list(model.unobserved)
-    rows = [(f, d, i) for f, d, lo, hi in blocks for i in range(lo, hi)]
     # a lone block passes views of its dataset's draws, not copies
-    prev, y, t0, dt, u, z, z_end = (
+    prev, y, t0, dt, u, *draws = (
         parts[0] if len(parts) == 1 else np.concatenate(parts)
         for parts in zip(*([a[lo:hi] for a in inputs[f, d]] for f, d, lo, hi in blocks))
     )
-    starts = np.empty((len(rows), n_paths, model.dim))
+    starts = np.empty((len(prev), n_paths, model.dim))
     starts[..., obs] = prev[:, None, :]
     if uno:  # partially observed blocks hold one transition each
         for r, (f, d, _, _) in enumerate(blocks):
@@ -279,9 +323,7 @@ def _propose(model, problems, n_paths, substeps, inputs, clouds, blocks):
     try:
         # rows after a failing one still run in the call; keep them quiet
         with np.errstate(all="ignore"):
-            paths = propose_transition(
-                model, theta, starts, y, t0, dt, substeps, sampler, (z, z_end)
-            )
+            paths = propose_transition(model, theta, starts, y, t0, dt, substeps, sampler, draws)
             log_phat, cv, ess, w = _weight_stats(paths.log_target - paths.log_proposal, n_paths)
     except (NumericalError, DomainError) as exc:
         if len(fits) > 1:
@@ -291,22 +333,23 @@ def _propose(model, problems, n_paths, substeps, inputs, clouds, blocks):
                 for out in _propose(model, problems, n_paths, substeps, inputs, clouds,
                                     [b for b in blocks if b[0] == f])
             ]
-        if len(rows) == 1 or isinstance(exc, DomainError):
-            return [(rows[0], exc)]
+        if len(prev) == 1 or isinstance(exc, DomainError):
+            return [(blocks[0], exc)]
         # rerun one at a time to find the failing rows
         return [
             out
-            for f, d, i in rows
+            for f, d, lo, hi in blocks
+            for i in range(lo, hi)
             for out in _propose(
                 model, problems, n_paths, substeps, inputs, clouds, [(f, d, i, i + 1)]
             )
         ]
-    vanished = TransitionFailure("all importance weights vanished")
-    ends = paths.endpoints
-    return [
-        (row, vanished if math.isnan(lp) else (lp, c, e, r, ends, w))
-        for r, (row, lp, c, e) in enumerate(zip(rows, log_phat.tolist(), cv.tolist(), ess.tolist()))
-    ]
+    ends, out, lo = paths.endpoints, [], 0
+    for b in blocks:
+        hi = lo + b[3] - b[2]
+        out.append((b, (log_phat[lo:hi], cv[lo:hi], ess[lo:hi], ends[lo:hi], w[lo:hi])))
+        lo = hi
+    return out
 
 
 def _likelihoods(model, problems, n_paths: int, substeps: int, on_failure: str) -> list:
@@ -339,7 +382,7 @@ def _likelihoods(model, problems, n_paths: int, substeps: int, on_failure: str) 
         return out
     index, problems = zip(*live)  # from here on, f counts valid problems only
     # Per (problem, dataset), one row per transition: previous observation,
-    # observation, start time, length, then the cached uniforms and normals.
+    # observation, start time, length, then the cached draws.
     inputs, clouds = {}, {}
     for f, (_, _, data, seed) in enumerate(problems):
         for d, ds in enumerate(data):
@@ -356,7 +399,7 @@ def _likelihoods(model, problems, n_paths: int, substeps: int, on_failure: str) 
         ]
     else:
         steps = [[(f, d, 0, ds.n) for f, p in enumerate(problems) for d, ds in enumerate(p[2])]]
-    diags = [[[] for _ in p[2]] for p in problems]
+    segments = [[[] for _ in p[2]] for p in problems]
     # per problem, (dataset, transition, error) first in dataset-major order;
     # a DomainError is filed under dataset -1, which stops every dataset
     failed = [None] * len(problems)
@@ -365,32 +408,34 @@ def _likelihoods(model, problems, n_paths: int, substeps: int, on_failure: str) 
         if not blocks:
             break
         cut = set()  # problems whose failure this step makes the rest of it moot
-        for (f, d, i), res in (
+        for (f, d, lo, hi), res in (
             outcome
             for call in _calls(blocks, _CALL_BYTES // ((substeps + 1) * n_paths * model.dim * 8))
             for outcome in _propose(model, problems, n_paths, substeps, inputs, clouds, call)
         ):
             # a DomainError anywhere in the step stops its problem, as if raised
             if isinstance(res, DomainError) and (failed[f] is None or failed[f][0] >= 0):
-                failed[f] = (-1, i, res)
+                failed[f] = (-1, lo, res)
                 cut.add(f)
             if f in cut:
                 continue
             if isinstance(res, Exception):
-                failed[f] = (d, i, res)
+                failed[f] = (d, lo, res)
                 cut.add(f)
                 continue
-            log_phat, cv, ess, r, ends, w = res
-            diags[f][d].append(TransitionDiag(d, i, log_phat, cv, ess))
-            if uno:
-                clouds[f, d] = ParticleCloud(ends[r][:, uno], w[r] / w[r].sum())
-    for f, fail, dg in zip(index, failed, diags):
+            log_phat, cv, ess, ends, w = res
+            vanished = np.isnan(log_phat)
+            if vanished.any():
+                stop = int(vanished.argmax())
+                failed[f] = (d, lo + stop, TransitionFailure("all importance weights vanished"))
+                cut.add(f)
+                log_phat, cv, ess = log_phat[:stop], cv[:stop], ess[:stop]
+            elif uno:
+                clouds[f, d] = ParticleCloud(ends[0][:, uno], w[0] / w[0].sum())
+            segments[f][d].append(_Segment(d, lo, log_phat, cv, ess))
+    for f, fail, sg in zip(index, failed, segments):
         if fail is None:
-            diagnostics = [g for d in dg for g in d]
-            total = 0.0
-            for g in diagnostics:
-                total += g.log_phat
-            out[f] = LikelihoodResult(total, diagnostics)
+            out[f] = LikelihoodResult([g for d in sg for g in d])
             continue
         d_idx, i, cause = fail
         if d_idx < 0:
@@ -403,7 +448,7 @@ def _likelihoods(model, problems, n_paths: int, substeps: int, on_failure: str) 
             )
             out[f].__cause__ = cause
         else:
-            out[f] = LikelihoodResult(-math.inf, [g for d in dg[: d_idx + 1] for g in d], failed=True)
+            out[f] = LikelihoodResult([g for d in sg[: d_idx + 1] for g in d], failed=True)
     return out
 
 

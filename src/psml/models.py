@@ -75,16 +75,21 @@ def ou_exact_loglik(theta, ds: Dataset) -> float:
     return float(np.sum(terms))
 
 
-def ou_exact_mle(ds: Dataset, theta_init=(0.05, 0.5, 0.05), optimizer=None):
-    """Maximize the exact OU likelihood with the shared simplex optimizer."""
+def ou_exact_mle(datasets, theta_init=(0.05, 0.5, 0.05), optimizer=None):
+    """Maximize the exact OU likelihood of one dataset, or the summed
+    likelihood of a list of independent episodes, with the shared simplex
+    optimizer."""
     from .optimize import OptimizerConfig, nelder_mead, transform, untransform
 
+    data = [datasets] if isinstance(datasets, Dataset) else list(datasets)
+    if not data:
+        raise DomainError("need at least one dataset")
     cons = OuModel.param_constraints
     cfg = optimizer or OptimizerConfig()
 
     def objective(z):
         theta = untransform(z, cons)
-        return ou_exact_loglik(theta, ds)
+        return math.fsum(ou_exact_loglik(theta, ds) for ds in data)
 
     res = nelder_mead(objective, transform(np.asarray(theta_init, float), cons), cfg)
     theta_hat = untransform(res.x, cons)

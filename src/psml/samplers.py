@@ -21,11 +21,24 @@ call takes 0.87x the time it took with index arrays and separate
 factorizations for Lorenz63 (21 transitions, J = 32, M = 10), 0.89x for
 cwd-direct (2 transitions, J = 48, M = 12) and 0.93x for OU (100
 transitions, J = 8, M = 8), in interleaved timings on a 2-core Xeon.
-A factor shared by the paths of a transition is applied to them in one
-batched matmul, (n, J, k) by (n, k, k), where einsum needed the factor
-copied out to every path first: a Lorenz63 evaluation takes 0.72x the
-time it took that way, and for OU (k = 1) and Lorenz63 (a diagonal
-factor) every bit stays the same.
+
+Before its substep loop, a call computes everything that depends neither
+on the path states nor on the loop's outcome: the substep times, and
+each transition's substep length and observation laid out once as
+contiguous (n, J, k) arrays (_Layout). With a shared factor L_e, the
+proposal's factor at substep m is s_m L_e, a scalar s_m set by m alone,
+so the moves of every substep and their proposal densities are known
+before the loop too; the draws' own log-density, -(k log 2 pi + z'z)/2,
+comes from the likelihood's draw cache. The loop does only the drift,
+the Euler and bridge means, the move and the target density. A shared
+factor goes to the paths of a transition in one batched matmul,
+(n, J, k) by (n, k, k), or elementwise where k = 1, which gives the same
+bits. On the benchmark's OU fit (100 transitions, J = 8, M = 8) a
+substep costs 28 us where it cost 62 us with all of this inside the
+loop, and a log_likelihood evaluation 0.49 ms where it took 0.89 ms; a
+Lorenz63 evaluation (21 transitions, J = 32, M = 10) takes 1.28 ms where
+it took 1.56 ms (best of 600 evaluations, M and 2M interleaved, on a
+2-core Xeon). Every bit stays the same.
 
 A batch may hold the transitions of several fits, as the lockstep
 bootstrap refits do: theta entries then carry one value per transition,
@@ -42,7 +55,6 @@ enters both accumulators (it cancels in the weight).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -142,13 +154,25 @@ def _mix(spec: SamplerSpec, m: int, substeps: int) -> tuple[float, float]:
     The proposal mean is (1 - w) Euler + w bridge and its covariance
     (1 - w) Euler + w s bridge: pedersen has w = 0, mbb w = s = 1, aux-mbb
     w = 1 and s = rho, regularized the blend weight and s = 1. With rho
-    per transition, w or s is an (n,) array.
+    per transition, w or s is an (n,) array; with an (m, 1) array of
+    substep indices, w is (m, 1) or (m, n).
     """
     if spec.kind == "pedersen":
         return 0.0, 1.0
     if spec.kind == "regularized":
         return _blend_weight(m, substeps, spec.rho), 1.0
     return 1.0, spec.rho if spec.kind == "aux-mbb" else 1.0
+
+
+def _factor_ratios(spec: SamplerSpec, substeps: int) -> np.ndarray:
+    """Ratio of the proposal factor to the Euler one at every intermediate
+    substep of a fully observed model, where the bridge covariance is
+    (r - 1)/r times the Euler one with r substeps left: the root of
+    (1 - w) + w s (r - 1)/r, shaped (substeps - 1, n, 1, 1, 1) to scale
+    (n, J, k, k) factors, with n = 1 unless rho is per transition."""
+    r = np.arange(substeps, 1, -1.0)[:, None]
+    w, s = _mix(spec, substeps - r, substeps)
+    return np.sqrt((1.0 - w) + w * s * ((r - 1) / r))[..., None, None, None]
 
 
 def _convex(w, s, a, b):
@@ -181,13 +205,24 @@ def _logdet(chol: np.ndarray) -> np.ndarray:
     return np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
+def _sq_norm(v: np.ndarray) -> np.ndarray:
+    """v'v over the last axis, as einsum gives it; for k = 1 the square
+    alone, which is einsum's 0.0 + v v, in a fraction of the time."""
+    return v[..., 0] * v[..., 0] if v.shape[-1] == 1 else np.einsum("...i,...i->...", v, v)
+
+
+def _draw_logpdf(z: np.ndarray) -> np.ndarray:
+    """Standard-normal log-density of draws z (..., k), -(k log 2 pi + z'z) / 2:
+    the part of a proposal density that theta does not touch."""
+    return -0.5 * (z.shape[-1] * _LOG_2PI + _sq_norm(z))
+
+
 def _white_logpdf(v: np.ndarray, logdet) -> np.ndarray:
     """Log-density of N(0, L L^T) at L v, given v and log|L|."""
-    return -0.5 * (v.shape[-1] * _LOG_2PI + np.einsum("...i,...i->...", v, v)) - logdet
+    return _draw_logpdf(v) - logdet
 
 
-@dataclass(frozen=True)
-class _Coords:
+class _Coords(NamedTuple):
     """The model's observed (o) and unobserved (u) coordinates as indices
     along the state axis and as the rows and columns of covariance blocks.
     A contiguous set is a basic slice, so that indexing gives views; a
@@ -204,13 +239,14 @@ class _Coords:
 
     @classmethod
     def of(cls, model: SdeModel) -> "_Coords":
-        o, u = _coord_index(model.observed), _coord_index(model.unobserved)
-        if isinstance(o, slice) and isinstance(u, slice):
-            return cls(len(model.unobserved), o, u, o, o, u, u)
+        uno = model.unobserved
+        o, u = _coord_index(model.observed), _coord_index(uno)
+        if not uno or isinstance(o, slice) and isinstance(u, slice):
+            # with every coordinate observed, no block is ever taken
+            return cls(len(uno), o, u, o, o, u, u)
         o_arr = np.asarray(model.observed, dtype=int)
-        u_arr = np.asarray(model.unobserved, dtype=int)
-        return cls(len(model.unobserved), o, u,
-                   o_arr[:, None], o_arr[None, :], u_arr[:, None], u_arr[None, :])
+        u_arr = np.asarray(uno, dtype=int)
+        return cls(len(uno), o, u, o_arr[:, None], o_arr[None, :], u_arr[:, None], u_arr[None, :])
 
 
 def _chol_pair(a: np.ndarray, b: np.ndarray):
@@ -223,93 +259,111 @@ def _chol_pair(a: np.ndarray, b: np.ndarray):
     return both[: len(a)], both[len(a):]
 
 
-def _bridge_moments(f, outer, x, y_obs, c: _Coords, m, substeps, delta):
-    """Bridge drift eta and covariance for substep m of each interval.
+class _Layout(NamedTuple):
+    """What the substeps of a call share, fixed before its loop.
 
-    States carry leading (n, J) axes and delta is (n,). The observed
+    The substep length dl (n, J, k), its observed coordinates dl_o and
+    the observation y (n, J, n_observed) are laid out contiguously over
+    the paths once, since an (n, 1, 1) constant broadcast over (n, J, k)
+    costs several times a contiguous operation at these sizes. For a
+    fully observed model, ratios holds _factor_ratios, else None.
+    """
+
+    dl: np.ndarray
+    dl_o: np.ndarray
+    y: np.ndarray
+    ratios: np.ndarray | None
+
+    @classmethod
+    def of(cls, spec, delta, y_obs, n_paths: int, k: int, substeps: int, c: "_Coords"):
+        n = len(delta)
+        dl = np.repeat(delta, n_paths * k).reshape(n, n_paths, k)
+        y = np.repeat(y_obs, n_paths, axis=0).reshape(n, n_paths, -1)
+        return cls(dl, dl[..., c.o], y, None if c.n_uno else _factor_ratios(spec, substeps))
+
+
+def _bridge_moments(f, outer, x, c: _Coords, r: int, g: _Layout):
+    """Bridge drift eta and covariance for the substep of each interval
+    that has r substeps left.
+
+    States carry leading (n, J) axes; g is the call's layout. The observed
     block of eta points straight at the observation over the remaining
     time; unobserved coordinates get the drift corrected by their
     covariance with the observed ones. The covariance shrinks the
-    observed block by (r - 1)/r with r substeps remaining, and the
-    unobserved block loses the explained part of its variance. With every
-    coordinate observed the covariance is (r - 1)/r times the diffusion,
-    and None is returned in its place.
+    observed block by (r - 1)/r, and the unobserved block loses the
+    explained part of its variance. With every coordinate observed the
+    covariance is (r - 1)/r times the diffusion, and None is returned in
+    its place.
     """
-    r = substeps - m
-    frac = (r - 1) / r
-    span = (delta * r)[:, None, None]
-    y = y_obs[:, None, :]
+    span = g.dl_o * r
     x_o = x[..., c.o]
+    if c.n_uno == 0 and isinstance(c.o, slice):  # every coordinate, in state order
+        return (g.y - x_o) / span, None
     eta = np.empty_like(x)
-    eta[..., c.o] = (y - x_o) / span
+    eta[..., c.o] = (g.y - x_o) / span
     if c.n_uno == 0:
         return eta, None
     g_oo = outer[..., c.o_rows, c.o_cols]
     g_ou = outer[..., c.o_rows, c.u_cols]
     g_uo = outer[..., c.u_rows, c.o_cols]
     g_uu = outer[..., c.u_rows, c.u_cols]
-    d_obs = y - (x_o + f[..., c.o] * ((r - 1) * delta)[:, None, None])
+    d_obs = g.y - (x_o + f[..., c.o] * (g.dl_o * (r - 1)))
     solved = _solve_obs(_floor_obs_diag(g_oo), g_ou)  # G_oo^{-1} G_ou
-    eta[..., c.u] = f[..., c.u] + np.einsum("...ou,...o->...u", solved, d_obs) / span
-    sig = frac * outer
+    eta[..., c.u] = f[..., c.u] + np.einsum("...ou,...o->...u", solved, d_obs) / span[..., :1]
+    sig = ((r - 1) / r) * outer
     sig[..., c.u_rows, c.u_cols] = g_uu - (g_uo @ solved) / r
     return eta, sig
 
 
-def _euler(model: SdeModel, theta, x, t, delta, per_path: bool):
-    """Drift and Euler mean of states x (n, J, k) at times t (n, 1); with
-    per_path also the diffusion outer product and Euler covariance,
-    broadcast to (n, J, k, k)."""
+def _euler(model: SdeModel, theta, x, t, dl, per_path: bool):
+    """Drift and Euler mean of states x (n, J, k) at times t (n, 1), with
+    dl the substep length laid out like x; with per_path also the
+    diffusion outer product and Euler covariance, broadcast to
+    (n, J, k, k)."""
     xa = model.clamp_state(x)
     f = np.asarray(model.drift(xa, theta, t), dtype=float)
-    mean_e = x + f * delta[:, None, None]
+    mean_e = x + f * dl
     if not per_path:
         return f, mean_e, None, None
     outer = np.asarray(model.diffusion_outer(xa, theta, t), dtype=float)
     if outer.shape != x.shape + x.shape[-1:]:
         outer = np.broadcast_to(outer, x.shape + x.shape[-1:])
-    return f, mean_e, outer, outer * delta[:, None, None, None]
+    return f, mean_e, outer, outer * dl[..., None]
 
 
-def _kernel(model: SdeModel, theta, x, y_obs, t, m: int, substeps: int, delta,
-            spec: SamplerSpec, c: _Coords, chol_e=None):
+def _kernel(model: SdeModel, theta, x, t, m: int, substeps: int, spec: SamplerSpec,
+            c: _Coords, g: _Layout, factors: bool = True):
     """Euler step and proposal of intermediate substep m (0-based, m <= substeps - 2).
 
-    x is (n, J, k), y_obs (n, n_observed), t (n, 1) and delta (n,); c
-    holds the model's coordinate indices. Returns (mean_e, chol_e, q_mean, chol_q): the Euler step is
-    N(mean_e, chol_e chol_e^T) and the proposal N(q_mean, chol_q chol_q^T).
-    A constant-diffusion, fully observed model passes its one Euler factor
-    as chol_e, (n, 1, k, k); otherwise the factor is built per path, in
-    one chol_spd call with the proposal's own factor where it has one.
-    theta entries and the sampler's rho may hold one value per transition
-    (see propose_transition).
+    x is (n, J, k) and t (n, 1); c holds the model's coordinate indices
+    and g the call's layout. Returns (mean_e, q_mean, chol_e, chol_q):
+    the Euler step is N(mean_e, chol_e chol_e^T) and the proposal
+    N(q_mean, chol_q chol_q^T), with factors built per path, in one
+    chol_spd call where the proposal has a factor of its own. A caller
+    that fixed the factors before its loop passes factors False and gets
+    None for them. theta entries and the sampler's rho may hold one value
+    per transition (see propose_transition).
     """
     if not 0 <= m <= substeps - 2:
         raise DomainError("the proposal kernel covers intermediate substeps only")
-    f, mean_e, outer, cov_e = _euler(model, theta, x, t, delta, chol_e is None)
+    f, mean_e, outer, cov_e = _euler(model, theta, x, t, g.dl, factors)
     w, s = _mix(spec, m, substeps)
-    if not isinstance(w, np.ndarray) and w == 0.0:
-        if chol_e is None:
-            chol_e = chol_spd(cov_e)
-        return mean_e, chol_e, mean_e, chol_e
-    eta, sig = _bridge_moments(f, outer, x, y_obs, c, m, substeps, delta)
-    mean_b = x + eta * delta[:, None, None]
-    q_mean = _convex(w, 1.0, mean_e, mean_b)
+    plain = not isinstance(w, np.ndarray) and w == 0.0  # blind forward simulation
+    sig = None
+    if plain:
+        q_mean = mean_e
+    else:
+        eta, sig = _bridge_moments(f, outer, x, c, substeps - m, g)
+        q_mean = _convex(w, 1.0, mean_e, x + eta * g.dl)
+    if not factors:
+        return mean_e, q_mean, None, None
     if sig is None:
         # every kernel covariance is a multiple of the Euler one
-        if chol_e is None:
-            chol_e = chol_spd(cov_e)
-        r = substeps - m
-        frac = (r - 1) / r
-        scale = (1.0 - w) + w * s * frac
-        if isinstance(scale, np.ndarray):
-            scale = np.sqrt(scale).reshape((-1,) + (1,) * (chol_e.ndim - 1))
-        else:
-            scale = math.sqrt(scale)
-        return mean_e, chol_e, q_mean, scale * chol_e
-    q_cov = _convex(w, s, cov_e, sig * delta[:, None, None, None])
+        chol_e = chol_spd(cov_e)
+        return mean_e, q_mean, chol_e, chol_e if plain else g.ratios[m] * chol_e
+    q_cov = _convex(w, s, cov_e, sig * g.dl[..., None])
     chol_e, chol_q = _chol_pair(cov_e, q_cov)
-    return mean_e, chol_e, q_mean, chol_q
+    return mean_e, q_mean, chol_e, chol_q
 
 
 def _path_draws(rng: np.random.Generator, n_paths: int, substeps: int, k: int, n_unobserved: int):
@@ -346,9 +400,19 @@ def propose_transition(
     rng is a Generator, from which each transition in turn draws one
     (J, k) block per intermediate substep and then one (J, n_unobserved)
     block at the endpoint, or those draws made beforehand, stacked over
-    the batch: ((n, substeps - 1, J, k), (n, J, n_unobserved)). Draw
-    consumption never depends on theta, so equal draws give comparable
-    paths across parameter values.
+    the batch: ((n, substeps - 1, J, k), (n, J, n_unobserved)), optionally
+    followed by the intermediate draws' _draw_logpdf, (n, substeps - 1, J).
+    Draw consumption never depends on theta, so equal draws give
+    comparable paths across parameter values.
+
+    Before its substep loop the call computes the substep times and lays
+    out each transition's substep length and observation over its paths;
+    with a shared factor it also computes every substep's proposal factor
+    s_m L_e, its log-determinant, the move and the proposal density, and
+    takes the draws' own log-density from the third element of the draws
+    when given. The loop does the drift, the Euler and bridge means, the
+    move and the target density: an OU substep (100 transitions, J = 8)
+    costs 28 us where it cost 62 us with that work inside the loop.
     """
     starts = np.asarray(starts, dtype=float)
     y_obs = np.asarray(y_obs, dtype=float)
@@ -361,42 +425,62 @@ def propose_transition(
     c = _Coords.of(model)
     if y_obs.shape != (n, len(model.observed)):
         raise DomainError("y_obs must carry one value per observed coordinate")
-    t_start = np.broadcast_to(np.asarray(t_start, dtype=float), (n,))
-    dt = np.broadcast_to(np.asarray(dt, dtype=float), (n,))
-    if not np.all(dt > 0):
+    t_start, dt = (np.asarray(a, dtype=float) for a in (t_start, dt))
+    if t_start.shape != (n,) or dt.shape != (n,):
+        t_start, dt = np.broadcast_to(t_start, (n,)), np.broadcast_to(dt, (n,))
+    if not (dt > 0).all():
         raise DomainError("interval length must be positive")
     if substeps < 1:
         raise DomainError("substeps must be >= 1")
     if isinstance(rng, np.random.Generator):
         draws = [_path_draws(rng, n_paths, substeps, k, c.n_uno) for _ in range(n)]
         rng = [np.stack(d) for d in zip(*draws)]
-    z, z_end = rng
-    if z.shape != (n, substeps - 1, n_paths, k) or z_end.shape != (n, n_paths, c.n_uno):
+    z, z_end, *z_dens = rng
+    z_dens = z_dens[0] if z_dens else _draw_logpdf(z)
+    if (z.shape != (n, substeps - 1, n_paths, k) or z_end.shape != (n, n_paths, c.n_uno)
+            or z_dens.shape != z.shape[:-1]):
         raise DomainError("draws do not match the transitions")
 
     delta = dt / substeps
+    g = _Layout.of(spec, delta, y_obs, n_paths, k, substeps, c)
+    times = t_start + np.arange(substeps)[:, None] * delta  # (substeps, n)
     shared = c.n_uno == 0 and model.constant_diffusion
-    chol_e = None
     if shared:
-        # one Euler factor per transition, (n, 1, k, k), serves every
-        # substep and path
+        # One Euler factor L_e per transition, (n, 1, k, k), serves every
+        # path, and the proposal's at substep m is ratios[m] L_e, so the
+        # proposal density of every substep is known before the loop.
         x0 = starts[:, :1]
         outer = np.asarray(model.diffusion_outer(x0, theta, t_start[:, None]), dtype=float)
         chol_e = chol_spd(np.broadcast_to(outer, x0.shape + (k,)) * delta[:, None, None, None])
-        logdet_e = _logdet(chol_e)
-        inv_e = np.linalg.inv(chol_e)
-
-    def mul(chol, v):
-        """chol v per path: a factor shared by the paths of each transition
-        goes in one batched matmul, (n, J, k) by (n, k, k)."""
-        if shared:
-            return v @ np.swapaxes(chol[:, 0], -1, -2)
-        return chol_mul(chol, v)
+        chol_q = g.ratios * chol_e
+        logdet_e = np.repeat(_logdet(chol_e), n_paths, axis=1)
+        # factors transposed for v @ L^T, (n, J, k) by (n, k, k) in one
+        # batched matmul
+        inv_t = np.swapaxes(np.linalg.inv(chol_e)[:, 0], -1, -2)
+        q_t = np.swapaxes(chol_q[:, :, 0], -1, -2)
+        # the move and proposal density of every substep, (substeps - 1, n, J, ...)
+        zs = np.swapaxes(z, 0, 1)
+        if k == 1:
+            # Scalar factors, laid out over the paths and applied
+            # elementwise: batched matmul adds the same product to a 0.0
+            # accumulator, in several times the time.
+            inv_t = np.repeat(inv_t, n_paths, axis=1)
+            moves = zs * np.repeat(q_t, n_paths, axis=2)
+            moves += 0.0
+        else:
+            moves = zs @ q_t
+        dens_q = np.swapaxes(z_dens, 0, 1) - _logdet(chol_q)
 
     def log_target(diff, chol):
         if not shared:
             return gauss_logpdf(diff, chol)
-        return _white_logpdf(mul(inv_e, diff), logdet_e)
+        # _white_logpdf(diff L_e^-T, logdet_e), in place; the sign of a zero
+        # product does not reach the square
+        out = _sq_norm(diff * inv_t if k == 1 else diff @ inv_t)
+        out += k * _LOG_2PI
+        out *= -0.5
+        out -= logdet_e
+        return out
 
     states = np.empty((substeps + 1, n, n_paths, k))
     states[0] = starts
@@ -404,28 +488,30 @@ def propose_transition(
     log_p = np.zeros((n, n_paths))
     x = starts
     for m in range(substeps - 1):
-        t = (t_start + m * delta)[:, None]
-        mean_e, chol_m, q_mean, chol_q = _kernel(
-            model, theta, x, y_obs, t, m, substeps, delta, spec, c, chol_e
+        mean_e, q_mean, chol_m, chol_q = _kernel(
+            model, theta, x, times[m, :, None], m, substeps, spec, c, g, not shared
         )
-        x = q_mean + mul(chol_q, z[:, m])
-        dens = _white_logpdf(z[:, m], _logdet(chol_q))
+        if shared:
+            x = q_mean + moves[m]
+            dens = dens_q[m]
+        else:
+            x = q_mean + chol_mul(chol_q, z[:, m])
+            dens = z_dens[:, m] - _logdet(chol_q)
         log_p += dens
         log_t += dens if spec.kind == "pedersen" else log_target(x - mean_e, chol_m)
         states[m + 1] = x
     # endpoint substep: pin observed coordinates, draw the unobserved rest
-    t = (t_start + (substeps - 1) * delta)[:, None]
-    _, mean_e, _, cov_e = _euler(model, theta, x, t, delta, not shared)
+    _, mean_e, _, cov_e = _euler(model, theta, x, times[-1, :, None], g.dl, not shared)
     end = np.empty_like(x)
-    end[..., c.o] = y_obs[:, None, :]
+    end[..., c.o] = g.y
     if c.n_uno == 0:
-        log_t += log_target(end - mean_e, chol_e if shared else chol_spd(cov_e))
+        log_t += log_target(end - mean_e, None if shared else chol_spd(cov_e))
     else:
         s_oo = _floor_obs_diag(cov_e[..., c.o_rows, c.o_cols])
         s_ou = cov_e[..., c.o_rows, c.u_cols]
         s_uo = cov_e[..., c.u_rows, c.o_cols]
         s_uu = cov_e[..., c.u_rows, c.u_cols]
-        diff_o = y_obs[:, None, :] - mean_e[..., c.o]
+        diff_o = g.y - mean_e[..., c.o]
         if s_oo.shape[-1] == 1:
             root = np.sqrt(s_oo[..., 0])
             log_t += _white_logpdf(diff_o / root, np.log(root[..., 0]))

@@ -2,8 +2,9 @@
 
 A study simulates R datasets from a generating parameter, estimates each
 with a list of methods, and summarizes bias and root-mean-square error
-per method and parameter. For the OU model the per-dataset exact MLE is
-the reference; elsewhere the generating value is. Replicates are
+per method and parameter. For the OU model the exact MLE of a
+replicate's episodes, taken jointly as the methods take them, is the
+reference; elsewhere the generating value is. Replicates are
 independent and run in a process pool; reports are assembled in
 replicate order so the output bytes do not depend on the worker count.
 """
@@ -19,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DomainError, NumericalError, TimeGrid, derive_seed, rng_stream, simulate_dataset
+from .core import (_SHAPE_ERRORS, DomainError, NumericalError, TimeGrid, _shape_error, derive_seed,
+                   rng_stream, simulate_dataset)
 from .likelihood import PenaltyConfig, TransitionFailure
 from .models import make_model, ou_exact_mle
 from .optimize import EstimationError, OptimizerConfig, maximize_psml
@@ -213,10 +215,8 @@ class StudyConfig:
                 seed=int(payload.get("seed", 0)),
                 model_kwargs=dict(payload.get("model_kwargs", {})),
             )
-        except KeyError as exc:
-            raise DomainError(f"study config missing key {exc.args[0]!r}") from exc
-        except (TypeError, AttributeError, IndexError) as exc:
-            raise DomainError(f"study config is malformed: {exc}") from exc
+        except _SHAPE_ERRORS as exc:
+            raise _shape_error("study config", exc) from exc
 
     @classmethod
     def from_json(cls, text: str) -> "StudyConfig":
@@ -292,7 +292,7 @@ def run_replicate(config: StudyConfig, r: int):
     record = {"replicate": r, "methods": {}, "reference": None}
     times = {}
     if config.model == "ou":
-        exact = ou_exact_mle(datasets[0], theta_init=config.theta_init)
+        exact = ou_exact_mle(datasets, theta_init=config.theta_init)
         record["reference"] = [float(v) for v in exact[0]]
 
     for m_idx, method in enumerate(config.methods):

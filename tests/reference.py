@@ -3,20 +3,25 @@
 Each is a plain, one-at-a-time form of something the library computes
 batched: a scalar Gaussian law with its density, the one-substep Euler
 transition law, per-path importance weights, the weight coefficient of
-variation and the effective sample size, and a fit whose simplex
-evaluates its points one at a time. None of them is used by psml itself.
+variation and the effective sample size, a fit whose simplex evaluates
+its points one at a time, and a lockstep likelihood run whose results
+are taken transition by transition. None of them is used by psml itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from psml.core import DomainError, SdeModel, _sym_check, chol_spd, gauss_logpdf
-from psml.likelihood import PenaltyConfig, penalized_log_likelihood
+from psml.core import (DomainError, NumericalError, SdeModel, _sym_check, chol_spd, gauss_logpdf,
+                       validate_model)
+from psml.likelihood import (_CALL_BYTES, PenaltyConfig, ParticleCloud, TransitionDiag,
+                             TransitionFailure, _calls, _dataset_draws, _model_datasets,
+                             _row_params, penalized_log_likelihood)
+from psml.samplers import propose_transition
 from psml.optimize import EstimationError, OptimizerConfig, PsmlFit, _Fit, nelder_mead
 from psml.samplers import SubPathBatch
 
@@ -169,3 +174,138 @@ def maximize_one_at_a_time(
     except DomainError as exc:
         raise EstimationError(f"objective not usable at the initial point: {exc}") from exc
     return fit.result(res)
+
+
+class TransitionResult(NamedTuple):
+    """What a likelihood run gives, as lists and plain sums."""
+
+    loglik: float
+    cv_sum: float
+    diagnostics: list
+    failed: bool
+
+
+def _weight_stats(lw: np.ndarray, n_paths: int):
+    """Per-row log p-hat, cv, ESS and weights of (n, J) log-weights, by np.std."""
+    lw = np.where(np.isfinite(lw), lw, -np.inf)
+    shift = lw.max(axis=-1)
+    shift = np.where(shift > -700.0, shift, np.nan)
+    w = np.exp(lw - shift[:, None])
+    mean_w = w.mean(axis=-1)
+    cv = w.std(axis=-1, ddof=1) / mean_w
+    return shift + np.log(mean_w), cv, n_paths / (1.0 + cv**2), w
+
+
+def _propose_rows(model, problems, n_paths, substeps, inputs, clouds, blocks):
+    """One kernel call, its outcome per transition ((fit, dataset, index),
+    error or (log_phat, cv, ess, row, endpoints, weights)); a failing call
+    is run again fit by fit, then row by row."""
+    obs, uno = list(model.observed), list(model.unobserved)
+    rows = [(f, d, i) for f, d, lo, hi in blocks for i in range(lo, hi)]
+    prev, y, t0, dt, u, z, z_end = (
+        np.concatenate(parts)
+        for parts in zip(*([a[lo:hi] for a in inputs[f, d]] for f, d, lo, hi in blocks))
+    )
+    starts = np.empty((len(rows), n_paths, model.dim))
+    starts[..., obs] = prev[:, None, :]
+    if uno:
+        for r, (f, d, _, _) in enumerate(blocks):
+            starts[r][:, uno] = clouds[f, d]._pick(u[r])
+    fits = list(dict.fromkeys(f for f, *_ in blocks))
+    theta, sampler = _row_params(problems, blocks) if len(fits) > 1 else problems[fits[0]][:2]
+    try:
+        with np.errstate(all="ignore"):
+            paths = propose_transition(model, theta, starts, y, t0, dt, substeps, sampler, (z, z_end))
+            log_phat, cv, ess, w = _weight_stats(paths.log_target - paths.log_proposal, n_paths)
+    except (NumericalError, DomainError) as exc:
+        if len(fits) > 1:
+            return [out for f in fits for out in _propose_rows(
+                model, problems, n_paths, substeps, inputs, clouds, [b for b in blocks if b[0] == f])]
+        if len(rows) == 1 or isinstance(exc, DomainError):
+            return [(rows[0], exc)]
+        return [out for f, d, i in rows for out in _propose_rows(
+            model, problems, n_paths, substeps, inputs, clouds, [(f, d, i, i + 1)])]
+    vanished = TransitionFailure("all importance weights vanished")
+    return [
+        (row, vanished if math.isnan(lp) else (lp, c, e, r, paths.endpoints, w))
+        for r, (row, lp, c, e) in enumerate(zip(rows, log_phat.tolist(), cv.tolist(), ess.tolist()))
+    ]
+
+
+def likelihoods_by_transition(model, problems, n_paths: int, substeps: int, on_failure: str):
+    """psml.likelihood._likelihoods with its results taken one transition
+    at a time: a TransitionDiag per transition as its kernel call returns
+    it, loglik and cv_sum summed from those left to right, and the
+    proposal's draw densities left to the kernel. Returns per problem a
+    TransitionResult or the exception that stopped it."""
+    validate_model(model)
+    obs, uno = list(model.observed), list(model.unobserved)
+    out = [None] * len(problems)
+    live = []
+    for f, (theta, sampler, datasets, seed) in enumerate(problems):
+        try:
+            live.append((f, (model.validate_theta(theta), sampler,
+                             _model_datasets(model, datasets), seed)))
+        except DomainError as exc:
+            out[f] = exc
+    if not live:
+        return out
+    index, problems = zip(*live)
+    inputs, clouds = {}, {}
+    for f, (_, _, data, seed) in enumerate(problems):
+        for d, ds in enumerate(data):
+            t_start = np.concatenate(([ds.t0], ds.times[:-1]))
+            prev_obs = np.concatenate((ds.x0[obs][None], ds.values[:-1]))
+            draws = _dataset_draws(seed, d, ds.n, n_paths, substeps, model.dim, len(uno))[:3]
+            inputs[f, d] = (prev_obs, ds.values, t_start, ds.times - t_start) + draws
+            if uno:
+                clouds[f, d] = ParticleCloud.point_mass(ds.x0[uno])
+    if uno:
+        steps = [
+            [(f, d, i, i + 1) for f, p in enumerate(problems) for d, ds in enumerate(p[2]) if i < ds.n]
+            for i in range(max(ds.n for p in problems for ds in p[2]))
+        ]
+    else:
+        steps = [[(f, d, 0, ds.n) for f, p in enumerate(problems) for d, ds in enumerate(p[2])]]
+    diags = [[[] for _ in p[2]] for p in problems]
+    failed = [None] * len(problems)
+    for step in steps:
+        blocks = [b for b in step if failed[b[0]] is None or b[1] < failed[b[0]][0]]
+        if not blocks:
+            break
+        cut = set()
+        for (f, d, i), res in (
+            outcome
+            for call in _calls(blocks, _CALL_BYTES // ((substeps + 1) * n_paths * model.dim * 8))
+            for outcome in _propose_rows(model, problems, n_paths, substeps, inputs, clouds, call)
+        ):
+            if isinstance(res, DomainError) and (failed[f] is None or failed[f][0] >= 0):
+                failed[f] = (-1, i, res)
+                cut.add(f)
+            if f in cut:
+                continue
+            if isinstance(res, Exception):
+                failed[f] = (d, i, res)
+                cut.add(f)
+                continue
+            log_phat, cv, ess, r, ends, w = res
+            diags[f][d].append(TransitionDiag(d, i, log_phat, cv, ess))
+            if uno:
+                clouds[f, d] = ParticleCloud(ends[r][:, uno], w[r] / w[r].sum())
+    for f, fail, dg in zip(index, failed, diags):
+        kept = dg if fail is None else dg[: fail[0] + 1]
+        diagnostics = [g for d in kept for g in d]
+        loglik = cv_sum = 0.0
+        for g in diagnostics:
+            loglik += g.log_phat
+            cv_sum += g.cv
+        if fail is None:
+            out[f] = TransitionResult(loglik, cv_sum, diagnostics, False)
+        elif fail[0] < 0:
+            out[f] = fail[2]
+        elif on_failure == "raise":
+            out[f] = TransitionFailure(f"transition {fail[1]} of dataset {fail[0]} failed: {fail[2]}",
+                                       dataset_index=fail[0], index=fail[1])
+        else:
+            out[f] = TransitionResult(-math.inf, cv_sum, diagnostics, True)
+    return out

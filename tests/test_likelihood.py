@@ -512,13 +512,25 @@ def test_evaluation_leaves_no_cyclic_garbage():
 
 
 def test_draw_cache_stays_within_its_byte_bound(monkeypatch):
-    # each entry holds 10 x 7 x 16 x 3 normals (26,880 bytes); one fits
+    # each entry holds 10 x 7 x 16 x 3 normals and their 10 x 7 x 16
+    # log-densities (35,840 bytes); one fits
     monkeypatch.setattr(likelihood, "_DRAW_CACHE_BYTES", 40_000)
     likelihood._DRAW_CACHE.clear()
     for seed in range(4):
         likelihood._dataset_draws(seed, 0, 10, 16, 8, 3, 0)
         assert sum(a.nbytes for d in likelihood._DRAW_CACHE.values() for a in d) <= 40_000
     assert list(likelihood._DRAW_CACHE) == [(3, 0, 10, 16, 8, 3, 0)]
+    likelihood._DRAW_CACHE.clear()
+
+
+@pytest.mark.parametrize("key", [
+    (1, 0, 5, 8, 6, 1, 0), (2, 1, 4, 16, 3, 3, 2), (3, 0, 3, 4, 1, 3, 1), (4, 2, 2, 6, 2, 2, 0),
+])
+def test_draw_nbytes_is_what_the_cache_holds(key):
+    # the byte bound and the bootstrap's group size count entries by _draw_nbytes
+    _, _, n, n_paths, substeps, k, n_u = key
+    draws = likelihood._dataset_draws(*key)
+    assert sum(a.nbytes for a in draws) == likelihood._draw_nbytes(n, n_paths, substeps, k, n_u)
     likelihood._DRAW_CACHE.clear()
 
 
@@ -553,6 +565,25 @@ def test_draw_cache_shared_by_threads(monkeypatch):
     assert errors == []
     assert sum(a.nbytes for d in likelihood._DRAW_CACHE.values() for a in d) <= 200
     likelihood._DRAW_CACHE.clear()
+
+
+def test_sums_run_left_to_right_on_every_python():
+    # On these values the left-to-right sum is 0.0 and the exact one 2.0;
+    # sum() of floats is compensated from Python 3.12 on, so it would
+    # move objectives in the last bits from one Python to another.
+    values = [0.1] * 10 + [1e16, 1.0, -1e16]
+    left_to_right = 0.0
+    for v in values:
+        left_to_right += v
+    assert (left_to_right, math.fsum(values)) == (0.0, 2.0)
+    parts = [np.array(values[:6]), np.array(values[6:])]
+    res = likelihood.LikelihoodResult([
+        likelihood._Segment(0, 0, parts[0], parts[0], np.ones(6)),
+        likelihood._Segment(1, 0, parts[1], parts[1], np.ones(7)),
+    ])
+    assert (res.loglik.hex(), res.cv_sum.hex()) == (left_to_right.hex(), left_to_right.hex())
+    assert [(g.dataset_index, g.index) for g in res.diagnostics] == (
+        [(0, i) for i in range(6)] + [(1, i) for i in range(7)])
 
 
 def test_empty_dataset_list_rejected():

@@ -88,6 +88,16 @@ def test_ou_exact_mle_matches_ar1_closed_form():
     np.testing.assert_allclose(theta_hat, ar1_mle(ds), rtol=5e-3)
 
 
+def test_ou_exact_mle_of_one_episode_list_equals_the_dataset_alone():
+    ds = make_ou_dataset(n=40, seed=5)
+    alone, res_alone = ou_exact_mle(ds)
+    listed, res_listed = ou_exact_mle([ds])
+    assert alone.tobytes() == listed.tobytes()
+    assert (res_alone.value, res_alone.evals) == (res_listed.value, res_listed.evals)
+    with pytest.raises(DomainError):
+        ou_exact_mle([])
+
+
 def test_ou_exact_mle_mean_level_tracks_data():
     rng = np.random.default_rng(8)
     from psml.core import Dataset

@@ -1,5 +1,6 @@
 """Property tests for identities of the transition-batched likelihood kernel."""
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -8,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psml import likelihood
-from psml.core import TimeGrid, derive_seed, rng_stream, simulate_dataset
-from psml.likelihood import log_likelihood
+from psml.core import Dataset, TimeGrid, derive_seed, rng_stream, simulate_dataset
+from psml.likelihood import TransitionFailure, log_likelihood
 from psml.models import CwdDirectModel, Lorenz63Model, OuModel
-from psml.samplers import SamplerSpec
+from psml.samplers import SamplerSpec, _draw_logpdf
+from reference import likelihoods_by_transition
 
 MODELS = {
     # model, theta, x0, number of transitions, interval length
@@ -90,14 +92,21 @@ def test_cached_draws_are_read_only_fresh_stream_values(seed, n, n_paths, m, k, 
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[...] = 0.0
-    u, z, z_end = draws
-    # the per-substep draws a transition's own stream gives, in order
+    u, z, z_end, z_dens = draws
+    # the per-substep draws a transition's own stream gives, in order, and
+    # their standard-normal log-density, as the kernel takes it from one
+    # substep's draws alone
     for i in range(n):
         rng = rng_stream(derive_seed(seed, 0), i)
         if n_u:
             np.testing.assert_array_equal(u[i], rng.random(n_paths))
         for step in range(m - 1):
             np.testing.assert_array_equal(z[i, step], rng.standard_normal((n_paths, k)))
+            np.testing.assert_array_equal(z_dens[i, step], _draw_logpdf(z[i, step]))
+            np.testing.assert_allclose(
+                z_dens[i, step], -0.5 * (k * math.log(2 * math.pi) + (z[i, step] ** 2).sum(axis=1)),
+                rtol=1e-14,
+            )
         np.testing.assert_array_equal(z_end[i], rng.standard_normal((n_paths, n_u)))
 
 
@@ -116,3 +125,42 @@ def test_weight_stats_are_shift_invariant(steps, shift):
     assert ess_c == pytest.approx(ess, rel=1e-12)
     # abs covers rounding when lp + c is near zero: a few ulp of 550
     assert lp_c == pytest.approx(lp + c, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=25)
+@given(name=st.sampled_from(sorted(MODELS)), seed=seeds, n_paths=paths, m=substeps, spec=specs,
+       rho=st.floats(0.2, 1.0), far_at=st.integers(1, 3),
+       on_failure=st.sampled_from(["raise", "neginf"]))
+def test_array_results_equal_the_transition_by_transition_oracle(
+        name, seed, n_paths, m, spec, rho, far_at, on_failure):
+    # One lockstep call: a two-dataset fit, a fit with its own theta and
+    # rho, one with an invalid theta, and one whose second dataset has a
+    # far observation, so that its weights vanish in the middle of a block
+    # (of a step, when some coordinates are unobserved).
+    model, theta = MODELS[name][:2]
+    theta = np.array(theta)
+    data = [dataset(name, 0), dataset(name, 1)]
+    d0 = data[0]
+    values = np.where(np.arange(d0.n)[:, None] == far_at, 1e6, d0.values)
+    far = Dataset(d0.t0, d0.x0, d0.times, values, d0.observed)
+    problems = [
+        (theta, spec, data, seed),
+        (1.1 * theta, spec.with_rho(rho) if spec.has_rho else spec, data[:1], seed + 1),
+        (-theta, spec, data, seed + 2),
+        (theta, spec, [data[1], far], seed + 3),
+    ]
+    got = likelihood._likelihoods(model, problems, n_paths, m, on_failure)
+    want = likelihoods_by_transition(model, problems, n_paths, m, on_failure)
+    # the far observation stops its fit
+    assert isinstance(want[3], TransitionFailure) if on_failure == "raise" else want[3].failed
+    for res, ref in zip(got, want):
+        if isinstance(ref, Exception):
+            assert (type(res), str(res)) == (type(ref), str(ref))
+            if isinstance(ref, TransitionFailure):
+                assert (res.dataset_index, res.index) == (ref.dataset_index, ref.index)
+            continue
+        assert (res.loglik.hex(), res.cv_sum.hex(), res.failed) == (
+            ref.loglik.hex(), ref.cv_sum.hex(), ref.failed)
+        assert res.diagnostics == ref.diagnostics
+        assert [tuple(map(type, g)) for g in res.diagnostics] == [
+            (int, int, float, float, float)] * len(ref.diagnostics)

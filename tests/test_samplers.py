@@ -15,6 +15,7 @@ from psml.samplers import (
     _chol_pair,
     _Coords,
     _kernel,
+    _Layout,
     _path_draws,
     propose_transition,
 )
@@ -28,9 +29,10 @@ LORENZ_THETA = np.array([10.0, 28.0, 8.0 / 3.0, 2.0])
 def proposal_kernel(model, theta, x, y_obs, t, m, substeps, delta, spec):
     """Proposal mean (1, k) and covariance (1, k, k) of substep m from one state x."""
     x = np.asarray(x, dtype=float)[None, None]
-    y = np.asarray(y_obs, dtype=float)[None]
-    _, _, mean, chol = _kernel(model, theta, x, y, np.full((1, 1), t), m, substeps,
-                               np.array([delta]), spec, _Coords.of(model))
+    c = _Coords.of(model)
+    g = _Layout.of(spec, np.array([delta]), np.asarray(y_obs, dtype=float)[None], 1, model.dim,
+                   substeps, c)
+    _, mean, _, chol = _kernel(model, theta, x, np.full((1, 1), t), m, substeps, spec, c, g)
     return mean[0], chol[0] @ np.swapaxes(chol[0], -1, -2)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from psml.cli import main
 from psml.core import DomainError, load_dataset, save_dataset
+from psml.models import ou_exact_loglik, ou_exact_mle
 from psml.study import (
     STUDY_PRESETS,
     EpisodeSpec,
@@ -190,6 +191,26 @@ def test_exact_mle_matches_reference_exactly():
     assert cell["n_ok"] == 1
     assert cell["bias"] == [0.0, 0.0, 0.0]
     assert cell["rmse"] == [0.0, 0.0, 0.0]
+
+
+def test_ou_reference_is_the_joint_exact_mle_of_every_episode():
+    # The sampler methods fit a replicate's episodes jointly, so bias and
+    # RMSE must be taken against the joint exact MLE, not episode 0's.
+    config = StudyConfig(
+        model="ou", theta0=OU_THETA0, theta_init=(0.05, 0.5, 0.05),
+        episodes=(EpisodeSpec((1.0,), 30, 1.0), EpisodeSpec((0.5,), 30, 1.0)),
+        methods=(MethodSpec("exact", "exact-mle"),), n_replicates=1, data_substeps=16, seed=0,
+    )
+    record, _ = run_replicate(config, 0)
+    datasets = replicate_data(config.build_model(), config.theta0, config.episodes,
+                              config.data_substeps, config.seed, 0)
+    joint, _ = ou_exact_mle(datasets, theta_init=config.theta_init)
+    first, _ = ou_exact_mle(datasets[0], theta_init=config.theta_init)
+    assert record["reference"] == [float(v) for v in joint]
+    assert record["methods"]["exact"]["theta"] == record["reference"]
+    assert not np.allclose(joint, first, rtol=1e-3)
+    summed = [sum(ou_exact_loglik(th, ds) for ds in datasets) for th in (joint, first)]
+    assert summed[0] > summed[1]
 
 
 def test_replicate_record_shape():
