@@ -1,0 +1,171 @@
+"""Layer-by-layer cost of a likelihood evaluation on the benchmark's inputs.
+
+    python3 scripts/substep_cost.py
+    python3 scripts/substep_cost.py --workload cwd-fit --repeat 7 --number 200
+
+For each workload of perfbench/workloads.py it builds that workload's
+inputs for --seed and prints, in microseconds per call, the best of
+--repeat rounds of --number calls each, timed in the process's CPU
+time so that time spent descheduled on a shared machine is left out:
+
+- log_likelihood: one evaluation at the fit's start point, in rounds of
+  a tenth as many calls;
+- kernel call: one propose_transition call on the transitions of the
+  likelihood's first kernel call;
+- substep: one intermediate substep of that call, taken as the
+  difference between calls with 2M and M substeps, divided by M;
+- for a partially observed model, each part of an intermediate substep,
+  called on the states of the middle substep of a kernel call.
+
+The script imports psml from the checkout's src/ and the workloads from
+perfbench/, and changes and replaces nothing in either. It is not a test
+and takes no part in the benchmark.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.dont_write_bytecode = True  # leave no caches in src/ or perfbench/
+
+from psml import core, likelihood, samplers  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+
+def best_us(fns, repeat: int, number: int) -> list:
+    """Per function, the best over repeat rounds of the mean CPU time of
+    number calls, in us; the functions take turns within each round."""
+    best = [float("inf")] * len(fns)
+    for fn in fns:
+        fn()
+    for _ in range(repeat):
+        for i, fn in enumerate(fns):
+            t = time.process_time()
+            for _ in range(number):
+                fn()
+            best[i] = min(best[i], (time.process_time() - t) / number)
+    return [b * 1e6 for b in best]
+
+
+def first_call(inputs, substeps: int):
+    """Arguments of propose_transition for the likelihood's first kernel
+    call at the start point, with standard normals drawn for substeps."""
+    w, model = inputs.workload, inputs.model
+    obs, n_uno = list(model.observed), len(model.unobserved)
+    k, n_paths = model.dim, w.n_paths
+    rows = []
+    for ds in inputs.datasets:
+        t_start = np.concatenate(([ds.t0], ds.times[:-1]))
+        prev = np.concatenate((ds.x0[obs][None], ds.values[:-1]))
+        # with unobserved coordinates a call holds transition 0 of each dataset
+        take = 1 if n_uno else ds.n
+        for i in range(take):
+            start = np.empty((n_paths, k))
+            start[:] = ds.x0
+            start[:, obs] = prev[i]
+            rows.append((start, ds.values[i], t_start[i], ds.times[i] - t_start[i]))
+    most = likelihood._CALL_BYTES // ((w.substeps + 1) * n_paths * k * 8)
+    starts, y, t0, dt = (np.array(a) for a in zip(*rows[: max(most, 1)]))
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal((len(starts), substeps - 1, n_paths, k))
+    draws = (z, rng.standard_normal((len(starts), n_paths, n_uno)), samplers._draw_logpdf(z))
+    theta = np.asarray(w.theta_init, dtype=float)
+    spec = samplers.SamplerSpec(w.kind, w.rho_init)
+    return (model, theta, starts, y, t0, dt, substeps, spec, draws)
+
+
+def part_timers(args):
+    """Each part of one intermediate substep, as _kernel and the loop of
+    propose_transition call them, on the states of the middle substep."""
+    model, theta, starts, y, t0, dt, substeps, spec, draws = args
+    n, n_paths, k = starts.shape
+    c = samplers._Coords.of(model)
+    delta = dt / substeps
+    g = samplers._Layout.of(spec, delta, y, n_paths, k, substeps, c)
+    m = substeps // 2
+    x = samplers.propose_transition(*args).states[m]
+    t = (t0 + m * delta)[:, None]
+    xa = model.clamp_state(x)
+    f, mean_e, outer, cov_e = samplers._euler(model, theta, x, t, g.dl, True)
+    w, s = samplers._mix(spec, m, substeps)
+    eta, sig = samplers._bridge_moments(f, outer, x, c, substeps - m, g)
+    q_cov = samplers._convex(w, s, cov_e, sig * g.dl[..., None])
+    chol_e, chol_q, logdet_e, _ = samplers._chol_pair(cov_e, q_cov)
+    z = draws[0][:, m]
+    diff = samplers._convex(w, 1.0, mean_e, x + eta * g.dl) + core.chol_mul(chol_q, z) - mean_e
+    timers = {
+        "_kernel": lambda: samplers._kernel(model, theta, x, t, m, substeps, spec, c, g),
+        "  _euler": lambda: samplers._euler(model, theta, x, t, g.dl, True),
+        "    clamp_state": lambda: model.clamp_state(x),
+        "    drift": lambda: model.drift(xa, theta, t),
+        "    diffusion_outer": lambda: model.diffusion_outer(xa, theta, t),
+    }
+    additions = getattr(model, "additions", None)
+    if additions is not None:
+        timers["    additions(t), in both"] = lambda: additions(t)
+    timers.update({
+        "  _bridge_moments": lambda: samplers._bridge_moments(f, outer, x, c, substeps - m, g),
+        "  proposal moments (_convex x 2)": lambda: (
+            samplers._convex(w, 1.0, mean_e, x + eta * g.dl),
+            samplers._convex(w, s, cov_e, sig * g.dl[..., None]),
+        ),
+        "  _chol_pair, with log-determinants": lambda: samplers._chol_pair(cov_e, q_cov),
+        "move (chol_mul)": lambda: core.chol_mul(chol_q, z),
+        "target density (_factor_logpdf)": lambda: core._factor_logpdf(diff, chol_e, logdet_e),
+    })
+    return timers
+
+
+def report(name: str, repeat: int, number: int, seed: int) -> None:
+    w = WORKLOADS[name]
+    inputs = w.setup(seed)
+    model = inputs.model
+    theta = np.asarray(w.theta_init, dtype=float)
+    spec = samplers.SamplerSpec(w.kind, w.rho_init)
+    fit_seed = inputs.fits()[0][2]
+
+    def evaluation():
+        likelihood.log_likelihood(model, theta, inputs.datasets, w.n_paths, w.substeps, spec,
+                                  fit_seed, on_failure="neginf")
+
+    one = first_call(inputs, w.substeps)
+    two = first_call(inputs, 2 * w.substeps)
+    n, n_paths, k = one[2].shape
+    print(f"{name}: {model.__class__.__name__}, n = {n}, J = {n_paths}, k = {k}, "
+          f"M = {w.substeps}, {w.kind} (us per call, best of {repeat} x {number})")
+    [lik] = best_us([evaluation], repeat, max(number // 10, 1))
+    call_m, call_2m = best_us([lambda: samplers.propose_transition(*one),
+                               lambda: samplers.propose_transition(*two)], repeat, number)
+    rows = [("log_likelihood", lik), ("kernel call (propose_transition)", call_m),
+            ("intermediate substep", (call_2m - call_m) / w.substeps)]
+    if model.unobserved:
+        parts = part_timers(one)
+        rows += [("parts of an intermediate substep:", None)]
+        rows += [("  " + part, us) for part, us in zip(parts, best_us(list(parts.values()), repeat, number))]
+    for label, us in rows:
+        print(f"  {label}" if us is None else f"  {label:<40} {us:10.1f}")
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", choices=sorted(WORKLOADS), action="append",
+                    help="workload to time (repeatable; default every workload)")
+    ap.add_argument("--seed", type=int, default=0, help="benchmark seed of the inputs")
+    ap.add_argument("--repeat", type=int, default=5, help="timing rounds; the best is kept")
+    ap.add_argument("--number", type=int, default=200, help="calls per round")
+    args = ap.parse_args(argv)
+    if args.repeat < 1 or args.number < 1:
+        ap.error("--repeat and --number must be >= 1")
+    for name in args.workload or sorted(WORKLOADS):
+        report(name, args.repeat, args.number, args.seed)
+
+
+if __name__ == "__main__":
+    main()

@@ -322,23 +322,40 @@ def chol_mul(chol: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.einsum("...ab,...b->...a", chol, z)
 
 
+def _logdet(chol: np.ndarray) -> np.ndarray:
+    """log|L| of Cholesky factors (..., k, k): the sum of the logs of each diagonal."""
+    return np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+
+
+def _factor_logpdf(diff: np.ndarray, chol: np.ndarray, logdet) -> np.ndarray:
+    """Log-density of N(0, L L^T) at diff, given the factor L and log|L|.
+
+    v = L^{-1} diff comes by forward substitution over the rows of L,
+    v_i = (diff_i - sum_{j<i} L_ij v_j) / L_ii, each row a few
+    elementwise operations over the batch, so that no LU factorization
+    of the triangular factor is made; the squared norm of v accumulates
+    row by row. diff is (..., k) and chol (k, k) or broadcastable
+    (..., k, k).
+    """
+    k = chol.shape[-1]
+    v = [diff[..., 0] / chol[..., 0, 0]]
+    quad = v[0] * v[0]
+    for i in range(1, k):
+        row = diff[..., i] - chol[..., i, 0] * v[0]
+        for j in range(1, i):
+            row -= chol[..., i, j] * v[j]
+        row /= chol[..., i, i]
+        quad += row * row
+        v.append(row)
+    return -0.5 * (k * _LOG_2PI + quad) - logdet
+
+
 def gauss_logpdf(diff: np.ndarray, chol: np.ndarray) -> np.ndarray:
     """Log-density of N(0, L L^T) at diff, given the factor L.
 
     diff has shape (..., k); chol is (k, k) or broadcastable (..., k, k).
     """
-    diff = np.asarray(diff, dtype=float)
-    k = chol.shape[-1]
-    if chol.ndim == 2:
-        flat = diff.reshape(-1, k)
-        v = np.linalg.solve(chol, flat.T)
-        quad = np.einsum("ij,ij->j", v, v).reshape(diff.shape[:-1])
-        ldet = float(np.log(np.diagonal(chol)).sum())
-    else:
-        v = np.linalg.solve(chol, diff[..., None])[..., 0]
-        quad = np.einsum("...i,...i->...", v, v)
-        ldet = np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-    return -0.5 * (k * _LOG_2PI + quad) - ldet
+    return _factor_logpdf(np.asarray(diff, dtype=float), chol, _logdet(chol))
 
 
 def matrix_sqrt(sigma: np.ndarray) -> np.ndarray:

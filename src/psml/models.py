@@ -113,9 +113,12 @@ class Lorenz63Model(SdeModel):
     def drift(self, x, theta, t):
         s, r, b = theta[0], theta[1], theta[2]
         x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-        return np.stack(
-            [s * (x2 - x1), r * x1 - x2 - x1 * x3, x1 * x2 - b * x3], axis=-1
-        )
+        first = s * (x2 - x1)
+        out = np.empty(np.shape(first) + (3,))
+        out[..., 0] = first
+        np.subtract(r * x1 - x2, x1 * x3, out=out[..., 1])
+        np.subtract(x1 * x2, b * x3, out=out[..., 2])
+        return out
 
     def diffusion(self, x, theta, t):
         return np.multiply.outer(theta[3], np.eye(3))
@@ -130,7 +133,9 @@ class Lorenz63Model(SdeModel):
 
 @dataclass(frozen=True)
 class StepFunction:
-    """Piecewise-constant series; value(t) is the last breakpoint value at or before t."""
+    """Piecewise-constant series: value(t) is the value of the last
+    breakpoint at or before t, and times before the first breakpoint take
+    the first value. The value is shaped like t."""
 
     times: np.ndarray
     values: np.ndarray
@@ -150,6 +155,8 @@ class StepFunction:
         return cls(np.array([0.0]), np.array([float(value)]))
 
     def __call__(self, t):
+        if self.values.size == 1:
+            return np.full(np.shape(t), self.values[0])
         # searchsorted never passes times.size, so only the lower end needs a bound
         idx = np.searchsorted(self.times, t, side="right") - 1
         return self.values[np.maximum(idx, 0)]
@@ -163,19 +170,22 @@ def cwd_sigma(s_count, i_count, beta, mu, a, m):
     """
     s_count = np.asarray(s_count, dtype=float)
     i_count = np.asarray(i_count, dtype=float)
-    if np.any(s_count < 0) or np.any(i_count < 0):
+    # fmin passes over a NaN, so a negative count beside one still raises
+    if (np.fmin(s_count, i_count) < 0).any():
         raise DomainError("S and I must be non-negative (clamp happens upstream)")
     shape = np.broadcast_shapes(s_count.shape, i_count.shape)
-    sig = np.zeros(shape + (3, 3))
     infection = beta * s_count * i_count
-    sig[..., 0, 0] = a + s_count * (beta * i_count + m)
-    sig[..., 0, 1] = -infection
-    sig[..., 1, 0] = -infection
-    sig[..., 1, 1] = infection + i_count * (mu + m)
-    sig[..., 1, 2] = -mu * i_count
-    sig[..., 2, 1] = -mu * i_count
-    sig[..., 2, 2] = mu * i_count
-    return sig
+    deaths = mu * i_count
+    # entries in row-major order along one axis, written in place
+    sig = np.zeros(shape + (9,))
+    np.add(a, s_count * (beta * i_count + m), out=sig[..., 0])
+    np.negative(infection, out=sig[..., 1])
+    sig[..., 3] = sig[..., 1]
+    np.add(infection, i_count * (mu + m), out=sig[..., 4])
+    np.negative(deaths, out=sig[..., 5])
+    sig[..., 7] = sig[..., 5]
+    sig[..., 8] = deaths
+    return sig.reshape(shape + (3, 3))
 
 
 @dataclass(frozen=True)
@@ -202,15 +212,12 @@ class CwdDirectModel(SdeModel):
         a = self.additions(t)
         m = self.natural_mortality
         s_count, i_count = x[..., 0], x[..., 1]
-        infection = beta * s_count * i_count
-        return np.stack(
-            [
-                a - s_count * (beta * i_count + m),
-                infection - i_count * (mu + m),
-                mu * i_count,
-            ],
-            axis=-1,
-        )
+        first = a - s_count * (beta * i_count + m)
+        out = np.empty(np.shape(first) + (3,))
+        out[..., 0] = first
+        np.subtract(beta * s_count * i_count, i_count * (mu + m), out=out[..., 1])
+        np.multiply(mu, i_count, out=out[..., 2])
+        return out
 
     def diffusion_outer(self, x, theta, t):
         return cwd_sigma(

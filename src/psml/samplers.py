@@ -13,14 +13,16 @@ kernel covariance is a multiple of the Euler one, so a single factor
 per transition serves all substeps and paths.
 
 Each call turns contiguous observed and unobserved coordinate sets into
-basic slices, so that covariance blocks are views rather than copies,
-and a partially observed substep factors its Euler and proposal
-covariances in one chol_spd call: on the benchmark's cwd-direct fit, 132
-chol_spd calls per evaluation where factoring them apart took 253. A
-call takes 0.87x the time it took with index arrays and separate
-factorizations for Lorenz63 (21 transitions, J = 32, M = 10), 0.89x for
-cwd-direct (2 transitions, J = 48, M = 12) and 0.93x for OU (100
-transitions, J = 8, M = 8), in interleaved timings on a 2-core Xeon.
+basic slices, so that covariance blocks are views rather than copies. A
+partially observed substep factors its Euler and proposal covariances
+in one chol_spd call, takes both log-determinants from one pass over
+the stacked factors, and solves with the Euler factor for the target
+density by forward substitution. On the benchmark's cwd-direct inputs
+(2 transitions, J = 48, k = 3, M = 12) an intermediate substep costs
+about 216 us where it cost 282 us with an LU solve for that density and
+the model terms built by np.stack, and a call 2.33 ms where it took
+2.91 ms (best of 30 rounds, interleaved in one process on a 2-core
+Xeon); scripts/substep_cost.py prints the cost of each part.
 
 Before its substep loop, a call computes everything that depends neither
 on the path states nor on the loop's outcome: the substep times, and
@@ -65,6 +67,8 @@ from .core import (
     _coord_index,
     DomainError,
     SdeModel,
+    _factor_logpdf,
+    _logdet,
     chol_mul,
     chol_spd,
     gauss_logpdf,
@@ -190,6 +194,8 @@ def _convex(w, s, a, b):
 
 def _floor_obs_diag(mat: np.ndarray) -> np.ndarray:
     d = mat.shape[-1]
+    if d == 1:
+        return np.maximum(mat, _OBS_BLOCK_FLOOR)
     i = np.arange(d)
     out = mat.copy()
     out[..., i, i] = np.maximum(out[..., i, i], _OBS_BLOCK_FLOOR)
@@ -199,10 +205,6 @@ def _floor_obs_diag(mat: np.ndarray) -> np.ndarray:
 def _solve_obs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a^{-1} b for observed blocks a; a division when one coordinate is observed."""
     return b / a if a.shape[-1] == 1 else np.linalg.solve(a, b)
-
-
-def _logdet(chol: np.ndarray) -> np.ndarray:
-    return np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
 def _sq_norm(v: np.ndarray) -> np.ndarray:
@@ -250,13 +252,16 @@ class _Coords(NamedTuple):
 
 
 def _chol_pair(a: np.ndarray, b: np.ndarray):
-    """chol_spd of two (n, J, k, k) batches in one call on their stack.
+    """chol_spd of two (n, J, k, k) batches in one call on their stack,
+    and the log-determinants of both factors from one pass over it.
 
     chol_spd repairs an (n, J, k, k) batch one transition at a time, so
     each half equals its own chol_spd call bit for bit.
     """
     both = chol_spd(np.concatenate((a, b)))
-    return both[: len(a)], both[len(a):]
+    logdet = _logdet(both)
+    n = len(a)
+    return both[:n], both[n:], logdet[:n], logdet[n:]
 
 
 class _Layout(NamedTuple):
@@ -336,13 +341,14 @@ def _kernel(model: SdeModel, theta, x, t, m: int, substeps: int, spec: SamplerSp
     """Euler step and proposal of intermediate substep m (0-based, m <= substeps - 2).
 
     x is (n, J, k) and t (n, 1); c holds the model's coordinate indices
-    and g the call's layout. Returns (mean_e, q_mean, chol_e, chol_q):
-    the Euler step is N(mean_e, chol_e chol_e^T) and the proposal
-    N(q_mean, chol_q chol_q^T), with factors built per path, in one
-    chol_spd call where the proposal has a factor of its own. A caller
-    that fixed the factors before its loop passes factors False and gets
-    None for them. theta entries and the sampler's rho may hold one value
-    per transition (see propose_transition).
+    and g the call's layout. Returns (mean_e, q_mean, chol_e, chol_q,
+    logdet_e, logdet_q): the Euler step is N(mean_e, chol_e chol_e^T) and
+    the proposal N(q_mean, chol_q chol_q^T), with factors built per path,
+    in one chol_spd call where the proposal has a factor of its own, and
+    the log-determinants of both factors. A caller that fixed the factors
+    before its loop passes factors False and gets None for the last four.
+    theta entries and the sampler's rho may hold one value per transition
+    (see propose_transition).
     """
     if not 0 <= m <= substeps - 2:
         raise DomainError("the proposal kernel covers intermediate substeps only")
@@ -356,14 +362,17 @@ def _kernel(model: SdeModel, theta, x, t, m: int, substeps: int, spec: SamplerSp
         eta, sig = _bridge_moments(f, outer, x, c, substeps - m, g)
         q_mean = _convex(w, 1.0, mean_e, x + eta * g.dl)
     if not factors:
-        return mean_e, q_mean, None, None
+        return mean_e, q_mean, None, None, None, None
     if sig is None:
         # every kernel covariance is a multiple of the Euler one
         chol_e = chol_spd(cov_e)
-        return mean_e, q_mean, chol_e, chol_e if plain else g.ratios[m] * chol_e
+        logdet_e = _logdet(chol_e)
+        if plain:
+            return mean_e, q_mean, chol_e, chol_e, logdet_e, logdet_e
+        chol_q = g.ratios[m] * chol_e
+        return mean_e, q_mean, chol_e, chol_q, logdet_e, _logdet(chol_q)
     q_cov = _convex(w, s, cov_e, sig * g.dl[..., None])
-    chol_e, chol_q = _chol_pair(cov_e, q_cov)
-    return mean_e, q_mean, chol_e, chol_q
+    return (mean_e, q_mean) + _chol_pair(cov_e, q_cov)
 
 
 def _path_draws(rng: np.random.Generator, n_paths: int, substeps: int, k: int, n_unobserved: int):
@@ -465,15 +474,14 @@ def propose_transition(
             # elementwise: batched matmul adds the same product to a 0.0
             # accumulator, in several times the time.
             inv_t = np.repeat(inv_t, n_paths, axis=1)
-            moves = zs * np.repeat(q_t, n_paths, axis=2)
+            moves = np.repeat(q_t, n_paths, axis=2)
+            moves *= zs
             moves += 0.0
         else:
             moves = zs @ q_t
         dens_q = np.swapaxes(z_dens, 0, 1) - _logdet(chol_q)
 
-    def log_target(diff, chol):
-        if not shared:
-            return gauss_logpdf(diff, chol)
+    def shared_log_target(diff):
         # _white_logpdf(diff L_e^-T, logdet_e), in place; the sign of a zero
         # product does not reach the square
         out = _sq_norm(diff * inv_t if k == 1 else diff @ inv_t)
@@ -488,7 +496,7 @@ def propose_transition(
     log_p = np.zeros((n, n_paths))
     x = starts
     for m in range(substeps - 1):
-        mean_e, q_mean, chol_m, chol_q = _kernel(
+        mean_e, q_mean, chol_m, chol_q, logdet_m, logdet_q = _kernel(
             model, theta, x, times[m, :, None], m, substeps, spec, c, g, not shared
         )
         if shared:
@@ -496,16 +504,22 @@ def propose_transition(
             dens = dens_q[m]
         else:
             x = q_mean + chol_mul(chol_q, z[:, m])
-            dens = z_dens[:, m] - _logdet(chol_q)
+            dens = z_dens[:, m] - logdet_q
         log_p += dens
-        log_t += dens if spec.kind == "pedersen" else log_target(x - mean_e, chol_m)
+        if spec.kind == "pedersen":
+            log_t += dens
+        elif shared:
+            log_t += shared_log_target(x - mean_e)
+        else:
+            log_t += _factor_logpdf(x - mean_e, chol_m, logdet_m)
         states[m + 1] = x
     # endpoint substep: pin observed coordinates, draw the unobserved rest
     _, mean_e, _, cov_e = _euler(model, theta, x, times[-1, :, None], g.dl, not shared)
     end = np.empty_like(x)
     end[..., c.o] = g.y
     if c.n_uno == 0:
-        log_t += log_target(end - mean_e, None if shared else chol_spd(cov_e))
+        diff = end - mean_e
+        log_t += shared_log_target(diff) if shared else gauss_logpdf(diff, chol_spd(cov_e))
     else:
         s_oo = _floor_obs_diag(cov_e[..., c.o_rows, c.o_cols])
         s_ou = cov_e[..., c.o_rows, c.u_cols]

@@ -5,7 +5,11 @@ batched: a scalar Gaussian law with its density, the one-substep Euler
 transition law, per-path importance weights, the weight coefficient of
 variation and the effective sample size, a fit whose simplex evaluates
 its points one at a time, and a lockstep likelihood run whose results
-are taken transition by transition. None of them is used by psml itself.
+are taken transition by transition. The last few are earlier forms of
+library code kept as oracles: the Gaussian density through an LU solve
+with the factor, the model drifts built by np.stack, the epidemic
+covariance with one sign check per count, and the step function's
+lookup by search alone. None of them is used by psml itself.
 """
 
 from __future__ import annotations
@@ -309,3 +313,65 @@ def likelihoods_by_transition(model, problems, n_paths: int, substeps: int, on_f
         else:
             out[f] = TransitionResult(-math.inf, cv_sum, diagnostics, True)
     return out
+
+
+def gauss_logpdf_solve(diff: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """Log-density of N(0, L L^T) at diff through an LU solve with the
+    factor L: diff (..., k), chol (k, k) or broadcastable (..., k, k)."""
+    diff = np.asarray(diff, dtype=float)
+    k = chol.shape[-1]
+    if chol.ndim == 2:
+        flat = diff.reshape(-1, k)
+        v = np.linalg.solve(chol, flat.T)
+        quad = np.einsum("ij,ij->j", v, v).reshape(diff.shape[:-1])
+        ldet = float(np.log(np.diagonal(chol)).sum())
+    else:
+        v = np.linalg.solve(chol, diff[..., None])[..., 0]
+        quad = np.einsum("...i,...i->...", v, v)
+        ldet = np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    return -0.5 * (k * math.log(2.0 * math.pi) + quad) - ldet
+
+
+def cwd_sigma_two_checks(s_count, i_count, beta, mu, a, m):
+    """The epidemic's event-rate covariance (S, I, C), checking each count's sign."""
+    s_count = np.asarray(s_count, dtype=float)
+    i_count = np.asarray(i_count, dtype=float)
+    if np.any(s_count < 0) or np.any(i_count < 0):
+        raise DomainError("S and I must be non-negative (clamp happens upstream)")
+    shape = np.broadcast_shapes(s_count.shape, i_count.shape)
+    sig = np.zeros(shape + (3, 3))
+    infection = beta * s_count * i_count
+    sig[..., 0, 0] = a + s_count * (beta * i_count + m)
+    sig[..., 0, 1] = -infection
+    sig[..., 1, 0] = -infection
+    sig[..., 1, 1] = infection + i_count * (mu + m)
+    sig[..., 1, 2] = -mu * i_count
+    sig[..., 2, 1] = -mu * i_count
+    sig[..., 2, 2] = mu * i_count
+    return sig
+
+
+def step_value_by_search(f, t):
+    """A step function's value at t: the last breakpoint at or before t,
+    the first value before the first breakpoint."""
+    idx = np.searchsorted(f.times, t, side="right") - 1
+    return f.values[np.maximum(idx, 0)]
+
+
+def cwd_drift_stacked(model, x, theta, t):
+    """CwdDirectModel's drift, its three components put together by np.stack."""
+    beta, mu = theta[0], theta[1]
+    a = step_value_by_search(model.additions, t)
+    m = model.natural_mortality
+    s_count, i_count = x[..., 0], x[..., 1]
+    infection = beta * s_count * i_count
+    return np.stack(
+        [a - s_count * (beta * i_count + m), infection - i_count * (mu + m), mu * i_count], axis=-1
+    )
+
+
+def lorenz_drift_stacked(x, theta, t):
+    """Lorenz63Model's drift, its three components put together by np.stack."""
+    s, r, b = theta[0], theta[1], theta[2]
+    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+    return np.stack([s * (x2 - x1), r * x1 - x2 - x1 * x3, x1 * x2 - b * x3], axis=-1)

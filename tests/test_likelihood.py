@@ -16,7 +16,7 @@ from psml.core import (
     rng_stream,
     simulate_dataset,
 )
-from psml import likelihood, optimize
+from psml import likelihood, optimize, samplers
 from psml.likelihood import (
     ParticleCloud,
     PenaltyConfig,
@@ -27,7 +27,7 @@ from psml.likelihood import (
 from psml.models import CwdDirectModel, Lorenz63Model, OuModel, make_model, ou_exact_loglik
 from psml.optimize import maximize_psml
 from psml.samplers import SamplerSpec, _RowRho, propose_transition
-from reference import effective_sample_size, importance_weight, weight_cv
+from reference import effective_sample_size, gauss_logpdf_solve, importance_weight, weight_cv
 
 OU_THETA = np.array([0.0187, 0.2610, 0.0224])
 
@@ -417,9 +417,11 @@ def with_observation(ds, i, value):
 # Failure at transition 6 of dataset 0 (when it is broken) and transition 2
 # of dataset 1: (dataset, transition) raised, diagnostics per dataset under
 # "neginf", and the fsums of their log_phat, cv and ess, all recorded from
-# the implementation that ran the datasets one after the other.
+# the implementation that ran the datasets one after the other. The True
+# sums of cv and ess were re-recorded, one ulp each, when the target
+# density's LU solve became a forward substitution.
 FAILURE_ORDER = {
-    True: ((0, 6), (6, 0, 0), -11.619145612827646, 6.130467787001668, 49.02057709724204),
+    True: ((0, 6), (6, 0, 0), -11.619145612827646, 6.130467787001669, 49.02057709724203),
     False: ((1, 2), (11, 2, 0), -27.30950020308945, 13.330140748143652, 106.16877121744827),
 }
 
@@ -451,6 +453,24 @@ def test_failure_found_in_dataset_major_order(kind, break_first):
     assert math.fsum(g.log_phat for g in res.diagnostics) == log_phat
     assert math.fsum(g.cv for g in res.diagnostics) == cv
     assert math.fsum(g.ess for g in res.diagnostics) == ess
+
+
+@pytest.mark.parametrize("spec", [
+    SamplerSpec("pedersen"), SamplerSpec("mbb"), SamplerSpec("regularized", 0.1),
+    SamplerSpec("regularized", 0.5), SamplerSpec("aux-mbb", 0.8), SamplerSpec("aux-mbb", 1.0),
+], ids=lambda spec: f"{spec.kind}-{spec.rho}")
+def test_cwd_log_likelihood_agrees_with_the_lu_solve_density(spec, monkeypatch):
+    # The target density by forward substitution moves a cwd-direct
+    # log-likelihood in its last bits only: the run with the LU-solve
+    # density is within 1e-12.
+    args = (CwdDirectModel(), np.array([0.03, 0.2]), unequal_epidemics()[:2], 16, 6, spec, 3)
+    new = log_likelihood(*args)
+    monkeypatch.setattr(samplers, "_factor_logpdf",
+                        lambda diff, chol, logdet: gauss_logpdf_solve(diff, chol))
+    monkeypatch.setattr(samplers, "gauss_logpdf", gauss_logpdf_solve)
+    old = log_likelihood(*args)
+    assert new.loglik == pytest.approx(old.loglik, rel=1e-12, abs=0.0)
+    assert new.cv_sum == pytest.approx(old.cv_sum, rel=1e-12, abs=0.0)
 
 
 def extinct_epidemic():

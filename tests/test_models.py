@@ -146,6 +146,16 @@ def test_step_function_lookup():
     assert f(100.0) == 3.0
 
 
+def test_step_function_before_its_first_breakpoint_takes_the_first_value():
+    # For one breakpoint and for several, and shaped like t.
+    one = StepFunction(np.array([2.0]), np.array([5.0]))
+    several = StepFunction(np.array([2.0, 4.0]), np.array([5.0, 7.0]))
+    t = np.array([[0.0], [1.99], [2.0], [9.0]])
+    np.testing.assert_array_equal(one(t), np.full((4, 1), 5.0))
+    np.testing.assert_array_equal(several(t), [[5.0], [5.0], [5.0], [7.0]])
+    assert one(-3.0) == several(-3.0) == 5.0
+
+
 def test_step_function_constant():
     f = StepFunction.constant(7.5)
     assert f(0.0) == 7.5 and f(123.4) == 7.5

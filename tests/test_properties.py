@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psml import likelihood
-from psml.core import Dataset, TimeGrid, derive_seed, rng_stream, simulate_dataset
+from psml.core import (_LOG_2PI, Dataset, DomainError, TimeGrid, derive_seed, gauss_logpdf,
+                       rng_stream, simulate_dataset)
 from psml.likelihood import TransitionFailure, log_likelihood
-from psml.models import CwdDirectModel, Lorenz63Model, OuModel
+from psml.models import CwdDirectModel, Lorenz63Model, OuModel, StepFunction, cwd_sigma
 from psml.samplers import SamplerSpec, _draw_logpdf
-from reference import likelihoods_by_transition
+from reference import (cwd_drift_stacked, cwd_sigma_two_checks, gauss_logpdf_solve,
+                       likelihoods_by_transition, lorenz_drift_stacked, step_value_by_search)
 
 MODELS = {
     # model, theta, x0, number of transitions, interval length
@@ -164,3 +166,87 @@ def test_array_results_equal_the_transition_by_transition_oracle(
         assert res.diagnostics == ref.diagnostics
         assert [tuple(map(type, g)) for g in res.diagnostics] == [
             (int, int, float, float, float)] * len(ref.diagnostics)
+
+
+def lower_factors(rng, shape, k, pivot):
+    """Cholesky-shaped factors, shape + (k, k): diagonals in [0.5, 2],
+    entries below them in [-3, 3]. With pivot, |l21| is 1.5 to 3 times
+    |l11|, so that an LU solve with partial pivoting swaps rows."""
+    chol = np.tril(rng.uniform(-3.0, 3.0, shape + (k, k)), -1)
+    idx = np.arange(k)
+    chol[..., idx, idx] = rng.uniform(0.5, 2.0, shape + (k,))
+    if pivot and k > 1:
+        ratio = rng.choice([-1.0, 1.0], shape) * rng.uniform(1.5, 3.0, shape)
+        chol[..., 1, 0] = ratio * chol[..., 0, 0]
+    return chol
+
+
+@settings(max_examples=80)
+@given(seed=seeds, k=st.integers(1, 4), batch=st.lists(st.integers(1, 6), max_size=2),
+       shared=st.booleans(), pivot=st.booleans())
+def test_gauss_logpdf_agrees_with_the_lu_solve(seed, k, batch, shared, pivot):
+    # Forward substitution against an LU solve with the factor, for a batch
+    # of factors or for one (k, k) factor broadcast over a batch of points.
+    # The tolerance is relative to the summed magnitudes of the density's
+    # terms, so that a value near zero by cancellation is judged by the
+    # size of what cancelled.
+    rng = np.random.default_rng(seed)
+    shape = tuple(batch)
+    chol = lower_factors(rng, () if shared else shape, k, pivot)
+    diff = rng.uniform(-5.0, 5.0, shape + (k,))
+    got, want = gauss_logpdf(diff, chol), gauss_logpdf_solve(diff, chol)
+    assert np.shape(got) == np.shape(want) == shape
+    logdet = np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    terms = np.abs(want) + k * _LOG_2PI + 2.0 * np.abs(logdet)
+    assert np.all(np.abs(got - want) <= 1e-12 * terms)
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+
+
+def raises_domain_error(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except DomainError:
+        return True
+    return False
+
+
+@settings(max_examples=80)
+@given(seed=seeds, layout=st.sampled_from(["one state", "paths", "lockstep"]),
+       breakpoints=st.integers(1, 4))
+def test_model_terms_equal_their_oracles_bitwise(seed, layout, breakpoints):
+    # The cwd-direct drift and covariance, the Lorenz63 drift and the step
+    # function against the forms they replaced. States are one (k,) state
+    # at a scalar time, (P, k) paths at a scalar time, or (n, J, k) with a
+    # lockstep theta of (n, 1) entries and times (n, 1); times fall before
+    # the first breakpoint too.
+    rng = np.random.default_rng(seed)
+    n, paths = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+    xshape, tshape = {"one state": ((), ()), "paths": ((paths,), ()),
+                      "lockstep": ((n, paths), (n, 1))}[layout]
+    x = rng.uniform(0.0, 60.0, xshape + (3,))
+    x[rng.random(x.shape) < 0.2] = 0.0  # empty compartments
+    times = np.cumsum(rng.uniform(0.5, 2.0, breakpoints))
+    additions = StepFunction(times, rng.uniform(0.0, 20.0, breakpoints))
+    t = rng.uniform(times[0] - 2.0, times[-1] + 2.0, tshape)
+    for when in (t, times[0] - 1.0, times[-1]):
+        assert same_bits(additions(when), step_value_by_search(additions, when))
+    model = CwdDirectModel(additions=additions, natural_mortality=rng.uniform(0.0, 0.5))
+    theta = rng.uniform(0.001, 0.5, (2,) + tshape)
+    assert same_bits(model.drift(x, theta, t), cwd_drift_stacked(model, x, theta, t))
+    args = (theta[0], theta[1], step_value_by_search(additions, t), model.natural_mortality)
+    want = cwd_sigma_two_checks(x[..., 0], x[..., 1], *args)
+    assert same_bits(model.diffusion_outer(x, theta, t), want)
+    assert same_bits(cwd_sigma(x[..., 0], x[..., 1], *args), want)
+    # a negative count raises, beside a NaN too, and a NaN alone does not
+    bad = np.where(rng.random(x.shape[:-1] + (2,)) < 0.3,
+                   rng.choice([-1.0, np.nan], x.shape[:-1] + (2,)), x[..., :2])
+    assert (raises_domain_error(cwd_sigma, bad[..., 0], bad[..., 1], *args)
+            == raises_domain_error(cwd_sigma_two_checks, bad[..., 0], bad[..., 1], *args))
+    lorenz_x = rng.normal(0.0, 20.0, xshape + (3,))
+    lorenz_theta = rng.uniform(0.5, 30.0, (4,) + tshape)
+    assert same_bits(Lorenz63Model().drift(lorenz_x, lorenz_theta, t),
+                     lorenz_drift_stacked(lorenz_x, lorenz_theta, t))

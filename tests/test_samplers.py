@@ -32,7 +32,7 @@ def proposal_kernel(model, theta, x, y_obs, t, m, substeps, delta, spec):
     c = _Coords.of(model)
     g = _Layout.of(spec, np.array([delta]), np.asarray(y_obs, dtype=float)[None], 1, model.dim,
                    substeps, c)
-    _, mean, _, chol = _kernel(model, theta, x, np.full((1, 1), t), m, substeps, spec, c, g)
+    _, mean, _, chol = _kernel(model, theta, x, np.full((1, 1), t), m, substeps, spec, c, g)[:4]
     return mean[0], chol[0] @ np.swapaxes(chol[0], -1, -2)
 
 
