@@ -1,13 +1,16 @@
 """Core state-space machinery shared by the estimation stack.
 
 Defines the model interface, observation grids and datasets, Gaussian
-kernels with a jitter-repair policy, and Euler-Maruyama stepping and
-simulation. Everything downstream (proposals, likelihoods, tuning) is
-built on these primitives.
+kernels with a jitter-repair policy, and the one Euler-Maruyama loop,
+_euler, through which every simulation runs: datasets, bootstrap
+replicate data and the prediction error's replicate paths. Everything
+downstream (proposals, likelihoods, tuning) is built on these
+primitives.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -131,7 +134,7 @@ class SdeModel:
         if not self.nonnegative:
             return x
         out = np.array(x, dtype=float, copy=True)
-        idx = _coord_index(self.nonnegative)
+        idx = _nonnegative_index(tuple(self.nonnegative))
         if isinstance(idx, slice):
             view = out[..., idx]
             np.maximum(view, 0.0, out=view)
@@ -168,6 +171,22 @@ def _coord_index(idx: Sequence[int]):
     if idx and idx == tuple(range(idx[0], idx[0] + len(idx))):
         return slice(idx[0], idx[0] + len(idx))
     return np.asarray(idx, dtype=int)
+
+
+@functools.lru_cache(maxsize=None)
+def _nonnegative_index(nonnegative: tuple[int, ...]):
+    """_coord_index of a nonnegative tuple, made once per tuple value.
+
+    clamp_state runs once per substep, and the index would cost it about
+    as much as the clamp itself. The cache is keyed by the tuple, not by
+    the model class, so a model that sets nonnegative per instance gets
+    its own index; there are only as many entries as distinct tuples.
+    An integer index is read-only, since every caller shares it.
+    """
+    idx = _coord_index(nonnegative)
+    if isinstance(idx, np.ndarray):
+        idx.flags.writeable = False
+    return idx
 
 
 def validate_model(model: SdeModel) -> None:
@@ -311,14 +330,13 @@ def chol_spd(cov: np.ndarray) -> np.ndarray:
 
 
 def chol_mul(chol: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Apply a Cholesky factor to standard-normal draws, L z per row.
+    """Apply batched Cholesky factors (..., k, k) to standard-normal draws
+    (..., k), L z per row; the factors broadcast against the rows of z.
 
-    A batched factor broadcasts against the rows of z. The proposal
-    kernel applies a factor shared by the paths of a transition by
-    batched matmul instead, since einsum over a stride-0 axis is slow.
+    The proposal kernel applies a factor shared by the paths of a
+    transition by batched matmul instead, since einsum over a stride-0
+    axis is slow.
     """
-    if chol.ndim == 2:
-        return z @ chol.T
     return np.einsum("...ab,...b->...a", chol, z)
 
 
@@ -377,7 +395,7 @@ def matrix_sqrt(sigma: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Euler-Maruyama stepping and simulation
+# Euler-Maruyama simulation
 
 
 def _check_drift(model: SdeModel, f: np.ndarray) -> None:
@@ -387,54 +405,37 @@ def _check_drift(model: SdeModel, f: np.ndarray) -> None:
         raise DomainError(f"drift is non-finite at coordinate {name!r}")
 
 
-def euler_step(model: SdeModel, x, theta, t: float, delta: float, z) -> np.ndarray:
-    """One Euler-Maruyama substep driven by the standard-normal draw z.
+def _euler(model: SdeModel, theta, x0, grid: TimeGrid, rngs):
+    """The Euler-Maruyama loop behind every simulation.
 
-    Returns x + f(x) delta + g(x) sqrt(delta) z with the model's
-    admissibility clamp applied to the result. Batched states are fine;
-    x and z must share shape (..., k).
-    """
-    if delta <= 0:
-        raise DomainError("substep length must be positive")
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    f = np.asarray(model.drift(x, theta, t), dtype=float)
-    g = np.asarray(model.diffusion(x, theta, t), dtype=float)
-    _check_drift(model, f)
-    if not np.all(np.isfinite(g)):
-        raise DomainError("diffusion is non-finite")
-    step = x + f * delta + math.sqrt(delta) * chol_mul(g, z)
-    return model.clamp_state(step)
+    ``x0`` is one ``(k,)`` start or a ``(P, k)`` batch of starts. What
+    ``rngs`` is sets how the paths read their normals:
 
+    - one Generator: each observation interval draws one
+      ``(substeps,) + x0.shape`` block from it, which reads the stream
+      as one ``x0.shape`` draw per substep would, path p of a batch
+      taking row p of each substep's draw (the prediction error's
+      replicate paths);
+    - a sequence of P generators, for a batch: path p reads
+      ``rngs[p]`` alone, one ``(substeps, k)`` block per interval, as
+      its own one-path run with ``rngs[p]`` would (datasets).
 
-def _euler(model: SdeModel, theta, x0, grid: TimeGrid, rngs, every_substep: bool = False):
-    """The Euler-Maruyama loop behind every data simulation.
+    Every substep is x + f(x) delta + sqrt(delta) g(x) z, clamped by the
+    model. The factor g is applied as ``(g @ z[..., None])[..., 0]``,
+    one matrix-vector product per path, so a path of a batch equals its
+    own one-path run bit for bit. A constant-diffusion model has its
+    factor evaluated and checked once, and applied to a whole interval's
+    draws at once; a non-finite factor is still reported after the first
+    substep's drift check.
 
-    ``x0`` is one ``(k,)`` start, stepped with ``rngs[0]``, or a
-    ``(P, k)`` batch of starts whose path p reads ``rngs[p]``. Each path
-    draws one ``(substeps, k)`` block of normals per observation
-    interval, which reads its stream as one ``(k,)`` draw per substep in
-    time order would. Every substep is the euler_step of its draw, bit
-    for bit: the factor g is applied as ``(g @ z[..., None])[..., 0]``,
-    one matrix-vector product per path, which equals euler_step's
-    one-path ``z @ g.T``, where chol_mul's einsum over a batch of
-    factors does not. So a path of a batch equals its own one-path run.
-    A constant-diffusion model has its factor evaluated and checked
-    once, and applied to a whole interval's draws at once; a non-finite
-    factor is still reported after the first substep's drift check.
-
-    Returns the states at the observation times, ``(n,) + x0.shape``, or
-    with ``every_substep`` the states after every substep with the start
-    first, ``(n * substeps + 1,) + x0.shape``. Beyond those the loop
-    holds one interval's normals per path.
+    Returns the states at the observation times, ``(n,) + x0.shape``.
+    Beyond those the loop holds one interval's normals.
     """
     x = np.asarray(x0, dtype=float)
-    batch, k = x.ndim == 2, x.shape[-1]
-    m_sub = grid.substeps
-    states = np.empty((grid.n * m_sub + 1 if every_substep else grid.n,) + x.shape)
-    if every_substep:
-        states[0] = x
-    if batch:
+    k, m_sub = x.shape[-1], grid.substeps
+    states = np.empty((grid.n,) + x.shape)
+    shared = isinstance(rngs, np.random.Generator)
+    if not shared:
         z = np.empty((m_sub,) + x.shape)
     constant = model.constant_diffusion
     if constant:
@@ -446,11 +447,11 @@ def _euler(model: SdeModel, theta, x0, grid: TimeGrid, rngs, every_substep: bool
         if delta <= 0:
             raise DomainError("substep length must be positive")
         root = math.sqrt(delta)
-        if batch:
+        if shared:
+            z = rngs.standard_normal((m_sub,) + x.shape)
+        else:
             for p, rng in enumerate(rngs):
                 z[:, p] = rng.standard_normal((m_sub, k))
-        else:
-            z = rngs[0].standard_normal((m_sub, k))
         if constant:
             noise = root * (g @ z[..., None])[..., 0]
         for m in range(m_sub):
@@ -463,10 +464,7 @@ def _euler(model: SdeModel, theta, x0, grid: TimeGrid, rngs, every_substep: bool
                 raise DomainError("diffusion is non-finite")
             step = noise[m] if constant else root * (g @ z[m][..., None])[..., 0]
             x = model.clamp_state(x + f * delta + step)
-            if every_substep:
-                states[1 + i * m_sub + m] = x
-        if not every_substep:
-            states[i] = x
+        states[i] = x
     return states
 
 
@@ -475,58 +473,6 @@ def _start(model: SdeModel, x0) -> np.ndarray:
     if x.shape != (model.dim,):
         raise DomainError(f"x0 has shape {x.shape}, expected ({model.dim},)")
     return x
-
-
-def simulate_path(model: SdeModel, theta, x0, grid: TimeGrid, rng: np.random.Generator):
-    """Simulate one Euler path over the grid.
-
-    Returns (times, states) including the initial point, with ``substeps``
-    interior points per observation interval. Each substep is the
-    euler_step of its draw, bit for bit (see _euler). Against a loop of
-    euler_step calls this takes 0.60x the time on a Lorenz63 preset path
-    (21 intervals of 64 substeps) and 0.47x on the OU preset; on
-    cwd-direct, whose state-dependent factor stays per substep, the two
-    take about the same time (medians of 21 interleaved runs, 2-core
-    Xeon, numpy 2.4).
-    """
-    x = _start(model, x0)
-    states = _euler(model, theta, x, grid, (rng,), every_substep=True)
-    m_sub = grid.substeps
-    times = np.empty(grid.n * m_sub + 1)
-    times[0] = grid.t0
-    for i in range(grid.n):
-        t_start, dt = grid.interval(i)
-        times[1 + i * m_sub : 1 + (i + 1) * m_sub] = t_start + np.arange(1, m_sub + 1) * (dt / m_sub)
-    return times, states
-
-
-def simulate_paths_batch(
-    model: SdeModel, theta, x0, grid: TimeGrid, n_paths: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Euler-simulate many replicate paths at once.
-
-    Returns states at the observation times only, shape (n, n_paths, k).
-    Each substep consumes one (n_paths, k) normal block.
-
-    This stays apart from _euler on purpose. It reads one stream for all
-    paths, substep by substep, where _euler gives each path its own
-    stream; and it applies per-path factors by chol_mul's einsum, which
-    differs from _euler's batched matmul in the last bits. Routing the
-    prediction error through _euler would move cwd-direct errors in the
-    last bits, and a moved error can flip a rung of the lambda ladder.
-    """
-    k = model.dim
-    x = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, k)).copy()
-    out = np.empty((grid.n, n_paths, k))
-    m_sub = grid.substeps
-    for i in range(grid.n):
-        t_start, dt = grid.interval(i)
-        delta = dt / m_sub
-        for m in range(m_sub):
-            z = rng.standard_normal((n_paths, k))
-            x = euler_step(model, x, theta, t_start + m * delta, delta, z)
-        out[i] = x
-    return out
 
 
 def _observe(model: SdeModel, x0: np.ndarray, grid: TimeGrid, states: np.ndarray) -> Dataset:
@@ -541,7 +487,7 @@ def simulate_dataset(
 ) -> Dataset:
     """Simulate a path and keep only the observed coordinates at grid times."""
     x0 = _start(model, x0)
-    return _observe(model, x0, grid, _euler(model, theta, x0, grid, (rng,)))
+    return _observe(model, x0, grid, _euler(model, theta, x0, grid, rng))
 
 
 def _simulate_datasets(model: SdeModel, theta, x0, grid: TimeGrid, rngs) -> list:

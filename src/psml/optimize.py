@@ -250,8 +250,6 @@ class _Fit:
         if estimate_rho:
             cons = (*cons, UNIT_INTERVAL)
             x0 = np.append(x0, min(max(rho0, 1e-8), 1.0 - 1e-8))
-        if optimizer.max_evals < x0.size + 2:
-            raise DomainError("evaluation budget must be at least dim + 2")
         self.model, self.datasets, self.config, self.seed = model, datasets, config, seed
         self.z0, self.cons, self.rho0 = transform(x0, cons), cons, rho0
         self.p, self.estimate_rho = len(model.param_constraints), estimate_rho

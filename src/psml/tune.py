@@ -19,11 +19,11 @@ import numpy as np
 from .core import (
     DomainError,
     NumericalError,
+    _euler,
     _simulate_datasets,
     derive_seed,
     rng_stream,
     simulate_dataset,
-    simulate_paths_batch,
 )
 from .likelihood import _DRAW_CACHE_BYTES, PenaltyConfig, _as_datasets, _draw_nbytes
 from .optimize import (
@@ -92,15 +92,17 @@ def prediction_error(model, theta, datasets, substeps, n_sims, rng) -> float:
 
     Simulates n_sims paths from each dataset's initial condition over its
     grid and averages the Euclidean distance over observed coordinates,
-    across all observation times, datasets, and replicates.
+    across all observation times, datasets, and replicates. The paths of
+    all datasets read the one stream rng, in dataset order and, within a
+    dataset, one (n_sims, k) draw per substep (core._euler).
     """
     datasets = _as_datasets(datasets)
     obs = list(model.observed)
     total = 0.0
     n_total = 0
     for ds in datasets:
-        grid = ds.grid(substeps)
-        sims = simulate_paths_batch(model, theta, ds.x0, grid, n_sims, rng)
+        starts = np.broadcast_to(ds.x0, (n_sims, model.dim))
+        sims = _euler(model, theta, starts, ds.grid(substeps), rng)
         diffs = sims[:, :, obs] - ds.values[:, None, :]
         total += float(np.linalg.norm(diffs, axis=-1).sum())
         n_total += ds.n

@@ -2,14 +2,16 @@
 
 Each is a plain, one-at-a-time form of something the library computes
 batched: a scalar Gaussian law with its density, the one-substep Euler
-transition law, per-path importance weights, the weight coefficient of
-variation and the effective sample size, a fit whose simplex evaluates
-its points one at a time, and a lockstep likelihood run whose results
-are taken transition by transition. The last few are earlier forms of
-library code kept as oracles: the Gaussian density through an LU solve
-with the factor, the model drifts built by np.stack, the epidemic
-covariance with one sign check per count, and the step function's
-lookup by search alone. None of them is used by psml itself.
+transition law, one Euler-Maruyama substep and a path of them, per-path
+importance weights, the weight coefficient of variation and the
+effective sample size, a fit whose simplex evaluates its points one at
+a time, and a lockstep likelihood run whose results are taken
+transition by transition. The last few are earlier forms of library
+code kept as oracles: replicate paths stepped one euler_step per
+substep, the Gaussian density through an LU solve with the factor, the
+model drifts built by np.stack, the epidemic covariance with one sign
+check per count, and the step function's lookup by search alone. None
+of them is used by psml itself.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from psml.core import (DomainError, NumericalError, SdeModel, _sym_check, chol_spd, gauss_logpdf,
-                       validate_model)
+from psml.core import (DomainError, NumericalError, SdeModel, TimeGrid, _check_drift, _sym_check,
+                       chol_spd, gauss_logpdf, validate_model)
 from psml.likelihood import (_CALL_BYTES, PenaltyConfig, ParticleCloud, TransitionDiag,
                              TransitionFailure, _calls, _dataset_draws, _model_datasets,
                              _row_params, penalized_log_likelihood)
@@ -111,6 +113,60 @@ def euler_transition(model: SdeModel, x, theta, t: float, delta: float) -> Gauss
     return GaussianSpec(x + f * delta, outer * delta)
 
 
+def euler_step(model: SdeModel, x, theta, t: float, delta: float, z) -> np.ndarray:
+    """One Euler-Maruyama substep driven by the standard-normal draw z.
+
+    Returns x + f(x) delta + g(x) sqrt(delta) z with the model's
+    admissibility clamp applied to the result. Batched states are fine;
+    x and z must share shape (..., k). One (k, k) factor is applied to
+    every row as z @ g.T, a batch of factors by einsum.
+    """
+    if delta <= 0:
+        raise DomainError("substep length must be positive")
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    f = np.asarray(model.drift(x, theta, t), dtype=float)
+    g = np.asarray(model.diffusion(x, theta, t), dtype=float)
+    _check_drift(model, f)
+    if not np.all(np.isfinite(g)):
+        raise DomainError("diffusion is non-finite")
+    gz = z @ g.T if g.ndim == 2 else np.einsum("...ab,...b->...a", g, z)
+    return model.clamp_state(x + f * delta + math.sqrt(delta) * gz)
+
+
+def euler_path(model: SdeModel, theta, x0, grid: TimeGrid, rng: np.random.Generator):
+    """One path of euler_step calls over the grid, each drawing its own
+    (k,) normal from rng: (times, states) at every substep, the start
+    first."""
+    times, states = [grid.t0], [np.asarray(x0, dtype=float)]
+    for i in range(grid.n):
+        t_start, dt = grid.interval(i)
+        delta = dt / grid.substeps
+        for m in range(grid.substeps):
+            states.append(euler_step(model, states[-1], theta, t_start + m * delta, delta,
+                                     rng.standard_normal(model.dim)))
+            times.append(t_start + (m + 1) * delta)
+    return np.array(times), np.array(states)
+
+
+def simulate_paths_batch(model: SdeModel, theta, x0, grid: TimeGrid, n_paths: int,
+                         rng: np.random.Generator) -> np.ndarray:
+    """n_paths replicate paths from x0, stepped together by euler_step,
+    each substep drawing one (n_paths, k) block from rng: the states at
+    the observation times, (n, n_paths, k)."""
+    k = model.dim
+    x = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, k)).copy()
+    out = np.empty((grid.n, n_paths, k))
+    for i in range(grid.n):
+        t_start, dt = grid.interval(i)
+        delta = dt / grid.substeps
+        for m in range(grid.substeps):
+            x = euler_step(model, x, theta, t_start + m * delta, delta,
+                           rng.standard_normal((n_paths, k)))
+        out[i] = x
+    return out
+
+
 def importance_weight(paths: SubPathBatch):
     """Per-path weights target/proposal; returns (weights, log_weights).
 
@@ -162,8 +218,10 @@ def maximize_one_at_a_time(
     """maximize_psml with the simplex driven by nelder_mead, each point
     sent to penalized_log_likelihood on its own, in the order asked."""
     fit = _Fit(model, datasets, config, theta_init, rho_init, optimizer, seed, estimate_rho)
+    evaluated = []
 
     def objective(z):
+        evaluated.append(z)
         theta, rho = fit.split(z)
         try:
             outcome = penalized_log_likelihood(
@@ -176,6 +234,8 @@ def maximize_one_at_a_time(
     try:
         res = nelder_mead(objective, fit.z0, optimizer)
     except DomainError as exc:
+        if not evaluated:  # a budget below dim + 2 raises before any evaluation
+            raise
         raise EstimationError(f"objective not usable at the initial point: {exc}") from exc
     return fit.result(res)
 

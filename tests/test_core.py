@@ -20,17 +20,14 @@ from psml.core import (
     dataset_from_dict,
     dataset_to_dict,
     derive_seed,
-    euler_step,
     load_dataset,
     matrix_sqrt,
     rng_stream,
     save_dataset,
     simulate_dataset,
-    simulate_path,
-    simulate_paths_batch,
 )
 from psml.models import CwdDirectModel, Lorenz63Model, OuModel
-from reference import GaussianSpec, euler_transition, mvn_logpdf
+from reference import GaussianSpec, euler_path, euler_step, euler_transition, mvn_logpdf
 
 OU_THETA = np.array([0.0187, 0.2610, 0.0224])
 
@@ -107,46 +104,70 @@ def random_spd(rng, k):
     return a @ a.T + 0.5 * np.eye(k)
 
 
+class FixedDraws(np.random.Generator):
+    """A generator whose standard normals are the given values, in order."""
+
+    def __init__(self, z):
+        super().__init__(np.random.PCG64(0))
+        self.z = np.asarray(z, dtype=float).ravel()
+
+    def standard_normal(self, size=None):
+        n = math.prod(size)
+        out, self.z = self.z[:n].reshape(size), self.z[n:]
+        return out
+
+
+def euler_steps(model, x, theta, delta, z):
+    """One substep of length delta from x at time 0, driven by z: the
+    euler_step oracle's, and _euler's over a one-substep grid."""
+    grid = TimeGrid(0.0, np.array([delta]), substeps=1)
+    return [euler_step(model, x, theta, 0.0, delta, z),
+            _euler(model, theta, x, grid, FixedDraws(z))[0]]
+
+
 # ---------------------------------------------------------------------------
 # euler stepping
 
 
 def test_euler_step_identity_without_dynamics():
     x = np.array([1.3, -2.0])
-    out = euler_step(StillModel(), x, np.array([]), 0.0, 0.5, np.zeros(2))
-    np.testing.assert_array_equal(out, x)
+    for out in euler_steps(StillModel(), x, np.array([]), 0.5, np.zeros(2)):
+        np.testing.assert_array_equal(out, x)
 
 
 def test_euler_step_ou_arithmetic():
     # 1 + (0.0187 - 0.2610 * 1) * 0.125
-    out = euler_step(OuModel(), np.array([1.0]), OU_THETA, 0.0, 0.125, np.zeros(1))
-    assert out[0] == pytest.approx(0.9697125, abs=1e-15)
+    for out in euler_steps(OuModel(), np.array([1.0]), OU_THETA, 0.125, np.zeros(1)):
+        assert out[0] == pytest.approx(0.9697125, abs=1e-15)
 
 
 def test_euler_step_lorenz_drift_only():
     theta = np.array([10.0, 28.0, 8.0 / 3.0, 2.0])
     x = np.array([-10.0, -10.0, 30.0])
     # f = (10(x2-x1), 28 x1 - x2 - x1 x3, x1 x2 - (8/3) x3) = (0, 30, 20)
-    out = euler_step(Lorenz63Model(), x, theta, 0.0, 0.05, np.zeros(3))
-    np.testing.assert_allclose(out, [-10.0, -8.5, 31.0], atol=1e-12)
+    for out in euler_steps(Lorenz63Model(), x, theta, 0.05, np.zeros(3)):
+        np.testing.assert_allclose(out, [-10.0, -8.5, 31.0], atol=1e-12)
 
 
 def test_euler_step_uses_noise_scale():
-    out = euler_step(OuModel(), np.array([1.0]), OU_THETA, 0.0, 0.25, np.array([2.0]))
     expected = 1.0 + (0.0187 - 0.2610) * 0.25 + 0.0224 * math.sqrt(0.25) * 2.0
-    assert out[0] == pytest.approx(expected, rel=1e-14)
+    for out in euler_steps(OuModel(), np.array([1.0]), OU_THETA, 0.25, np.array([2.0])):
+        assert out[0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_euler_step_nonfinite_drift_names_coordinate():
     with pytest.raises(DomainError, match="b"):
         euler_step(BrokenDriftModel(), np.array([0.0, 0.0]), np.array([]), 0.0, 0.1, np.zeros(2))
+    grid = TimeGrid(0.0, np.array([0.1]), substeps=1)
+    with pytest.raises(DomainError, match="b"):
+        _euler(BrokenDriftModel(), np.array([]), np.zeros(2), grid, FixedDraws(np.zeros(2)))
 
 
 def test_euler_step_clamps_nonnegative_coordinates():
     model = CwdDirectModel()
     x = np.array([0.02, 0.01, 0.0])
-    out = euler_step(model, x, np.array([0.03, 0.2]), 0.0, 1.0, np.array([-50.0, -50.0, -50.0]))
-    assert np.all(out >= 0.0)
+    for out in euler_steps(model, x, np.array([0.03, 0.2]), 1.0, np.array([-50.0, -50.0, -50.0])):
+        assert np.all(out >= 0.0)
 
 
 def test_euler_transition_identity_covariance():
@@ -366,10 +387,12 @@ def test_dataset_validation():
 
 def test_simulate_path_still_model():
     grid = TimeGrid(0.0, np.array([1.0]), substeps=1)
-    times, states = simulate_path(StillModel(), np.array([]), np.array([2.0, 3.0]), grid,
-                                  rng_stream(0))
+    x0 = np.array([2.0, 3.0])
+    times, states = euler_path(StillModel(), np.array([]), x0, grid, rng_stream(0))
     np.testing.assert_array_equal(times, [0.0, 1.0])
     np.testing.assert_array_equal(states, [[2.0, 3.0], [2.0, 3.0]])
+    np.testing.assert_array_equal(_euler(StillModel(), np.array([]), x0, grid, rng_stream(0)),
+                                  [[2.0, 3.0]])
 
 
 SIM_CASES = {  # model, theta, x0, substeps
@@ -392,39 +415,36 @@ def sim_grid(name, substeps):
 
 @pytest.mark.parametrize("name", sorted(SIM_CASES))
 def test_simulate_path_equals_an_euler_step_loop(name):
+    # with one substep per interval _euler returns the state after every
+    # substep; with more, every substeps-th
     model, theta, x0, substeps = SIM_CASES[name]
-    grid = sim_grid(name, substeps)
-    times, states = simulate_path(model, theta, np.array(x0), grid, rng_stream(31, 7))
-    rng = rng_stream(31, 7)
-    ref_t, ref_x = [grid.t0], [np.array(x0, dtype=float)]
-    for i in range(grid.n):
-        t_start, dt = grid.interval(i)
-        delta = dt / substeps
-        for m in range(substeps):
-            ref_x.append(euler_step(model, ref_x[-1], theta, t_start + m * delta, delta,
-                                    rng.standard_normal(model.dim)))
-            ref_t.append(t_start + (m + 1) * delta)
-    assert times.tobytes() == np.array(ref_t).tobytes()
-    assert states.tobytes() == np.array(ref_x).tobytes()
+    for m_sub in (1, substeps):
+        grid = sim_grid(name, m_sub)
+        states = _euler(model, theta, np.array(x0), grid, rng_stream(31, 7))
+        _, ref = euler_path(model, theta, np.array(x0), grid, rng_stream(31, 7))
+        assert states.shape == (grid.n, model.dim)
+        assert states.tobytes() == ref[m_sub::m_sub].tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(SIM_CASES))
 @pytest.mark.parametrize("n_paths", [1, 2, 5, 32])
 def test_lockstep_paths_equal_their_own_simulate_path(name, n_paths):
     model, theta, x0, substeps = SIM_CASES[name]
-    grid = sim_grid(name, substeps)
-    rngs = [rng_stream(31, p) for p in range(n_paths)]
-    states = _euler(model, theta, np.tile(x0, (n_paths, 1)), grid, rngs, every_substep=True)
-    data = _simulate_datasets(model, theta, np.array(x0), grid, [rng_stream(31, p) for p in range(n_paths)])
-    assert states.shape == (grid.n * substeps + 1, n_paths, model.dim)
-    for p in range(n_paths):
-        _, solo = simulate_path(model, theta, np.array(x0), grid, rng_stream(31, p))
-        assert states[:, p].tobytes() == solo.tobytes()
-        ds = simulate_dataset(model, theta, np.array(x0), grid, rng_stream(31, p))
-        assert data[p].values.tobytes() == ds.values.tobytes()
-        assert data[p].x0.tobytes() == ds.x0.tobytes() and data[p].names == ds.names
-    if name == "cwd-extinct":
-        assert (states[-1, :, 1] == 0.0).all()
+    for m_sub in (1, substeps):
+        grid = sim_grid(name, m_sub)
+        rngs = [rng_stream(31, p) for p in range(n_paths)]
+        states = _euler(model, theta, np.tile(x0, (n_paths, 1)), grid, rngs)
+        data = _simulate_datasets(model, theta, np.array(x0), grid,
+                                  [rng_stream(31, p) for p in range(n_paths)])
+        assert states.shape == (grid.n, n_paths, model.dim)
+        for p in range(n_paths):
+            solo = _euler(model, theta, np.array(x0), grid, rng_stream(31, p))
+            assert states[:, p].tobytes() == solo.tobytes()
+            ds = simulate_dataset(model, theta, np.array(x0), grid, rng_stream(31, p))
+            assert data[p].values.tobytes() == ds.values.tobytes()
+            assert data[p].x0.tobytes() == ds.x0.tobytes() and data[p].names == ds.names
+        if name == "cwd-extinct":
+            assert (states[-1, :, 1] == 0.0).all()
 
 
 @pytest.mark.parametrize("model, message", [
@@ -435,31 +455,34 @@ def test_lockstep_paths_equal_their_own_simulate_path(name, n_paths):
     (BrokenModel(constant=False), "drift is non-finite at coordinate 'b'"),
 ])
 def test_simulate_path_reports_nonfinite_terms_as_euler_step_does(model, message):
-    grid = TimeGrid(0.0, np.array([1.0, 2.0]), substeps=4)
     x0 = np.array([0.5, 0.5])
     with pytest.raises(DomainError, match=message):
         euler_step(model, x0, np.array([]), 0.0, 0.25, np.zeros(2))
-    with pytest.raises(DomainError, match=message):
-        simulate_path(model, np.array([]), x0, grid, rng_stream(0))
-    with pytest.raises(DomainError, match=message):
-        _simulate_datasets(model, np.array([]), x0, grid, [rng_stream(0), rng_stream(1)])
+    for m_sub in (1, 4):
+        grid = TimeGrid(0.0, np.array([1.0, 2.0]), substeps=m_sub)
+        with pytest.raises(DomainError, match=message):
+            _euler(model, np.array([]), x0, grid, rng_stream(0))
+        with pytest.raises(DomainError, match=message):
+            _euler(model, np.array([]), np.tile(x0, (3, 1)), grid, rng_stream(0))
+        with pytest.raises(DomainError, match=message):
+            _simulate_datasets(model, np.array([]), x0, grid, [rng_stream(0), rng_stream(1)])
 
 
 def test_simulate_path_deterministic_given_seed():
     grid = TimeGrid(0.0, np.arange(1.0, 6.0), substeps=8)
-    _, a = simulate_path(OuModel(), OU_THETA, np.array([1.0]), grid, rng_stream(123, 4))
-    _, b = simulate_path(OuModel(), OU_THETA, np.array([1.0]), grid, rng_stream(123, 4))
-    np.testing.assert_array_equal(a, b)
-    _, c = simulate_path(OuModel(), OU_THETA, np.array([1.0]), grid, rng_stream(123, 5))
-    assert not np.array_equal(a, c)
+    for x0 in (np.array([1.0]), np.ones((4, 1))):
+        a = _euler(OuModel(), OU_THETA, x0, grid, rng_stream(123, 4))
+        b = _euler(OuModel(), OU_THETA, x0, grid, rng_stream(123, 4))
+        np.testing.assert_array_equal(a, b)
+        c = _euler(OuModel(), OU_THETA, x0, grid, rng_stream(123, 5))
+        assert not np.array_equal(a, c)
 
 
 def test_ou_long_run_moments():
     # X(100) from x0=1: stationary by t=100, mean th1/th2, var th3^2/(2 th2)
     n_paths = 10000
     grid = TimeGrid(0.0, np.arange(1.0, 101.0), substeps=64)
-    sims = simulate_paths_batch(OuModel(), OU_THETA, np.array([1.0]), grid, n_paths,
-                                rng_stream(42))
+    sims = _euler(OuModel(), OU_THETA, np.ones((n_paths, 1)), grid, rng_stream(42))
     final = sims[-1, :, 0]
     mean_exact = 0.0187 / 0.2610
     var_exact = 0.0224 ** 2 / (2 * 0.2610)
@@ -481,7 +504,7 @@ def test_simulate_dataset_projects_observed():
 
 def test_simulate_dataset_full_observation_matches_path():
     grid = TimeGrid(0.0, np.arange(1.0, 4.0), substeps=8)
-    _, states = simulate_path(OuModel(), OU_THETA, np.array([1.0]), grid, rng_stream(5))
+    _, states = euler_path(OuModel(), OU_THETA, np.array([1.0]), grid, rng_stream(5))
     ds = simulate_dataset(OuModel(), OU_THETA, np.array([1.0]), grid, rng_stream(5))
     np.testing.assert_array_equal(ds.values[:, 0], states[8::8, 0])
 

@@ -13,11 +13,11 @@ PUBLIC_NAMES = [
     "OptimizerConfig", "OuModel", "ParticleCloud", "PenaltyConfig", "PsmlFit",
     "STUDY_PRESETS", "SamplerSpec", "SdeModel", "StepFunction", "StudyConfig",
     "TUNE_PRESETS", "TimeGrid", "TransitionFailure", "TuneConfig", "TuneResult",
-    "cwd_sigma", "derive_seed", "euler_step", "load_dataset", "log_likelihood",
+    "cwd_sigma", "derive_seed", "load_dataset", "log_likelihood",
     "make_model", "matrix_sqrt", "maximize_psml", "nelder_mead", "ou_exact_mle",
     "parametric_bootstrap", "penalized_log_likelihood", "prediction_error",
     "propose_transition", "r0_estimate", "rng_stream", "run_study", "save_dataset",
-    "simulate_dataset", "simulate_path", "transform", "tune_lambda", "untransform",
+    "simulate_dataset", "transform", "tune_lambda", "untransform",
 ]
 
 

@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psml import likelihood
-from psml.core import (_LOG_2PI, Dataset, DomainError, TimeGrid, derive_seed, gauss_logpdf,
-                       rng_stream, simulate_dataset)
+from psml.core import (_LOG_2PI, Dataset, DomainError, SdeModel, TimeGrid, _euler, derive_seed,
+                       gauss_logpdf, rng_stream, simulate_dataset)
 from psml.likelihood import TransitionFailure, log_likelihood
 from psml.models import CwdDirectModel, Lorenz63Model, OuModel, StepFunction, cwd_sigma
 from psml.samplers import SamplerSpec, _draw_logpdf
+from psml.tune import prediction_error
 from reference import (cwd_drift_stacked, cwd_sigma_two_checks, gauss_logpdf_solve,
-                       likelihoods_by_transition, lorenz_drift_stacked, step_value_by_search)
+                       likelihoods_by_transition, lorenz_drift_stacked, simulate_paths_batch,
+                       step_value_by_search)
 
 MODELS = {
     # model, theta, x0, number of transitions, interval length
@@ -250,3 +252,66 @@ def test_model_terms_equal_their_oracles_bitwise(seed, layout, breakpoints):
     lorenz_theta = rng.uniform(0.5, 30.0, (4,) + tshape)
     assert same_bits(Lorenz63Model().drift(lorenz_x, lorenz_theta, t),
                      lorenz_drift_stacked(lorenz_x, lorenz_theta, t))
+
+
+class DiagonalNoise(SdeModel):
+    """Mean reversion to a point with a constant diagonal noise factor,
+    the first of two coordinates observed."""
+
+    dim = 2
+    state_names = ("a", "b")
+    observed = (0,)
+    param_names = ("k", "s")
+    param_constraints = ("positive", "positive")
+    constant_diffusion = True
+
+    def drift(self, x, theta, t):
+        return theta[0] * (np.array([0.5, -1.0]) - x)
+
+    def diffusion(self, x, theta, t):
+        return np.diag([theta[1], 2.0 * theta[1]])
+
+
+PATH_MODELS = {
+    # model, theta, x0, number of observations, interval length
+    **MODELS,
+    "diagonal": (DiagonalNoise(), (0.9, 0.3), (1.0, 0.0), 5, 0.5),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(PATH_MODELS)), seed=seeds, n_sims=st.integers(1, 40),
+       m=substeps, n_data=st.integers(1, 3))
+def test_replicate_paths_equal_the_euler_step_oracle(name, seed, n_sims, m, n_data):
+    # _euler handed one stream for a batch reads it as the oracle does, one
+    # (n_sims, k) draw per substep. With a constant factor the paths and the
+    # prediction error are the oracle's bit for bit; a state-dependent
+    # factor is applied by matmul there and by einsum in the oracle, so
+    # cwd-direct agrees to the last bits only.
+    model, theta, x0, n, dt = PATH_MODELS[name]
+    theta, x0 = np.array(theta), np.array(x0)
+    rng = np.random.default_rng(seed)
+    data = [
+        simulate_dataset(model, theta * rng.uniform(0.8, 1.25, theta.size), x0,
+                         TimeGrid(0.0, dt * np.arange(1, n + 1), 4), rng_stream(seed, i))
+        for i in range(n_data)
+    ]
+    got = prediction_error(model, theta, data, m, n_sims, rng_stream(seed))
+    stream, total = rng_stream(seed), 0.0
+    for i, ds in enumerate(data):
+        grid = ds.grid(m)
+        paths = _euler(model, theta, np.tile(x0, (n_sims, 1)), grid, rng_stream(seed, 7, i))
+        want = simulate_paths_batch(model, theta, x0, grid, n_sims, rng_stream(seed, 7, i))
+        assert paths.shape == want.shape == (n, n_sims, model.dim)
+        if model.constant_diffusion:
+            assert paths.tobytes() == want.tobytes()
+        else:
+            assert np.all(np.abs(paths - want) <= 1e-12 * np.abs(want))
+        sims = simulate_paths_batch(model, theta, ds.x0, grid, n_sims, stream)
+        diffs = sims[:, :, list(model.observed)] - ds.values[:, None, :]
+        total += float(np.linalg.norm(diffs, axis=-1).sum())
+    want = total / (n * n_data * n_sims)
+    if model.constant_diffusion:
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-12 * want
