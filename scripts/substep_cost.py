@@ -17,6 +17,15 @@ time so that time spent descheduled on a shared machine is left out:
 - for a partially observed model, each part of an intermediate substep,
   called on the states of the middle substep of a kernel call.
 
+It then prints the memory churn of a steady lockstep round: the fits of
+the unit's first lockstep group (a bootstrap's first chunk) evaluated
+at their start points together, as the fit driver does once every fit
+asks for one point, on a group's rows (likelihood._Rows) that an
+earlier round has already built and stacked. It gives the peak
+allocation of one such round by tracemalloc, and the minor page faults
+per evaluation (resource.getrusage) over a tenth of --number rounds; the
+benchmark's per-evaluation spans do not see either.
+
 The script imports psml from the checkout's src/ and the workloads from
 perfbench/, and changes and replaces nothing in either. It is not a test
 and takes no part in the benchmark.
@@ -25,8 +34,10 @@ and takes no part in the benchmark.
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 sys.dont_write_bytecode = True  # leave no caches in src/ or perfbench/
 
-from psml import core, likelihood, samplers  # noqa: E402
+from psml import core, likelihood, samplers, tune  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
@@ -123,6 +134,35 @@ def part_timers(args):
     return timers
 
 
+def round_churn(inputs, rounds: int):
+    """(evaluations per round, traced peak bytes of one steady round,
+    minor page faults per evaluation) of the unit's first lockstep group
+    at its start points."""
+    w = inputs.workload
+    fits = inputs.fits()
+    if w.replicates:
+        fits = fits[: len(tune._chunks(w.replicates, w.workers, tune._GROUP_FITS)[0])]
+    spec = samplers.SamplerSpec(w.kind, w.rho_init)
+    problems = [(np.asarray(theta, dtype=float), spec, data, seed) for data, theta, seed in fits]
+    rows = likelihood._Rows()
+
+    def one_round():
+        likelihood._likelihoods(inputs.model, problems, w.n_paths, w.substeps, "neginf", rows)
+
+    one_round()  # builds the group's rows and the stacks that later rounds reuse
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(rounds):
+        one_round()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    tracemalloc.start()
+    try:
+        one_round()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return len(problems), peak, faults / (rounds * len(problems))
+
+
 def report(name: str, repeat: int, number: int, seed: int) -> None:
     w = WORKLOADS[name]
     inputs = w.setup(seed)
@@ -151,6 +191,9 @@ def report(name: str, repeat: int, number: int, seed: int) -> None:
         rows += [("  " + part, us) for part, us in zip(parts, best_us(list(parts.values()), repeat, number))]
     for label, us in rows:
         print(f"  {label}" if us is None else f"  {label:<40} {us:10.1f}")
+    n_evals, peak, faults = round_churn(inputs, max(number // 10, 1))
+    print(f"  steady round of {n_evals} evaluation(s): traced peak {peak / 1e3:.1f} kB, "
+          f"{faults:.2f} minor page faults per evaluation")
 
 
 def main(argv=None) -> None:

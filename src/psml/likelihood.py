@@ -26,7 +26,7 @@ from .core import (
     rng_stream,
     validate_model,
 )
-from .samplers import SamplerSpec, _draw_logpdf, _path_draws, _RowRho, propose_transition
+from .samplers import SamplerSpec, _draw_logpdf, _path_draws, _RowRho, _transition_ends
 
 # Per-path log-weights at or below this are treated as vanished.
 _LOG_WEIGHT_FLOOR = -700.0
@@ -205,13 +205,11 @@ _DRAW_CACHE: OrderedDict = OrderedDict()
 _DRAW_CACHE_BYTES = 32 << 20
 _DRAW_CACHE_LOCK = threading.Lock()
 
-# Bound on the path states, (substeps + 1) x J x k doubles per transition,
-# of one kernel call. A lockstep step with more transitions is split over
-# several calls, so that a group's working memory stays bounded whatever
-# its size. A run's peak allocation, draws and intermediates included,
-# comes to about three times its states for Lorenz63 (k = 3) and six for
-# OU (k = 1), where the moves and proposal densities that a shared factor
-# fixes before the substep loop weigh most (tracemalloc).
+# Bound on a kernel call's rows, counted as if the call held the path
+# states of every substep, (substeps + 1) x J x k doubles per transition.
+# A call no longer holds them: its loop keeps the current substep's states
+# only. A lockstep step with more transitions is split over several calls,
+# so that a call's working memory stays bounded whatever the group's size.
 _CALL_BYTES = 1 << 19
 
 
@@ -295,24 +293,88 @@ def _row_params(problems, blocks):
     return theta, spec
 
 
-def _propose(model, problems, n_paths, substeps, inputs, clouds, blocks):
+class _Rows:
+    """Transition rows of the problems of likelihood runs, and the stacks
+    that kernel calls read them from.
+
+    A fit's rows, per dataset one per transition: previous observation,
+    observation, start time, length, then the cached draws. A fit is known
+    by its datasets object and seed, which are all its rows depend on
+    under one model and configuration; the entry holds the datasets, so
+    that their id stays theirs while the entry lives. A kernel call reads
+    the rows of its blocks (fit, dataset, first, stop): a lone block's as
+    views, several blocks' stacked.
+
+    A lockstep group keeps one _Rows over its runs, so that it builds
+    each fit's rows once. A run keeps the stacks of its calls that hold
+    each block once, and the next run reuses those that it repeats and
+    drops the rest: after its start simplex a group asks for one point per
+    running fit in every round, so a steady round stacks nothing. Those
+    stacks weigh as much as the rows of the group's running fits, whose
+    draws tune sizes to fit the draw cache.
+    """
+
+    def __init__(self):
+        self.fits, self.stacks, self.last, self.run = {}, {}, {}, []
+
+    def begin(self, model, n_paths: int, substeps: int, fits):
+        """Start a run whose problem f belongs to the fit fits[f],
+        (datasets, data, seed) with data the datasets checked against the
+        model; the last run's stacks wait to be reused."""
+        self.last, self.stacks = self.stacks, {}
+        self.run = []
+        obs, n_uno = list(model.observed), len(model.unobserved)
+        for datasets, data, seed in fits:
+            key = (id(datasets), seed)
+            if key not in self.fits:
+                rows = []
+                for d, ds in enumerate(data):
+                    t_start = np.concatenate(([ds.t0], ds.times[:-1]))
+                    prev_obs = np.concatenate((ds.x0[obs][None], ds.values[:-1]))
+                    draws = _dataset_draws(seed, d, ds.n, n_paths, substeps, model.dim, n_uno)
+                    rows.append((prev_obs, ds.values, t_start, ds.times - t_start) + draws)
+                self.fits[key] = (datasets, rows)
+            self.run.append((key, self.fits[key][1]))
+
+    def stack(self, blocks) -> list:
+        """The rows of a kernel call over blocks (fit, dataset, first, stop)."""
+        if len(blocks) == 1:
+            f, d, lo, hi = blocks[0]
+            return [a[lo:hi] for a in self.run[f][1][d]]
+        key = tuple((self.run[f][0], d, lo, hi) for f, d, lo, hi in blocks)
+        rows = self.stacks.get(key)
+        if rows is None:
+            rows = self.last.pop(key, None)
+        if rows is None:
+            rows = [
+                np.concatenate(parts)
+                for parts in zip(*([a[lo:hi] for a in self.run[f][1][d]] for f, d, lo, hi in blocks))
+            ]
+            for a in rows:
+                a.flags.writeable = False
+        if len(set(key)) == len(key):
+            # a call that holds one fit's rows twice, as its start simplex
+            # and its shrinks do, is not asked for again
+            self.stacks[key] = rows
+        return rows
+
+
+def _propose(model, problems, n_paths, substeps, rows, clouds, blocks):
     """One kernel call over the blocks (fit, dataset, first, stop) of a step.
 
-    problems are _likelihoods' (theta, sampler, datasets, seed), inputs
-    and clouds its rows and particle clouds per (fit, dataset). Returns,
-    per block, (block, outcome): the error that stopped it, or the arrays
-    (log_phat, cv, ess, endpoints, weights) of its rows, where a row
-    whose weights all vanished has a NaN log_phat. A call that fails is
-    run again fit by fit, and a fit's block that fails row by row, so
-    that a failure stays with its fit and its transition. A DomainError
-    stops the whole fit: only the fit's first block reports it.
+    problems are _likelihoods' (theta, sampler, datasets, seed), rows its
+    _Rows, from which the call reads its rows, and clouds its particle
+    clouds per (fit, dataset). The kernel keeps only the current substep
+    and hands back endpoints and log-densities. Returns, per block,
+    (block, outcome): the error that stopped it, or the arrays (log_phat,
+    cv, ess, endpoints, weights) of its rows, where a row whose weights
+    all vanished has a NaN log_phat. A call that fails is run again fit
+    by fit, and a fit's block that fails row by row, so that a failure
+    stays with its fit and its transition. A DomainError stops the whole
+    fit: only the fit's first block reports it.
     """
     obs, uno = list(model.observed), list(model.unobserved)
-    # a lone block passes views of its dataset's draws, not copies
-    prev, y, t0, dt, u, *draws = (
-        parts[0] if len(parts) == 1 else np.concatenate(parts)
-        for parts in zip(*([a[lo:hi] for a in inputs[f, d]] for f, d, lo, hi in blocks))
-    )
+    prev, y, t0, dt, u, *draws = rows.stack(blocks)
     starts = np.empty((len(prev), n_paths, model.dim))
     starts[..., obs] = prev[:, None, :]
     if uno:  # partially observed blocks hold one transition each
@@ -323,14 +385,15 @@ def _propose(model, problems, n_paths, substeps, inputs, clouds, blocks):
     try:
         # rows after a failing one still run in the call; keep them quiet
         with np.errstate(all="ignore"):
-            paths = propose_transition(model, theta, starts, y, t0, dt, substeps, sampler, draws)
-            log_phat, cv, ess, w = _weight_stats(paths.log_target - paths.log_proposal, n_paths)
+            ends, log_t, log_p = _transition_ends(model, theta, starts, y, t0, dt, substeps,
+                                                  sampler, draws)
+            log_phat, cv, ess, w = _weight_stats(log_t - log_p, n_paths)
     except (NumericalError, DomainError) as exc:
         if len(fits) > 1:
             return [
                 out
                 for f in fits
-                for out in _propose(model, problems, n_paths, substeps, inputs, clouds,
+                for out in _propose(model, problems, n_paths, substeps, rows, clouds,
                                     [b for b in blocks if b[0] == f])
             ]
         if len(prev) == 1 or isinstance(exc, DomainError):
@@ -341,10 +404,10 @@ def _propose(model, problems, n_paths, substeps, inputs, clouds, blocks):
             for f, d, lo, hi in blocks
             for i in range(lo, hi)
             for out in _propose(
-                model, problems, n_paths, substeps, inputs, clouds, [(f, d, i, i + 1)]
+                model, problems, n_paths, substeps, rows, clouds, [(f, d, i, i + 1)]
             )
         ]
-    ends, out, lo = paths.endpoints, [], 0
+    out, lo = [], 0
     for b in blocks:
         hi = lo + b[3] - b[2]
         out.append((b, (log_phat[lo:hi], cv[lo:hi], ess[lo:hi], ends[lo:hi], w[lo:hi])))
@@ -352,7 +415,8 @@ def _propose(model, problems, n_paths, substeps, inputs, clouds, blocks):
     return out
 
 
-def _likelihoods(model, problems, n_paths: int, substeps: int, on_failure: str) -> list:
+def _likelihoods(model, problems, n_paths: int, substeps: int, on_failure: str,
+                 rows: _Rows | None = None) -> list:
     """log_likelihood of independent problems, (theta, sampler, datasets,
     seed) each, in lockstep; every sampler is of one family.
 
@@ -363,11 +427,13 @@ def _likelihoods(model, problems, n_paths: int, substeps: int, on_failure: str) 
     its LikelihoodResult, or the exception that stopped it: the
     DomainError it raised, or under on_failure "raise" its
     TransitionFailure. A problem's outcome never depends on the others.
+    rows is the _Rows of the lockstep group whose run this is; without
+    one, the run builds its rows for itself.
     """
     if on_failure not in ("raise", "neginf"):
         raise DomainError("on_failure must be 'raise' or 'neginf'")
     validate_model(model)
-    obs, uno = list(model.observed), list(model.unobserved)
+    uno = list(model.unobserved)
     out = [None] * len(problems)
     live = []
     for f, (theta, sampler, datasets, seed) in enumerate(problems):
@@ -377,22 +443,17 @@ def _likelihoods(model, problems, n_paths: int, substeps: int, on_failure: str) 
         except DomainError as exc:
             out[f] = exc
             continue
-        live.append((f, (theta, sampler, data, seed)))
+        live.append((f, (theta, sampler, data, seed), (datasets, data, seed)))
     if not live:
         return out
-    index, problems = zip(*live)  # from here on, f counts valid problems only
-    # Per (problem, dataset), one row per transition: previous observation,
-    # observation, start time, length, then the cached draws.
-    inputs, clouds = {}, {}
-    for f, (_, _, data, seed) in enumerate(problems):
-        for d, ds in enumerate(data):
-            t_start = np.concatenate(([ds.t0], ds.times[:-1]))
-            prev_obs = np.concatenate((ds.x0[obs][None], ds.values[:-1]))
-            draws = _dataset_draws(seed, d, ds.n, n_paths, substeps, model.dim, len(uno))
-            inputs[f, d] = (prev_obs, ds.values, t_start, ds.times - t_start) + draws
-            if uno:
-                clouds[f, d] = ParticleCloud.point_mass(ds.x0[uno])
+    index, problems, fits = zip(*live)  # from here on, f counts valid problems only
+    rows = _Rows() if rows is None else rows
+    rows.begin(model, n_paths, substeps, fits)
+    clouds = {}
     if uno:
+        for f, (_, _, data, _) in enumerate(problems):
+            for d, ds in enumerate(data):
+                clouds[f, d] = ParticleCloud.point_mass(ds.x0[uno])
         steps = [
             [(f, d, i, i + 1) for f, p in enumerate(problems) for d, ds in enumerate(p[2]) if i < ds.n]
             for i in range(max(ds.n for p in problems for ds in p[2]))
@@ -411,7 +472,7 @@ def _likelihoods(model, problems, n_paths: int, substeps: int, on_failure: str) 
         for (f, d, lo, hi), res in (
             outcome
             for call in _calls(blocks, _CALL_BYTES // ((substeps + 1) * n_paths * model.dim * 8))
-            for outcome in _propose(model, problems, n_paths, substeps, inputs, clouds, call)
+            for outcome in _propose(model, problems, n_paths, substeps, rows, clouds, call)
         ):
             # a DomainError anywhere in the step stops its problem, as if raised
             if isinstance(res, DomainError) and (failed[f] is None or failed[f][0] >= 0):

@@ -24,7 +24,7 @@ from .core import (
     DomainError,
     SdeModel,
 )
-from .likelihood import PenaltyConfig, _likelihoods, _model_datasets, _objective
+from .likelihood import PenaltyConfig, _likelihoods, _model_datasets, _objective, _Rows
 
 # Clip for transformed coordinates; exp of the bound stays finite.
 _Z_CLIP = 700.0
@@ -99,7 +99,7 @@ def untransform(z, constraints: Sequence[str]) -> np.ndarray:
         raise DomainError("z and constraints must align")
     out = np.empty_like(z)
     for i, kind in enumerate(constraints):
-        v = float(np.clip(z[i], -_Z_CLIP, _Z_CLIP))
+        v = min(max(float(z[i]), -_Z_CLIP), _Z_CLIP)  # np.clip's value, without its overhead
         if kind == FREE:
             out[i] = z[i]
         elif kind == POSITIVE:
@@ -319,9 +319,10 @@ def maximize_psml(
     return fit
 
 
-def _evaluate(model, config: PenaltyConfig, points) -> list:
+def _evaluate(model, config: PenaltyConfig, points, rows: _Rows | None = None) -> list:
     """Outcomes, as _Fit.tell takes them, of the points (fit, z) of
-    several fits, from one lockstep likelihood run."""
+    several fits, from one lockstep likelihood run; rows is the _Rows of
+    the fits' group, if any."""
     outcomes = [None] * len(points)
     problems, slots = [], []
     for j, (fit, z) in enumerate(points):
@@ -333,7 +334,7 @@ def _evaluate(model, config: PenaltyConfig, points) -> list:
             continue
         problems.append((theta, sampler, fit.datasets, fit.seed))
         slots.append(j)
-    results = _likelihoods(model, problems, config.n_paths, config.substeps, "neginf")
+    results = _likelihoods(model, problems, config.n_paths, config.substeps, "neginf", rows)
     for j, res in zip(slots, results):
         outcomes[j] = res if isinstance(res, DomainError) else (_objective(res, config.lam), res)
     return outcomes
@@ -348,19 +349,21 @@ def _maximize_group(model, fits, config: PenaltyConfig,
 
     Each round evaluates every point that the running fits ask for in one
     likelihood run, whose kernel calls hold the transitions of all of
-    them. Returns per fit its PsmlFit, or the EstimationError that ended
-    it. A fit's result is the same, bit for bit, whichever fits share its
-    group, and equals that of a search that evaluates its points one at
-    a time.
+    them. The group's _Rows holds the fits' rows, built once, and keeps
+    a round's stacked rows for the next round, which repeats them. Returns
+    per fit its PsmlFit, or the EstimationError that ended it. A fit's
+    result is the same, bit for bit, whichever fits share its group, and
+    equals that of a search that evaluates its points one at a time.
     """
     fits = [_Fit(model, data, config, theta, rho, optimizer, seed, estimate_rho)
             for data, theta, rho, seed in fits]
     out = [None] * len(fits)
     searches = [_simplex(fit.z0, optimizer) for fit in fits]
     asks = {i: next(search) for i, search in enumerate(searches)}
+    rows = _Rows()
     while asks:
         points = [(i, z) for i, zs in asks.items() for z in zs]
-        outcomes = _evaluate(model, config, [(fits[i], z) for i, z in points])
+        outcomes = _evaluate(model, config, [(fits[i], z) for i, z in points], rows)
         values = {i: [] for i in asks}
         for (i, z), outcome in zip(points, outcomes):
             values[i].append(fits[i].tell(z, outcome))

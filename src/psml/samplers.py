@@ -29,18 +29,30 @@ on the path states nor on the loop's outcome: the substep times, and
 each transition's substep length and observation laid out once as
 contiguous (n, J, k) arrays (_Layout). With a shared factor L_e, the
 proposal's factor at substep m is s_m L_e, a scalar s_m set by m alone,
-so the moves of every substep and their proposal densities are known
+so every substep's proposal factor and its log-determinant are known
 before the loop too; the draws' own log-density, -(k log 2 pi + z'z)/2,
-comes from the likelihood's draw cache. The loop does only the drift,
-the Euler and bridge means, the move and the target density. A shared
-factor goes to the paths of a transition in one batched matmul,
-(n, J, k) by (n, k, k), or elementwise where k = 1, which gives the same
-bits. On the benchmark's OU fit (100 transitions, J = 8, M = 8) a
-substep costs 28 us where it cost 62 us with all of this inside the
-loop, and a log_likelihood evaluation 0.49 ms where it took 0.89 ms; a
-Lorenz63 evaluation (21 transitions, J = 32, M = 10) takes 1.28 ms where
-it took 1.56 ms (best of 600 evaluations, M and 2M interleaved, on a
-2-core Xeon). Every bit stays the same.
+comes from the likelihood's draw cache. The loop does the drift, the
+Euler and bridge means, the move, and the proposal and target
+densities. A shared factor goes to the paths of a transition in one
+batched matmul per substep, (n, J, k) by (n, k, k), the gemm calls that
+one matmul over every substep makes; where k = 1 it is applied
+elementwise, which gives the same bits, and the moves of every substep,
+an (M - 1, n, J, 1) array, are made before the loop. On the benchmark's
+OU fit (100 transitions, J = 8, M = 8) a substep costs 28 us where it
+cost 62 us with all of this inside the loop, and a log_likelihood
+evaluation 0.49 ms where it took 0.89 ms; a Lorenz63 evaluation
+(21 transitions, J = 32, M = 10) takes 1.28 ms where it took 1.56 ms
+(best of 600 evaluations, M and 2M interleaved, on a 2-core Xeon).
+Every bit stays the same.
+
+The loop keeps only the current substep's states. The likelihood asks
+for endpoints and log-densities alone (_transition_ends), and only
+propose_transition stacks every substep's states for its callers. So
+the likelihood's call allocates nothing of the size of a path history
+but the k = 1 moves, a single coordinate's worth: a steady lockstep
+round of two Lorenz63 fits (42 transitions, J = 32, M = 10) peaks at
+0.53 MB by tracemalloc where it peaked at 1.65 MB with the history, the
+stacked moves and freshly stacked draws (see likelihood._Rows).
 
 A batch may hold the transitions of several fits, as the lockstep
 bootstrap refits do: theta entries then carry one value per transition,
@@ -414,20 +426,39 @@ def propose_transition(
     Draw consumption never depends on theta, so equal draws give
     comparable paths across parameter values.
 
-    Before its substep loop the call computes the substep times and lays
-    out each transition's substep length and observation over its paths;
-    with a shared factor it also computes every substep's proposal factor
-    s_m L_e, its log-determinant, the move and the proposal density, and
-    takes the draws' own log-density from the third element of the draws
-    when given. The loop does the drift, the Euler and bridge means, the
-    move and the target density: an OU substep (100 transitions, J = 8)
-    costs 28 us where it cost 62 us with that work inside the loop.
+    The substep loop is _transition_ends, which the likelihood calls
+    itself: it keeps only the current substep and returns the endpoints,
+    and this function stacks the states of every substep that it hands
+    out. Before the loop the call computes the substep times and lays out
+    each transition's substep length and observation over its paths; with
+    a shared factor it also computes every substep's proposal factor
+    s_m L_e and its log-determinant, and, where k = 1, every substep's
+    move. The loop does the drift, the Euler and bridge means, the move,
+    the proposal and target densities: an OU substep (100 transitions,
+    J = 8) costs 28 us where it cost 62 us with the hoisted work inside
+    the loop.
     """
     starts = np.asarray(starts, dtype=float)
     y_obs = np.asarray(y_obs, dtype=float)
     single = starts.ndim == 2
     if single:
         starts, y_obs = starts[None], y_obs[None]
+    states = []
+    _, log_t, log_p = _transition_ends(model, theta, starts, y_obs, t_start, dt, substeps, spec,
+                                       rng, states)
+    states = np.stack(states)
+    if single:
+        return SubPathBatch(states[:, 0], log_t[0], log_p[0])
+    return SubPathBatch(states, log_t, log_p)
+
+
+def _transition_ends(model: SdeModel, theta, starts: np.ndarray, y_obs: np.ndarray, t_start, dt,
+                     substeps: int, spec: SamplerSpec, rng, states: list | None = None):
+    """propose_transition on a batch, float arrays starts (n, J, k) and
+    y_obs (n, n_observed), that keeps only the current substep: returns the
+    endpoints (n, J, k), log_target and log_proposal (n, J). A list given
+    as states receives the states of every substep in turn, starts first.
+    """
     if starts.ndim != 3 or starts.shape[2] != model.dim:
         raise DomainError("starts must have shape (J, k) or (n, J, k)")
     n, n_paths, k = starts.shape
@@ -457,29 +488,27 @@ def propose_transition(
     if shared:
         # One Euler factor L_e per transition, (n, 1, k, k), serves every
         # path, and the proposal's at substep m is ratios[m] L_e, so the
-        # proposal density of every substep is known before the loop.
+        # proposal's log-determinant at every substep is known before the
+        # loop.
         x0 = starts[:, :1]
         outer = np.asarray(model.diffusion_outer(x0, theta, t_start[:, None]), dtype=float)
         chol_e = chol_spd(np.broadcast_to(outer, x0.shape + (k,)) * delta[:, None, None, None])
         chol_q = g.ratios * chol_e
         logdet_e = np.repeat(_logdet(chol_e), n_paths, axis=1)
+        logdet_qs = _logdet(chol_q)  # (substeps - 1, n, 1)
         # factors transposed for v @ L^T, (n, J, k) by (n, k, k) in one
-        # batched matmul
+        # batched matmul per substep
         inv_t = np.swapaxes(np.linalg.inv(chol_e)[:, 0], -1, -2)
         q_t = np.swapaxes(chol_q[:, :, 0], -1, -2)
-        # the move and proposal density of every substep, (substeps - 1, n, J, ...)
-        zs = np.swapaxes(z, 0, 1)
         if k == 1:
             # Scalar factors, laid out over the paths and applied
             # elementwise: batched matmul adds the same product to a 0.0
-            # accumulator, in several times the time.
+            # accumulator, in several times the time. The moves of every
+            # substep, (substeps - 1, n, J, 1), are made at once.
             inv_t = np.repeat(inv_t, n_paths, axis=1)
             moves = np.repeat(q_t, n_paths, axis=2)
-            moves *= zs
+            moves *= np.swapaxes(z, 0, 1)
             moves += 0.0
-        else:
-            moves = zs @ q_t
-        dens_q = np.swapaxes(z_dens, 0, 1) - _logdet(chol_q)
 
     def shared_log_target(diff):
         # _white_logpdf(diff L_e^-T, logdet_e), in place; the sign of a zero
@@ -490,21 +519,21 @@ def propose_transition(
         out -= logdet_e
         return out
 
-    states = np.empty((substeps + 1, n, n_paths, k))
-    states[0] = starts
     log_t = np.zeros((n, n_paths))
     log_p = np.zeros((n, n_paths))
     x = starts
+    if states is not None:
+        states.append(x)
     for m in range(substeps - 1):
         mean_e, q_mean, chol_m, chol_q, logdet_m, logdet_q = _kernel(
             model, theta, x, times[m, :, None], m, substeps, spec, c, g, not shared
         )
         if shared:
-            x = q_mean + moves[m]
-            dens = dens_q[m]
+            x = q_mean + (moves[m] if k == 1 else z[:, m] @ q_t[m])
+            logdet_q = logdet_qs[m]
         else:
             x = q_mean + chol_mul(chol_q, z[:, m])
-            dens = z_dens[:, m] - logdet_q
+        dens = z_dens[:, m] - logdet_q
         log_p += dens
         if spec.kind == "pedersen":
             log_t += dens
@@ -512,7 +541,8 @@ def propose_transition(
             log_t += shared_log_target(x - mean_e)
         else:
             log_t += _factor_logpdf(x - mean_e, chol_m, logdet_m)
-        states[m + 1] = x
+        if states is not None:
+            states.append(x)
     # endpoint substep: pin observed coordinates, draw the unobserved rest
     _, mean_e, _, cov_e = _euler(model, theta, x, times[-1, :, None], g.dl, not shared)
     end = np.empty_like(x)
@@ -538,7 +568,6 @@ def propose_transition(
         dens = _white_logpdf(z_end, _logdet(chol_c))
         log_t += dens
         log_p += dens
-    states[substeps] = end
-    if single:
-        return SubPathBatch(states[:, 0], log_t[0], log_p[0])
-    return SubPathBatch(states, log_t, log_p)
+    if states is not None:
+        states.append(end)
+    return end, log_t, log_p

@@ -26,7 +26,7 @@ from psml.likelihood import (
 )
 from psml.models import CwdDirectModel, Lorenz63Model, OuModel, make_model, ou_exact_loglik
 from psml.optimize import maximize_psml
-from psml.samplers import SamplerSpec, _RowRho, propose_transition
+from psml.samplers import SamplerSpec, _RowRho, _transition_ends, propose_transition
 from reference import effective_sample_size, gauss_logpdf_solve, importance_weight, weight_cv
 
 OU_THETA = np.array([0.0187, 0.2610, 0.0224])
@@ -778,9 +778,9 @@ def test_lockstep_problems_equal_their_own_runs(on_failure, monkeypatch):
 
     def recorded(*args):
         sizes.append(len(args[2]))
-        return propose_transition(*args)
+        return _transition_ends(*args)
 
-    monkeypatch.setattr(likelihood, "propose_transition", recorded)
+    monkeypatch.setattr(likelihood, "_transition_ends", recorded)
     group = likelihood._likelihoods(model, problems, 16, 6, on_failure)
     assert sizes == [11 + 6 + 11 + 5]  # one call: every transition of every valid problem
     for (theta, spec, data, seed), got in zip(problems, group):
@@ -805,9 +805,9 @@ def test_numerical_failure_reruns_only_its_fit(monkeypatch):
 
     def recorded(*args):
         sizes.append(len(args[2]))
-        return propose_transition(*args)
+        return _transition_ends(*args)
 
-    monkeypatch.setattr(likelihood, "propose_transition", recorded)
+    monkeypatch.setattr(likelihood, "_transition_ends", recorded)
     group = likelihood._likelihoods(model, problems, 8, 1, "neginf")
     assert sizes == [11, 4, 3, 1, 1, 1, 4]
     assert group[1].failed and [d.index for d in group[1].diagnostics] == [0, 1]
@@ -830,13 +830,63 @@ def test_kernel_calls_split_at_the_byte_bound(name, monkeypatch):
 
     def recorded(*args):
         sizes.append(len(args[2]))
-        return propose_transition(*args)
+        return _transition_ends(*args)
 
-    monkeypatch.setattr(likelihood, "propose_transition", recorded)
+    monkeypatch.setattr(likelihood, "_transition_ends", recorded)
     monkeypatch.setattr(likelihood, "_CALL_BYTES", (substeps + 1) * n_paths * model.dim * 8)
     split = likelihood._likelihoods(model, problems, n_paths, substeps, "raise")
     assert set(sizes) == {1} and len(sizes) == 3 * sum(ds.n for ds in data)
     assert [(r.loglik, r.diagnostics) for r in split] == [(r.loglik, r.diagnostics) for r in whole]
+
+
+def test_steady_lockstep_round_reuses_its_stacked_rows():
+    # Two regularized Lorenz63 fits at the benchmark bootstrap's shapes
+    # (21 transitions each, J = 32, M = 10), run twice with a group's
+    # _Rows: the second round repeats the first one's call, so it stacks
+    # no rows and keeps no path states. It peaks at 0.53 MB by tracemalloc.
+    # A round that stacked the draws afresh and kept every substep's states
+    # and moves peaked at 1.65 MB, and each of the three alone adds more
+    # than the 0.11 MB of headroom under the bound.
+    import tracemalloc
+
+    model = Lorenz63Model()
+    theta = np.array([10.0, 28.0, 8.0 / 3.0, 2.0])
+    data = [pin_data(model, theta, [((-10.0, -10.0, 30.0), 21, 0.05)]),
+            pin_data(model, theta * 1.02, [((-9.0, -11.0, 29.0), 21, 0.05)])]
+    spec = SamplerSpec("regularized", 0.5)
+
+    def problems(scale):
+        return [(theta * scale, spec, data[0], 31), (theta / scale, spec, data[1], 32)]
+
+    rows = likelihood._Rows()
+    likelihood._likelihoods(model, problems(1.01), 32, 10, "neginf", rows)
+    tracemalloc.start()
+    try:
+        got = likelihood._likelihoods(model, problems(1.02), 32, 10, "neginf", rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 640 << 10, peak
+    want = likelihood._likelihoods(model, problems(1.02), 32, 10, "neginf")
+    assert [(r.loglik, r.diagnostics) for r in got] == [(r.loglik, r.diagnostics) for r in want]
+
+
+@pytest.mark.parametrize("name", ["lorenz63", "cwd-direct"])
+def test_group_rows_follow_their_fits_between_runs(name):
+    # A group's _Rows keys rows and stacks by fit, not by a problem's place
+    # in a run: runs that list the same fits in another order, or another
+    # fit of the same shape, read each fit's own rows.
+    theta, episodes, n_paths, substeps = PIN_CASES[name]
+    model = make_model(name)
+    theta = np.array(theta)
+    data = [pin_data(model, theta * s, episodes) for s in (1.0, 1.03, 0.97)]
+    spec = SamplerSpec("aux-mbb", 0.8)
+    rows = likelihood._Rows()
+    for order in [(0, 1), (1, 0), (2, 0), (2, 0), (0, 2, 1)]:
+        problems = [(theta * (1.0 + 0.01 * i), spec, data[i], 40 + i) for i in order]
+        got = likelihood._likelihoods(model, problems, n_paths, substeps, "raise", rows)
+        want = likelihood._likelihoods(model, problems, n_paths, substeps, "raise")
+        assert [(r.loglik, r.diagnostics) for r in got] == [(r.loglik, r.diagnostics) for r in want]
 
 
 @pytest.mark.parametrize("name", ["ou", "lorenz63", "cwd-direct", "tilted"])

@@ -79,6 +79,23 @@ def test_untransform_always_feasible(zs):
     assert 0.0 < out[2] < 1.0
 
 
+CLIP_EDGES = [0.0, -0.0, 1.5, -1.5, 5e-324, 699.9, 700.0, -700.0, 700.1, -700.1, 1e308, -1e308,
+              math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("z", CLIP_EDGES)
+def test_untransform_clips_as_np_clip_does(z):
+    # untransform clips a plain float; np.clip on the numpy scalar gives the
+    # same bits, signed zeros, infinities and NaN included
+    clip = optimize._Z_CLIP
+    plain = min(max(float(np.float64(z)), -clip), clip)
+    assert np.float64(plain).tobytes() == np.float64(np.clip(np.float64(z), -clip, clip)).tobytes()
+    cons = [FREE, POSITIVE, UNIT_INTERVAL]
+    v = float(np.clip(np.float64(z), -clip, clip))
+    want = np.array([z, math.exp(v), min(1.0 / (1.0 + math.exp(-v)), optimize._UNIT_CEIL)])
+    assert untransform(np.full(3, z), cons).tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # simplex search
 

@@ -13,7 +13,7 @@ from psml.core import (_LOG_2PI, Dataset, DomainError, SdeModel, TimeGrid, _eule
                        gauss_logpdf, rng_stream, simulate_dataset)
 from psml.likelihood import TransitionFailure, log_likelihood
 from psml.models import CwdDirectModel, Lorenz63Model, OuModel, StepFunction, cwd_sigma
-from psml.samplers import SamplerSpec, _draw_logpdf
+from psml.samplers import SamplerSpec, _RowRho, _draw_logpdf, _transition_ends, propose_transition
 from psml.tune import prediction_error
 from reference import (cwd_drift_stacked, cwd_sigma_two_checks, gauss_logpdf_solve,
                        likelihoods_by_transition, lorenz_drift_stacked, simulate_paths_batch,
@@ -168,6 +168,42 @@ def test_array_results_equal_the_transition_by_transition_oracle(
         assert res.diagnostics == ref.diagnostics
         assert [tuple(map(type, g)) for g in res.diagnostics] == [
             (int, int, float, float, float)] * len(ref.diagnostics)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(MODELS)), seed=seeds, n=st.integers(1, 4), n_paths=paths,
+       m=substeps, kind=st.sampled_from(["pedersen", "mbb", "regularized", "aux-mbb"]))
+def test_endpoint_run_equals_propose_transition(name, seed, n, n_paths, m, kind):
+    # The likelihood's kernel run, which keeps only the current substep,
+    # against propose_transition on the batch and on each row alone, with
+    # a theta and a rho per row.
+    model, theta, x0, _, dt0 = MODELS[name]
+    rng = np.random.default_rng(seed)
+    thetas = np.array(theta) * rng.uniform(0.8, 1.25, (n, 1))
+    rhos = {"regularized": rng.uniform(0.0, 1.0, n), "aux-mbb": rng.uniform(0.05, 1.0, n)}.get(kind)
+    k, obs = model.dim, list(model.observed)
+    starts = np.array(x0) + 0.1 * rng.standard_normal((n, n_paths, k))
+    starts = np.abs(starts) if name == "cwd-direct" else starts
+    y_obs = starts[:, 0, obs] + 0.05
+    t0, dt = rng.uniform(0.0, 2.0, n), dt0 * rng.uniform(0.5, 1.5, n)
+    z = rng.standard_normal((n, m - 1, n_paths, k))
+    draws = (z, rng.standard_normal((n, n_paths, len(model.unobserved))), _draw_logpdf(z))
+    spec = SamplerSpec(kind) if rhos is None else _RowRho(kind, rhos)
+    args = (model, thetas.T[:, :, None], starts, y_obs, t0, dt, m, spec, draws)
+    with np.errstate(all="ignore"):
+        ends, log_t, log_p = _transition_ends(*args)
+        batch = propose_transition(*args)
+        solos = [
+            propose_transition(model, thetas[r], starts[r], y_obs[r], t0[r], dt[r], m,
+                               SamplerSpec(kind, None if rhos is None else rhos[r]),
+                               tuple(a[r:r + 1] for a in draws))
+            for r in range(n)
+        ]
+    assert same_bits(ends, batch.endpoints)
+    assert same_bits(log_t, batch.log_target) and same_bits(log_p, batch.log_proposal)
+    for r, solo in enumerate(solos):
+        assert same_bits(ends[r], solo.endpoints) and same_bits(batch.states[:, r], solo.states)
+        assert same_bits(log_t[r], solo.log_target) and same_bits(log_p[r], solo.log_proposal)
 
 
 def lower_factors(rng, shape, k, pivot):
