@@ -303,25 +303,27 @@ class _Rows:
     under one model and configuration; the entry holds the datasets, so
     that their id stays theirs while the entry lives. A kernel call reads
     the rows of its blocks (fit, dataset, first, stop): a lone block's as
-    views, several blocks' stacked.
+    views, several blocks' stacked into buffers that every call reuses,
+    grown to the largest call, and left as they are when a call repeats
+    the blocks of the last one.
 
-    A lockstep group keeps one _Rows over its runs, so that it builds
-    each fit's rows once. A run keeps the stacks of its calls that hold
-    each block once, and the next run reuses those that it repeats and
-    drops the rest: after its start simplex a group asks for one point per
-    running fit in every round, so a steady round stacks nothing. Those
-    stacks weigh as much as the rows of the group's running fits, whose
-    draws tune sizes to fit the draw cache.
+    A lockstep group keeps one _Rows over its runs, so that it builds each
+    fit's rows once. After its start simplex a group asks for one point
+    per running fit in every round, so a round whose step is one call
+    reads the stacks of the last round's call as they are, and a round of
+    several calls restacks them into the same memory: no steady round
+    allocates stacked draws, and the stacks never weigh more than the
+    largest call's rows.
     """
 
     def __init__(self):
-        self.fits, self.stacks, self.last, self.run = {}, {}, {}, []
+        self.fits, self.run = {}, []
+        self.key, self.stacked, self.buffers = None, [], []
 
     def begin(self, model, n_paths: int, substeps: int, fits):
         """Start a run whose problem f belongs to the fit fits[f],
         (datasets, data, seed) with data the datasets checked against the
-        model; the last run's stacks wait to be reused."""
-        self.last, self.stacks = self.stacks, {}
+        model."""
         self.run = []
         obs, n_uno = list(model.observed), len(model.unobserved)
         for datasets, data, seed in fits:
@@ -337,26 +339,28 @@ class _Rows:
             self.run.append((key, self.fits[key][1]))
 
     def stack(self, blocks) -> list:
-        """The rows of a kernel call over blocks (fit, dataset, first, stop)."""
+        """The rows of a kernel call over blocks (fit, dataset, first,
+        stop), valid until the next call."""
         if len(blocks) == 1:
             f, d, lo, hi = blocks[0]
             return [a[lo:hi] for a in self.run[f][1][d]]
         key = tuple((self.run[f][0], d, lo, hi) for f, d, lo, hi in blocks)
-        rows = self.stacks.get(key)
-        if rows is None:
-            rows = self.last.pop(key, None)
-        if rows is None:
-            rows = [
-                np.concatenate(parts)
-                for parts in zip(*([a[lo:hi] for a in self.run[f][1][d]] for f, d, lo, hi in blocks))
-            ]
-            for a in rows:
-                a.flags.writeable = False
-        if len(set(key)) == len(key):
-            # a call that holds one fit's rows twice, as its start simplex
-            # and its shrinks do, is not asked for again
-            self.stacks[key] = rows
-        return rows
+        if key != self.key:
+            self.key, self.stacked = key, []
+            parts_of = zip(*([a[lo:hi] for a in self.run[f][1][d]] for f, d, lo, hi in blocks))
+            for i, parts in enumerate(parts_of):
+                shape = (sum(len(a) for a in parts),) + parts[0].shape[1:]
+                size = math.prod(shape)
+                if i == len(self.buffers):
+                    self.buffers.append(np.empty(0))
+                if self.buffers[i].size < size:
+                    self.buffers[i] = np.empty(size)
+                rows = self.buffers[i][:size].reshape(shape)
+                np.concatenate(parts, out=rows)
+                rows = rows.view()
+                rows.flags.writeable = False
+                self.stacked.append(rows)
+        return self.stacked
 
 
 def _propose(model, problems, n_paths, substeps, rows, clouds, blocks):

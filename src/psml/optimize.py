@@ -349,8 +349,9 @@ def _maximize_group(model, fits, config: PenaltyConfig,
 
     Each round evaluates every point that the running fits ask for in one
     likelihood run, whose kernel calls hold the transitions of all of
-    them. The group's _Rows holds the fits' rows, built once, and keeps
-    a round's stacked rows for the next round, which repeats them. Returns
+    them. The group's _Rows holds the fits' rows, built once, and the
+    buffers that the kernel calls stack them into, so that a steady round
+    allocates no stacked draws. Returns
     per fit its PsmlFit, or the EstimationError that ended it. A fit's
     result is the same, bit for bit, whichever fits share its group, and
     equals that of a search that evaluates its points one at a time.
