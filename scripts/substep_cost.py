@@ -12,6 +12,10 @@ time so that time spent descheduled on a shared machine is left out:
   a tenth as many calls;
 - kernel call: one propose_transition call on the transitions of the
   likelihood's first kernel call;
+- fixed cost per kernel call: that call's time less the time of its M
+  substeps, from the same pair of calls with M and 2M substeps: its
+  set-up before the substep loop, with the endpoint substep counted as
+  one more substep. The benchmark's kernel spans cannot show this part;
 - substep: one intermediate substep of that call, taken as the
   difference between calls with 2M and M substeps, divided by M;
 - for a partially observed model, each part of an intermediate substep,
@@ -99,7 +103,7 @@ def part_timers(args):
     n, n_paths, k = starts.shape
     c = samplers._Coords.of(model)
     delta = dt / substeps
-    g = samplers._Layout.of(spec, delta, y, n_paths, k, substeps, c)
+    g = samplers._Layout.of(t0, delta, y, n_paths, k, substeps, c)
     m = substeps // 2
     x = samplers.propose_transition(*args).states[m]
     t = (t0 + m * delta)[:, None]
@@ -184,6 +188,7 @@ def report(name: str, repeat: int, number: int, seed: int) -> None:
     call_m, call_2m = best_us([lambda: samplers.propose_transition(*one),
                                lambda: samplers.propose_transition(*two)], repeat, number)
     rows = [("log_likelihood", lik), ("kernel call (propose_transition)", call_m),
+            ("fixed cost per kernel call", 2 * call_m - call_2m),
             ("intermediate substep", (call_2m - call_m) / w.substeps)]
     if model.unobserved:
         parts = part_timers(one)

@@ -312,7 +312,16 @@ def chol_spd(cov: np.ndarray) -> np.ndarray:
     if any member fails. An (n, J, k, k) batch holds n independent
     transitions, so each is retried on its own: a transition that factors
     keeps its exact factor, and the repair of one never reaches another.
+
+    A batch of 1x1 blocks whose every entry is > 0 is factored in closed
+    form, as np.sqrt(cov): the bits of LAPACK's factor from 5e-324 to
+    +inf, without its per-call cost. Any other entry (0, -0, negative or
+    NaN) sends the batch down the LAPACK path, so that repairs, the
+    NumericalError and LAPACK's NaN factor of a NaN block stay as they
+    are; a 4-d batch's rows that factor then take the closed form again.
     """
+    if cov.shape[-1] == 1 and (cov > 0).all():
+        return np.sqrt(cov)
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -341,7 +350,11 @@ def chol_mul(chol: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _logdet(chol: np.ndarray) -> np.ndarray:
-    """log|L| of Cholesky factors (..., k, k): the sum of the logs of each diagonal."""
+    """log|L| of Cholesky factors (..., k, k): the sum of the logs of each
+    diagonal, and for 1x1 factors the log of the one entry, which that
+    one-term sum equals bit for bit."""
+    if chol.shape[-1] == 1:
+        return np.log(chol[..., 0, 0])
     return np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
 
 

@@ -26,7 +26,8 @@ from .core import (
     rng_stream,
     validate_model,
 )
-from .samplers import SamplerSpec, _draw_logpdf, _path_draws, _RowRho, _transition_ends
+from .samplers import (SamplerSpec, _Coords, _draw_logpdf, _Layout, _path_draws, _RowRho,
+                       _transition_ends)
 
 # Per-path log-weights at or below this are treated as vanished.
 _LOG_WEIGHT_FLOOR = -700.0
@@ -304,21 +305,25 @@ class _Rows:
     that their id stays theirs while the entry lives. A kernel call reads
     the rows of its blocks (fit, dataset, first, stop): a lone block's as
     views, several blocks' stacked into buffers that every call reuses,
-    grown to the largest call, and left as they are when a call repeats
-    the blocks of the last one.
+    grown to the largest call. With the rows, a call gets what its kernel
+    run needs of them that theta does not touch: its layout
+    (samplers._Layout) and, with every coordinate observed, its start
+    states. All of these are left as they are when a call repeats the
+    blocks of the last one.
 
     A lockstep group keeps one _Rows over its runs, so that it builds each
     fit's rows once. After its start simplex a group asks for one point
     per running fit in every round, so a round whose step is one call
-    reads the stacks of the last round's call as they are, and a round of
-    several calls restacks them into the same memory: no steady round
-    allocates stacked draws, and the stacks never weigh more than the
-    largest call's rows.
+    reads the stacks and layout of the last round's call as they are, and
+    a round of several calls restacks them into the same memory: no
+    steady round allocates stacked draws, and the stacks never weigh more
+    than the largest call's rows.
     """
 
     def __init__(self):
         self.fits, self.run = {}, []
         self.key, self.stacked, self.buffers = None, [], []
+        self.layout = self.starts = None
 
     def begin(self, model, n_paths: int, substeps: int, fits):
         """Start a run whose problem f belongs to the fit fits[f],
@@ -326,6 +331,8 @@ class _Rows:
         model."""
         self.run = []
         obs, n_uno = list(model.observed), len(model.unobserved)
+        # what a call's layout and start states depend on besides its rows
+        self.config = (n_paths, model.dim, substeps, _Coords.of(model))
         for datasets, data, seed in fits:
             key = (id(datasets), seed)
             if key not in self.fits:
@@ -338,15 +345,18 @@ class _Rows:
                 self.fits[key] = (datasets, rows)
             self.run.append((key, self.fits[key][1]))
 
-    def stack(self, blocks) -> list:
+    def stack(self, blocks):
         """The rows of a kernel call over blocks (fit, dataset, first,
-        stop), valid until the next call."""
+        stop), its layout, and its start states, or None with unobserved
+        coordinates; valid until the next call."""
+        key = tuple((self.run[f][0], d, lo, hi) for f, d, lo, hi in blocks)
+        if key == self.key:
+            return self.stacked, self.layout, self.starts
         if len(blocks) == 1:
             f, d, lo, hi = blocks[0]
-            return [a[lo:hi] for a in self.run[f][1][d]]
-        key = tuple((self.run[f][0], d, lo, hi) for f, d, lo, hi in blocks)
-        if key != self.key:
-            self.key, self.stacked = key, []
+            stacked = [a[lo:hi] for a in self.run[f][1][d]]
+        else:
+            stacked = []
             parts_of = zip(*([a[lo:hi] for a in self.run[f][1][d]] for f, d, lo, hi in blocks))
             for i, parts in enumerate(parts_of):
                 shape = (sum(len(a) for a in parts),) + parts[0].shape[1:]
@@ -359,8 +369,17 @@ class _Rows:
                 np.concatenate(parts, out=rows)
                 rows = rows.view()
                 rows.flags.writeable = False
-                self.stacked.append(rows)
-        return self.stacked
+                stacked.append(rows)
+        n_paths, k, substeps, c = self.config
+        prev, y, t0, dt = stacked[:4]
+        self.starts = None
+        if not c.n_uno:
+            self.starts = np.empty((len(prev), n_paths, k))
+            self.starts[..., c.o] = prev[:, None, :]
+            self.starts.flags.writeable = False
+        self.layout = _Layout.of(t0, dt / substeps, y, n_paths, k, substeps, c)
+        self.key, self.stacked = key, stacked
+        return self.stacked, self.layout, self.starts
 
 
 def _propose(model, problems, n_paths, substeps, rows, clouds, blocks):
@@ -377,11 +396,11 @@ def _propose(model, problems, n_paths, substeps, rows, clouds, blocks):
     stays with its fit and its transition. A DomainError stops the whole
     fit: only the fit's first block reports it.
     """
-    obs, uno = list(model.observed), list(model.unobserved)
-    prev, y, t0, dt, u, *draws = rows.stack(blocks)
-    starts = np.empty((len(prev), n_paths, model.dim))
-    starts[..., obs] = prev[:, None, :]
-    if uno:  # partially observed blocks hold one transition each
+    (prev, y, t0, dt, u, *draws), g, starts = rows.stack(blocks)
+    if starts is None:  # partially observed blocks hold one transition each
+        obs, uno = list(model.observed), list(model.unobserved)
+        starts = np.empty((len(prev), n_paths, model.dim))
+        starts[..., obs] = prev[:, None, :]
         for r, (f, d, _, _) in enumerate(blocks):
             starts[r][:, uno] = clouds[f, d]._pick(u[r])
     fits = list(dict.fromkeys(f for f, *_ in blocks))
@@ -390,7 +409,7 @@ def _propose(model, problems, n_paths, substeps, rows, clouds, blocks):
         # rows after a failing one still run in the call; keep them quiet
         with np.errstate(all="ignore"):
             ends, log_t, log_p = _transition_ends(model, theta, starts, y, t0, dt, substeps,
-                                                  sampler, draws)
+                                                  sampler, draws, g)
             log_phat, cv, ess, w = _weight_stats(log_t - log_p, n_paths)
     except (NumericalError, DomainError) as exc:
         if len(fits) > 1:

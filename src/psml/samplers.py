@@ -69,6 +69,7 @@ enters both accumulators (it cancels in the weight).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -253,14 +254,31 @@ class _Coords(NamedTuple):
 
     @classmethod
     def of(cls, model: SdeModel) -> "_Coords":
-        uno = model.unobserved
-        o, u = _coord_index(model.observed), _coord_index(uno)
-        if not uno or isinstance(o, slice) and isinstance(u, slice):
-            # with every coordinate observed, no block is ever taken
-            return cls(len(uno), o, u, o, o, u, u)
-        o_arr = np.asarray(model.observed, dtype=int)
-        u_arr = np.asarray(uno, dtype=int)
-        return cls(len(uno), o, u, o_arr[:, None], o_arr[None, :], u_arr[:, None], u_arr[None, :])
+        return _coords(tuple(model.observed), tuple(model.unobserved))
+
+
+@functools.lru_cache(maxsize=None)
+def _coords(observed: tuple, unobserved: tuple) -> _Coords:
+    """_Coords of a model, made once per (observed, unobserved) value.
+
+    The cache is keyed by the coordinate sets, not by the model class, as
+    core._nonnegative_index is, so a model that sets observed per instance
+    gets its own; integer indices are read-only, since every caller
+    shares them.
+    """
+    o, u = _coord_index(observed), _coord_index(unobserved)
+    if not unobserved or isinstance(o, slice) and isinstance(u, slice):
+        # with every coordinate observed, no block is ever taken
+        c = _Coords(len(unobserved), o, u, o, o, u, u)
+    else:
+        o_arr = np.asarray(observed, dtype=int)
+        u_arr = np.asarray(unobserved, dtype=int)
+        c = _Coords(len(unobserved), o, u, o_arr[:, None], o_arr[None, :], u_arr[:, None],
+                    u_arr[None, :])
+    for a in c[1:]:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return c
 
 
 def _chol_pair(a: np.ndarray, b: np.ndarray):
@@ -277,26 +295,31 @@ def _chol_pair(a: np.ndarray, b: np.ndarray):
 
 
 class _Layout(NamedTuple):
-    """What the substeps of a call share, fixed before its loop.
+    """What the substeps of a call share that neither theta nor rho
+    touches, fixed before its loop.
 
-    The substep length dl (n, J, k), its observed coordinates dl_o and
-    the observation y (n, J, n_observed) are laid out contiguously over
-    the paths once, since an (n, 1, 1) constant broadcast over (n, J, k)
-    costs several times a contiguous operation at these sizes. For a
-    fully observed model, ratios holds _factor_ratios, else None.
+    The substep length delta (n,) and the substep times (substeps, n);
+    the substep length dl (n, J, k), its observed coordinates dl_o and
+    the observation y (n, J, n_observed) laid out contiguously over the
+    paths, since an (n, 1, 1) constant broadcast over (n, J, k) costs
+    several times a contiguous operation at these sizes. A lockstep
+    group builds a call's layout once and hands it to every call over
+    the same rows (likelihood._Rows).
     """
 
+    delta: np.ndarray
+    times: np.ndarray
     dl: np.ndarray
     dl_o: np.ndarray
     y: np.ndarray
-    ratios: np.ndarray | None
 
     @classmethod
-    def of(cls, spec, delta, y_obs, n_paths: int, k: int, substeps: int, c: "_Coords"):
+    def of(cls, t_start, delta, y_obs, n_paths: int, k: int, substeps: int, c: "_Coords"):
         n = len(delta)
         dl = np.repeat(delta, n_paths * k).reshape(n, n_paths, k)
         y = np.repeat(y_obs, n_paths, axis=0).reshape(n, n_paths, -1)
-        return cls(dl, dl[..., c.o], y, None if c.n_uno else _factor_ratios(spec, substeps))
+        times = t_start + np.arange(substeps)[:, None] * delta
+        return cls(delta, times, dl, dl[..., c.o], y)
 
 
 def _bridge_moments(f, outer, x, c: _Coords, r: int, g: _Layout):
@@ -349,7 +372,7 @@ def _euler(model: SdeModel, theta, x, t, dl, per_path: bool):
 
 
 def _kernel(model: SdeModel, theta, x, t, m: int, substeps: int, spec: SamplerSpec,
-            c: _Coords, g: _Layout, factors: bool = True):
+            c: _Coords, g: _Layout, factors: bool = True, ratios: np.ndarray | None = None):
     """Euler step and proposal of intermediate substep m (0-based, m <= substeps - 2).
 
     x is (n, J, k) and t (n, 1); c holds the model's coordinate indices
@@ -357,8 +380,10 @@ def _kernel(model: SdeModel, theta, x, t, m: int, substeps: int, spec: SamplerSp
     logdet_e, logdet_q): the Euler step is N(mean_e, chol_e chol_e^T) and
     the proposal N(q_mean, chol_q chol_q^T), with factors built per path,
     in one chol_spd call where the proposal has a factor of its own, and
-    the log-determinants of both factors. A caller that fixed the factors
-    before its loop passes factors False and gets None for the last four.
+    the log-determinants of both factors. A fully observed model's
+    proposal factor is ratios[m] times the Euler one, with ratios the
+    call's _factor_ratios. A caller that fixed the factors before its
+    loop passes factors False and gets None for the last four.
     theta entries and the sampler's rho may hold one value per transition
     (see propose_transition).
     """
@@ -381,7 +406,7 @@ def _kernel(model: SdeModel, theta, x, t, m: int, substeps: int, spec: SamplerSp
         logdet_e = _logdet(chol_e)
         if plain:
             return mean_e, q_mean, chol_e, chol_e, logdet_e, logdet_e
-        chol_q = g.ratios[m] * chol_e
+        chol_q = ratios[m] * chol_e
         return mean_e, q_mean, chol_e, chol_q, logdet_e, _logdet(chol_q)
     q_cov = _convex(w, s, cov_e, sig * g.dl[..., None])
     return (mean_e, q_mean) + _chol_pair(cov_e, q_cov)
@@ -445,7 +470,7 @@ def propose_transition(
         starts, y_obs = starts[None], y_obs[None]
     states = []
     _, log_t, log_p = _transition_ends(model, theta, starts, y_obs, t_start, dt, substeps, spec,
-                                       rng, states)
+                                       rng, states=states)
     states = np.stack(states)
     if single:
         return SubPathBatch(states[:, 0], log_t[0], log_p[0])
@@ -453,11 +478,14 @@ def propose_transition(
 
 
 def _transition_ends(model: SdeModel, theta, starts: np.ndarray, y_obs: np.ndarray, t_start, dt,
-                     substeps: int, spec: SamplerSpec, rng, states: list | None = None):
+                     substeps: int, spec: SamplerSpec, rng, g: _Layout | None = None,
+                     states: list | None = None):
     """propose_transition on a batch, float arrays starts (n, J, k) and
     y_obs (n, n_observed), that keeps only the current substep: returns the
     endpoints (n, J, k), log_target and log_proposal (n, J). A list given
     as states receives the states of every substep in turn, starts first.
+    g is the call's _Layout, made beforehand for these t_start, dt and
+    y_obs; without one the call makes its own.
     """
     if starts.ndim != 3 or starts.shape[2] != model.dim:
         raise DomainError("starts must have shape (J, k) or (n, J, k)")
@@ -481,9 +509,10 @@ def _transition_ends(model: SdeModel, theta, starts: np.ndarray, y_obs: np.ndarr
             or z_dens.shape != z.shape[:-1]):
         raise DomainError("draws do not match the transitions")
 
-    delta = dt / substeps
-    g = _Layout.of(spec, delta, y_obs, n_paths, k, substeps, c)
-    times = t_start + np.arange(substeps)[:, None] * delta  # (substeps, n)
+    if g is None:
+        g = _Layout.of(t_start, dt / substeps, y_obs, n_paths, k, substeps, c)
+    times = g.times  # (substeps, n)
+    ratios = None if c.n_uno else _factor_ratios(spec, substeps)
     shared = c.n_uno == 0 and model.constant_diffusion
     if shared:
         # One Euler factor L_e per transition, (n, 1, k, k), serves every
@@ -492,23 +521,30 @@ def _transition_ends(model: SdeModel, theta, starts: np.ndarray, y_obs: np.ndarr
         # loop.
         x0 = starts[:, :1]
         outer = np.asarray(model.diffusion_outer(x0, theta, t_start[:, None]), dtype=float)
-        chol_e = chol_spd(np.broadcast_to(outer, x0.shape + (k,)) * delta[:, None, None, None])
-        chol_q = g.ratios * chol_e
+        delta = g.delta[:, None, None, None]
+        cov_e = outer * delta
+        if cov_e.shape != x0.shape + (k,):
+            # the diffusion's shape check: broadcast_to raises for a wrong one
+            cov_e = np.broadcast_to(outer, x0.shape + (k,)) * delta
+        chol_e = chol_spd(cov_e)
+        chol_q = ratios * chol_e
         logdet_e = np.repeat(_logdet(chol_e), n_paths, axis=1)
         logdet_qs = _logdet(chol_q)  # (substeps - 1, n, 1)
-        # factors transposed for v @ L^T, (n, J, k) by (n, k, k) in one
-        # batched matmul per substep
-        inv_t = np.swapaxes(np.linalg.inv(chol_e)[:, 0], -1, -2)
         q_t = np.swapaxes(chol_q[:, :, 0], -1, -2)
         if k == 1:
             # Scalar factors, laid out over the paths and applied
             # elementwise: batched matmul adds the same product to a 0.0
-            # accumulator, in several times the time. The moves of every
-            # substep, (substeps - 1, n, J, 1), are made at once.
-            inv_t = np.repeat(inv_t, n_paths, axis=1)
+            # accumulator, in several times the time, and the inverse
+            # is a reciprocal. The moves of every substep,
+            # (substeps - 1, n, J, 1), are made at once.
+            inv_t = np.repeat(1.0 / chol_e[:, 0], n_paths, axis=1)
             moves = np.repeat(q_t, n_paths, axis=2)
             moves *= np.swapaxes(z, 0, 1)
             moves += 0.0
+        else:
+            # factors transposed for v @ L^T, (n, J, k) by (n, k, k) in one
+            # batched matmul per substep
+            inv_t = np.swapaxes(np.linalg.inv(chol_e)[:, 0], -1, -2)
 
     def shared_log_target(diff):
         # _white_logpdf(diff L_e^-T, logdet_e), in place; the sign of a zero
@@ -526,7 +562,7 @@ def _transition_ends(model: SdeModel, theta, starts: np.ndarray, y_obs: np.ndarr
         states.append(x)
     for m in range(substeps - 1):
         mean_e, q_mean, chol_m, chol_q, logdet_m, logdet_q = _kernel(
-            model, theta, x, times[m, :, None], m, substeps, spec, c, g, not shared
+            model, theta, x, times[m, :, None], m, substeps, spec, c, g, not shared, ratios
         )
         if shared:
             x = q_mean + (moves[m] if k == 1 else z[:, m] @ q_t[m])

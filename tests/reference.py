@@ -10,8 +10,9 @@ transition by transition. The last few are earlier forms of library
 code kept as oracles: replicate paths stepped one euler_step per
 substep, the Gaussian density through an LU solve with the factor, the
 model drifts built by np.stack, the epidemic covariance with one sign
-check per count, and the step function's lookup by search alone. None
-of them is used by psml itself.
+check per count, the step function's lookup by search alone, and the
+Cholesky factor, its log-determinant and its inverse through LAPACK for
+1x1 blocks too. None of them is used by psml itself.
 """
 
 from __future__ import annotations
@@ -435,3 +436,28 @@ def lorenz_drift_stacked(x, theta, t):
     s, r, b = theta[0], theta[1], theta[2]
     x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
     return np.stack([s * (x2 - x1), r * x1 - x2 - x1 * x3, x1 * x2 - b * x3], axis=-1)
+
+
+def chol_spd_lapack(cov: np.ndarray) -> np.ndarray:
+    """chol_spd with every block factored by LAPACK, 1x1 blocks included:
+    one jitter retry, a (J, k, k) batch repaired as a whole and an
+    (n, J, k, k) batch one transition at a time."""
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        pass
+    if cov.ndim == 4:
+        return np.stack([chol_spd_lapack(row) for row in cov])
+    k = cov.shape[-1]
+    tr = np.trace(cov, axis1=-2, axis2=-1)
+    jitter = 1e-10 * np.maximum(tr, 0.0) / k + 1e-30
+    bumped = cov + np.asarray(jitter)[..., None, None] * np.eye(k)
+    try:
+        return np.linalg.cholesky(bumped)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("covariance not positive definite after jitter") from exc
+
+
+def logdet_diagonal_sum(chol: np.ndarray) -> np.ndarray:
+    """log|L| of factors (..., k, k) as the sum of the logs of each diagonal."""
+    return np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)

@@ -889,6 +889,82 @@ def test_group_rows_follow_their_fits_between_runs(name):
         assert [(r.loglik, r.diagnostics) for r in got] == [(r.loglik, r.diagnostics) for r in want]
 
 
+@pytest.mark.parametrize("name", ["ou", "lorenz63", "cwd-direct"])
+def test_prepared_kernel_inputs_equal_propose_transition(name):
+    # A kernel call fed the inputs that a group's _Rows prepared once -- its
+    # layout and, with every coordinate observed, its start states -- equals
+    # propose_transition, which makes its own, bit for bit, with a theta and
+    # a rho per row. A second call over the same blocks gets the same inputs.
+    theta, episodes, n_paths, substeps = PIN_CASES[name]
+    model = make_model(name)
+    theta = np.array(theta)
+    problems = [(theta * s, SamplerSpec("aux-mbb", rho), pin_data(model, theta * s, episodes), seed)
+                for s, rho, seed in [(1.0, 0.8, 61), (1.03, 0.55, 62)]]
+    rows = likelihood._Rows()
+    rows.begin(model, n_paths, substeps,
+               [(data, likelihood._model_datasets(model, data), seed) for *_, data, seed in problems])
+    obs, uno = list(model.observed), list(model.unobserved)
+    # partially observed blocks hold one transition each
+    n = episodes[0][1]
+    blocks = [(f, d, 1, 2) for f in (0, 1) for d in range(len(episodes))] if uno else [
+        (0, 0, 0, n), (1, 0, 2, n - 1)]
+    (prev, y, t0, dt, u, *draws), g, starts = rows.stack(blocks)
+    if uno:
+        assert starts is None
+        starts = np.empty((len(prev), n_paths, model.dim))
+        starts[..., obs] = prev[:, None, :]
+        starts[..., uno] = np.abs(rng_stream(63).normal(5.0, 2.0, (len(prev), n_paths, len(uno))))
+    else:
+        want = np.empty_like(starts)
+        want[..., obs] = prev[:, None, :]
+        assert starts.tobytes() == want.tobytes()
+    theta_rows, spec = likelihood._row_params(problems, blocks)
+    with np.errstate(all="ignore"):
+        ends, log_t, log_p = _transition_ends(model, theta_rows, starts, y, t0, dt, substeps, spec,
+                                              draws, g)
+        batch = propose_transition(model, theta_rows, starts, y, t0, dt, substeps, spec, draws)
+    assert ends.tobytes() == batch.endpoints.tobytes()
+    assert log_t.tobytes() == batch.log_target.tobytes()
+    assert log_p.tobytes() == batch.log_proposal.tobytes()
+    again = rows.stack(blocks)
+    assert again[1] is g and (again[2] is starts) == (not uno)
+
+
+def test_steady_ou_round_rebuilds_no_layout(monkeypatch):
+    # An OU fit's evaluation is one kernel call over every transition, so a
+    # group's second round repeats the first one's call and builds no
+    # layout; its result equals a run without the group's _Rows.
+    built = []
+    layout_of = samplers._Layout.of
+    monkeypatch.setattr(samplers._Layout, "of", lambda *args: built.append(1) or layout_of(*args))
+    data = [ou_dataset(20, seed=5)]
+    rows = likelihood._Rows()
+    likelihood._likelihoods(OuModel(), [(OU_THETA, SamplerSpec("aux-mbb", 0.8), data, 9)], 8, 8,
+                            "raise", rows)
+    assert len(built) == 1
+    problems = [(OU_THETA * 1.02, SamplerSpec("aux-mbb", 0.7), data, 9)]
+    [got] = likelihood._likelihoods(OuModel(), problems, 8, 8, "raise", rows)
+    assert len(built) == 1
+    [want] = likelihood._likelihoods(OuModel(), problems, 8, 8, "raise")
+    assert len(built) == 2
+    assert (got.loglik, got.diagnostics) == (want.loglik, want.diagnostics)
+
+
+def test_wrong_shaped_constant_diffusion_raises_value_error():
+    # The shared-factor preamble broadcasts a constant diffusion_outer to
+    # (n, 1, k, k), which checks its shape: a (2, 2) outer for a 3-state
+    # model raises ValueError from log_likelihood (exit code 2 in the CLI),
+    # and does not reach chol_spd and fail later in a matmul.
+    class WrongOuter(Lorenz63Model):
+        def diffusion_outer(self, x, theta, t):
+            return np.eye(2)
+
+    theta = np.array([10.0, 28.0, 8.0 / 3.0, 2.0])
+    data = pin_data(Lorenz63Model(), theta, [((-10.0, -10.0, 30.0), 4, 0.05)])
+    with pytest.raises(ValueError, match="broadcast"):
+        log_likelihood(WrongOuter(), theta, data, 8, 4, SamplerSpec("aux-mbb", 0.8), seed=3)
+
+
 @pytest.mark.parametrize("name", ["ou", "lorenz63", "cwd-direct", "tilted"])
 def test_kernel_rows_with_their_own_parameters_equal_solo_rows(name):
     # Three transitions with a theta and a rho each, in one call, against

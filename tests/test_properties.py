@@ -9,15 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psml import likelihood
-from psml.core import (_LOG_2PI, Dataset, DomainError, SdeModel, TimeGrid, _euler, derive_seed,
-                       gauss_logpdf, rng_stream, simulate_dataset)
+from psml.core import (_LOG_2PI, Dataset, DomainError, NumericalError, SdeModel, TimeGrid, _euler,
+                       _logdet, chol_spd, derive_seed, gauss_logpdf, rng_stream, simulate_dataset)
 from psml.likelihood import TransitionFailure, log_likelihood
 from psml.models import CwdDirectModel, Lorenz63Model, OuModel, StepFunction, cwd_sigma
 from psml.samplers import SamplerSpec, _RowRho, _draw_logpdf, _transition_ends, propose_transition
 from psml.tune import prediction_error
-from reference import (cwd_drift_stacked, cwd_sigma_two_checks, gauss_logpdf_solve,
-                       likelihoods_by_transition, lorenz_drift_stacked, simulate_paths_batch,
-                       step_value_by_search)
+from reference import (chol_spd_lapack, cwd_drift_stacked, cwd_sigma_two_checks,
+                       gauss_logpdf_solve, likelihoods_by_transition, logdet_diagonal_sum,
+                       lorenz_drift_stacked, simulate_paths_batch, step_value_by_search)
 
 MODELS = {
     # model, theta, x0, number of transitions, interval length
@@ -242,6 +242,62 @@ def test_gauss_logpdf_agrees_with_the_lu_solve(seed, k, batch, shared, pivot):
 def same_bits(got, want) -> bool:
     got, want = np.asarray(got), np.asarray(want)
     return (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+
+
+# 1x1 blocks: every positive double from the smallest subnormal up, and
+# +inf, which chol_spd factors in closed form; and the entries that send a
+# stack down LAPACK's path instead
+positive = st.one_of(st.floats(5e-324, 1e308), st.just(math.inf))
+not_positive = st.sampled_from([0.0, -0.0, -1.0, -5e-324, math.nan])
+
+
+def factor_or_error(chol, cov):
+    try:
+        return chol(cov)
+    except NumericalError:
+        return NumericalError
+
+
+@settings(max_examples=200)
+@given(values=st.lists(positive, min_size=1, max_size=12), n=st.sampled_from([1, 2, 3]))
+def test_scalar_closed_forms_equal_lapack(values, n):
+    # chol_spd, _logdet and the reciprocal that the shared-factor preamble
+    # takes for the inverse, against LAPACK bit for bit: one (1, 1) block,
+    # a (J, 1, 1) stack and an (n, J, 1, 1) stack.
+    cov = np.array(values * n)
+    for stack in (cov[:1].reshape(1, 1), cov.reshape(-1, 1, 1), cov.reshape(n, -1, 1, 1)):
+        chol = chol_spd(stack)
+        assert same_bits(chol, chol_spd_lapack(stack))
+        assert same_bits(_logdet(chol), logdet_diagonal_sum(chol))
+        assert same_bits(1.0 / chol, np.linalg.inv(chol))
+
+
+@settings(max_examples=200)
+@given(data=st.data(), n=st.integers(1, 4), n_paths=st.integers(1, 5))
+def test_scalar_stacks_take_lapacks_path_when_not_positive(data, n, n_paths):
+    # (J, 1, 1) and (n, J, 1, 1) stacks in which some entries are 0, -0,
+    # negative or NaN: the same factor as LAPACK's path, or the same
+    # NumericalError. A 4-d stack is repaired one transition at a time, so
+    # a transition whose entries are all positive keeps its closed form; a
+    # 3-d stack is repaired as a whole, so a zero bumps every entry.
+    entries = data.draw(st.lists(st.one_of(positive, not_positive), min_size=n * n_paths,
+                                 max_size=n * n_paths))
+    cov = np.array(entries).reshape(n, n_paths, 1, 1)
+    with np.errstate(all="ignore"):
+        for stack in (cov, cov[0]):
+            got, want = factor_or_error(chol_spd, stack), factor_or_error(chol_spd_lapack, stack)
+            if want is NumericalError:
+                assert got is NumericalError
+                continue
+            assert same_bits(got, want)
+            assert same_bits(_logdet(got), logdet_diagonal_sum(got))
+            if stack.ndim == 4:
+                for row, chol in zip(stack, got):
+                    if (row > 0).all():
+                        assert same_bits(chol, np.sqrt(row))
+            elif (stack == 0).any():
+                moved = np.isfinite(stack) & (stack > 0)
+                assert not (got[moved] == np.sqrt(stack[moved])).any()
 
 
 def raises_domain_error(fn, *args) -> bool:

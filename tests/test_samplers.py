@@ -14,6 +14,7 @@ from psml.samplers import (
     _blend_weight,
     _chol_pair,
     _Coords,
+    _factor_ratios,
     _kernel,
     _Layout,
     _path_draws,
@@ -30,9 +31,10 @@ def proposal_kernel(model, theta, x, y_obs, t, m, substeps, delta, spec):
     """Proposal mean (1, k) and covariance (1, k, k) of substep m from one state x."""
     x = np.asarray(x, dtype=float)[None, None]
     c = _Coords.of(model)
-    g = _Layout.of(spec, np.array([delta]), np.asarray(y_obs, dtype=float)[None], 1, model.dim,
-                   substeps, c)
-    _, mean, _, chol = _kernel(model, theta, x, np.full((1, 1), t), m, substeps, spec, c, g)[:4]
+    g = _Layout.of(np.array([t]), np.array([delta]), np.asarray(y_obs, dtype=float)[None], 1,
+                   model.dim, substeps, c)
+    _, mean, _, chol = _kernel(model, theta, x, np.full((1, 1), t), m, substeps, spec, c, g, True,
+                               _factor_ratios(spec, substeps))[:4]
     return mean[0], chol[0] @ np.swapaxes(chol[0], -1, -2)
 
 
@@ -193,6 +195,24 @@ def test_coords_take_slices_only_for_contiguous_blocks():
     outer = np.arange(9.0).reshape(3, 3)
     np.testing.assert_array_equal(outer[skew.o_rows, skew.u_cols], [[1.0], [7.0]])
     np.testing.assert_array_equal(outer[skew.u_rows, skew.o_cols], [[3.0, 5.0]])
+
+
+def test_coords_are_made_once_per_coordinate_sets():
+    # _Coords.of is cached by the values of observed and unobserved, not by
+    # the model class: a model that sets observed per instance, or as a
+    # list, gets its own coordinates, and equal sets share one entry, whose
+    # integer indices are read-only.
+    full = _Coords.of(Lorenz63Model())
+    assert full.n_uno == 0 and full.o == slice(0, 3)
+    listed = Lorenz63Model()
+    listed.observed = [0, 2]
+    skew = _Coords.of(listed)
+    assert skew.n_uno == 1 and skew.u == slice(1, 2)
+    np.testing.assert_array_equal(skew.o, [0, 2])
+    as_tuple = Lorenz63Model()
+    as_tuple.observed = (0, 2)
+    assert _Coords.of(as_tuple) is skew and _Coords.of(Lorenz63Model()) is full
+    assert not skew.o.flags.writeable and not skew.o_rows.flags.writeable
 
 
 # ---------------------------------------------------------------------------
