@@ -13,11 +13,14 @@ time so that time spent descheduled on a shared machine is left out:
 - kernel call: one propose_transition call on the transitions of the
   likelihood's first kernel call;
 - fixed cost per kernel call: that call's time less the time of its M
-  substeps, from the same pair of calls with M and 2M substeps: its
-  set-up before the substep loop, with the endpoint substep counted as
-  one more substep. The benchmark's kernel spans cannot show this part;
-- substep: one intermediate substep of that call, taken as the
-  difference between calls with 2M and M substeps, divided by M;
+  substeps, 2 call(M) - call(2M), from calls with M and 2M substeps:
+  its set-up before the substep loop, with the endpoint substep counted
+  as one more substep. The benchmark's kernel spans cannot show this
+  part;
+- substep: one intermediate substep of that call, (call(2M) - call(M)) / M.
+  These two rows take both calls from the same round and give the median
+  over rounds, since the best of each call alone may come from rounds
+  that a shared machine ran at different speeds;
 - for a partially observed model, each part of an intermediate substep,
   called on the states of the middle substep of a kernel call.
 
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import resource
+import statistics
 import sys
 import time
 import tracemalloc
@@ -54,19 +58,26 @@ from psml import core, likelihood, samplers, tune  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
-def best_us(fns, repeat: int, number: int) -> list:
-    """Per function, the best over repeat rounds of the mean CPU time of
-    number calls, in us; the functions take turns within each round."""
-    best = [float("inf")] * len(fns)
+def rounds_us(fns, repeat: int, number: int) -> list:
+    """Per round, per function, the mean CPU time of number calls, in us;
+    the functions take turns within each of repeat rounds."""
     for fn in fns:
         fn()
+    rounds = []
     for _ in range(repeat):
-        for i, fn in enumerate(fns):
+        row = []
+        for fn in fns:
             t = time.process_time()
             for _ in range(number):
                 fn()
-            best[i] = min(best[i], (time.process_time() - t) / number)
-    return [b * 1e6 for b in best]
+            row.append((time.process_time() - t) / number * 1e6)
+        rounds.append(row)
+    return rounds
+
+
+def best_us(fns, repeat: int, number: int) -> list:
+    """Per function, the best over repeat rounds of rounds_us."""
+    return [min(col) for col in zip(*rounds_us(fns, repeat, number))]
 
 
 def first_call(inputs, substeps: int):
@@ -183,13 +194,14 @@ def report(name: str, repeat: int, number: int, seed: int) -> None:
     two = first_call(inputs, 2 * w.substeps)
     n, n_paths, k = one[2].shape
     print(f"{name}: {model.__class__.__name__}, n = {n}, J = {n_paths}, k = {k}, "
-          f"M = {w.substeps}, {w.kind} (us per call, best of {repeat} x {number})")
+          f"M = {w.substeps}, {w.kind} (us per call, {repeat} rounds of {number})")
     [lik] = best_us([evaluation], repeat, max(number // 10, 1))
-    call_m, call_2m = best_us([lambda: samplers.propose_transition(*one),
-                               lambda: samplers.propose_transition(*two)], repeat, number)
-    rows = [("log_likelihood", lik), ("kernel call (propose_transition)", call_m),
-            ("fixed cost per kernel call", 2 * call_m - call_2m),
-            ("intermediate substep", (call_2m - call_m) / w.substeps)]
+    calls = rounds_us([lambda: samplers.propose_transition(*one),
+                       lambda: samplers.propose_transition(*two)], repeat, number)
+    rows = [("log_likelihood", lik),
+            ("kernel call (propose_transition)", min(m for m, _ in calls)),
+            ("fixed cost per kernel call", statistics.median(2 * m - m2 for m, m2 in calls)),
+            ("intermediate substep", statistics.median((m2 - m) / w.substeps for m, m2 in calls))]
     if model.unobserved:
         parts = part_timers(one)
         rows += [("parts of an intermediate substep:", None)]

@@ -25,24 +25,34 @@ the model terms built by np.stack, and a call 2.33 ms where it took
 Xeon); scripts/substep_cost.py prints the cost of each part.
 
 Before its substep loop, a call computes everything that depends neither
-on the path states nor on the loop's outcome: the substep times, and
+on the path states nor on the loop's outcome. Of that, what theta and
+rho do not touch either is its layout (_Layout): the substep times, and
 each transition's substep length and observation laid out once as
-contiguous (n, J, k) arrays (_Layout). With a shared factor L_e, the
-proposal's factor at substep m is s_m L_e, a scalar s_m set by m alone,
-so every substep's proposal factor and its log-determinant are known
-before the loop too; the draws' own log-density, -(k log 2 pi + z'z)/2,
-comes from the likelihood's draw cache. The loop does the drift, the
-Euler and bridge means, the move, and the proposal and target
-densities. A shared factor goes to the paths of a transition in one
-batched matmul per substep, (n, J, k) by (n, k, k), the gemm calls that
-one matmul over every substep makes; where k = 1 it is applied
-elementwise, which gives the same bits, and the moves of every substep,
-an (M - 1, n, J, 1) array, are made before the loop. On the benchmark's
-OU fit (100 transitions, J = 8, M = 8) a substep costs 28 us where it
-cost 62 us with all of this inside the loop, and a log_likelihood
-evaluation 0.49 ms where it took 0.89 ms; a Lorenz63 evaluation
-(21 transitions, J = 32, M = 10) takes 1.28 ms where it took 1.56 ms
-(best of 600 evaluations, M and 2M interleaved, on a 2-core Xeon).
+contiguous (n, J, k) arrays. A lockstep group builds a call's layout
+once, with a fully observed model's start states, and hands it to every
+call over the same rows (likelihood._Rows); propose_transition builds
+its own. With a shared factor L_e, the proposal's factor at substep m is
+s_m L_e, a scalar s_m set by m and rho alone, so every substep's
+proposal factor and its log-determinant are known before the loop too;
+the draws' own log-density, -(k log 2 pi + z'z)/2, comes from the
+likelihood's draw cache. The loop does the drift, the Euler and bridge
+means, the move, and the proposal and target densities. A shared factor
+goes to the paths of a transition in one batched matmul per substep,
+(n, J, k) by (n, k, k), the gemm calls that one matmul over every
+substep makes; where k = 1 it is applied elementwise, which gives the
+same bits, and the moves of every substep, an (M - 1, n, J, 1) array,
+are made before the loop. On the benchmark's OU fit (100 transitions,
+J = 8, M = 8) a substep costs 28 us where it cost 62 us with all of
+this inside the loop, and a log_likelihood evaluation 0.49 ms where it
+took 0.89 ms; a Lorenz63 evaluation (21 transitions, J = 32, M = 10)
+takes 1.28 ms where it took 1.56 ms (best of 600 evaluations, M and 2M
+interleaved, on a 2-core Xeon).
+Where k = 1 the factors are square roots (chol_spd's closed form for
+1x1 blocks), L_e^-1 is a reciprocal and a log-determinant one log, so
+the set-up makes no LAPACK call. With that and the layout built once
+per group, an OU call's set-up before its loop takes 49 us where it
+took 105 us, and an evaluation in a fit 0.36 ms where it took 0.43 ms
+(best of 30 rounds, old and new code interleaved in one process).
 Every bit stays the same.
 
 The loop keeps only the current substep's states. The likelihood asks
