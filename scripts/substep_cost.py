@@ -10,8 +10,10 @@ time so that time spent descheduled on a shared machine is left out:
 
 - log_likelihood: one evaluation at the fit's start point, in rounds of
   a tenth as many calls;
-- kernel call: one propose_transition call on the transitions of the
-  likelihood's first kernel call;
+- kernel call: one _transition_ends call on the inputs of the
+  likelihood's first kernel call at that point, read from a group's
+  rows (likelihood._Rows) over the blocks that the likelihood gave that
+  call, as the likelihood reads them;
 - fixed cost per kernel call: that call's time less the time of its M
   substeps, 2 call(M) - call(2M), from calls with M and 2M substeps:
   its set-up before the substep loop, with the endpoint substep counted
@@ -80,44 +82,56 @@ def best_us(fns, repeat: int, number: int) -> list:
     return [min(col) for col in zip(*rounds_us(fns, repeat, number))]
 
 
+class _Recording(likelihood._Rows):
+    """A group's rows that note the blocks of every kernel call they stack."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def stack(self, blocks):
+        self.calls.append(list(blocks))
+        return super().stack(blocks)
+
+
 def first_call(inputs, substeps: int):
-    """Arguments of propose_transition for the likelihood's first kernel
-    call at the start point, with standard normals drawn for substeps."""
+    """Arguments of _transition_ends for the likelihood's first kernel call
+    at the start point, with substeps substeps: the call's blocks as the
+    likelihood cuts its first step at the workload's M (likelihood._calls),
+    read from rows built for substeps, so that calls with M and 2M
+    substeps hold the same transitions."""
     w, model = inputs.workload, inputs.model
-    obs, n_uno = list(model.observed), len(model.unobserved)
-    k, n_paths = model.dim, w.n_paths
-    rows = []
-    for ds in inputs.datasets:
-        t_start = np.concatenate(([ds.t0], ds.times[:-1]))
-        prev = np.concatenate((ds.x0[obs][None], ds.values[:-1]))
-        # with unobserved coordinates a call holds transition 0 of each dataset
-        take = 1 if n_uno else ds.n
-        for i in range(take):
-            start = np.empty((n_paths, k))
-            start[:] = ds.x0
-            start[:, obs] = prev[i]
-            rows.append((start, ds.values[i], t_start[i], ds.times[i] - t_start[i]))
-    most = likelihood._CALL_BYTES // ((w.substeps + 1) * n_paths * k * 8)
-    starts, y, t0, dt = (np.array(a) for a in zip(*rows[: max(most, 1)]))
-    rng = np.random.default_rng(0)
-    z = rng.standard_normal((len(starts), substeps - 1, n_paths, k))
-    draws = (z, rng.standard_normal((len(starts), n_paths, n_uno)), samplers._draw_logpdf(z))
     theta = np.asarray(w.theta_init, dtype=float)
     spec = samplers.SamplerSpec(w.kind, w.rho_init)
-    return (model, theta, starts, y, t0, dt, substeps, spec, draws)
+    seed = inputs.fits()[0][2]
+    recording = _Recording()
+    likelihood._likelihoods(model, [(theta, spec, inputs.datasets, seed)], w.n_paths, w.substeps,
+                            "neginf", recording)
+    blocks = recording.calls[0]
+    rows = likelihood._Rows()
+    data = likelihood._model_datasets(model, inputs.datasets)
+    rows.begin(model, w.n_paths, substeps, [(inputs.datasets, data, seed)])
+    (*_, z, z_end, z_dens), g, starts = rows.stack(blocks)
+    uno = list(model.unobserved)
+    if uno:
+        # the first step's particle clouds are point masses at the start states
+        starts = starts.copy()
+        for r, (_, d, _, _) in enumerate(blocks):
+            starts[r][:, uno] = data[d].x0[uno]
+    return (model, theta, starts, spec, (z, z_end, z_dens), g)
 
 
 def part_timers(args):
     """Each part of one intermediate substep, as _kernel and the loop of
-    propose_transition call them, on the states of the middle substep."""
-    model, theta, starts, y, t0, dt, substeps, spec, draws = args
-    n, n_paths, k = starts.shape
+    _transition_ends call them, on the states of the middle substep."""
+    model, theta, starts, spec, draws, g = args
+    substeps = len(g.times)
     c = samplers._Coords.of(model)
-    delta = dt / substeps
-    g = samplers._Layout.of(t0, delta, y, n_paths, k, substeps, c)
     m = substeps // 2
-    x = samplers.propose_transition(*args).states[m]
-    t = (t0 + m * delta)[:, None]
+    states = []
+    samplers._transition_ends(*args, states)
+    x = states[m]
+    t = g.times[m, :, None]
     xa = model.clamp_state(x)
     f, mean_e, outer, cov_e = samplers._euler(model, theta, x, t, g.dl, True)
     w, s = samplers._mix(spec, m, substeps)
@@ -196,10 +210,10 @@ def report(name: str, repeat: int, number: int, seed: int) -> None:
     print(f"{name}: {model.__class__.__name__}, n = {n}, J = {n_paths}, k = {k}, "
           f"M = {w.substeps}, {w.kind} (us per call, {repeat} rounds of {number})")
     [lik] = best_us([evaluation], repeat, max(number // 10, 1))
-    calls = rounds_us([lambda: samplers.propose_transition(*one),
-                       lambda: samplers.propose_transition(*two)], repeat, number)
+    calls = rounds_us([lambda: samplers._transition_ends(*one),
+                       lambda: samplers._transition_ends(*two)], repeat, number)
     rows = [("log_likelihood", lik),
-            ("kernel call (propose_transition)", min(m for m, _ in calls)),
+            ("kernel call (_transition_ends)", min(m for m, _ in calls)),
             ("fixed cost per kernel call", statistics.median(2 * m - m2 for m, m2 in calls)),
             ("intermediate substep", statistics.median((m2 - m) / w.substeps for m, m2 in calls))]
     if model.unobserved:

@@ -35,6 +35,7 @@ from .study import (
     EpisodeSpec,
     MethodSpec,
     StudyConfig,
+    _whole,
     fit_method,
     fit_record,
     replicate_data,
@@ -215,8 +216,8 @@ def cmd_bootstrap(args) -> int:
         theta = model.validate_theta(estimate["theta"])
         rho = estimate["rho"]
         lam = float(estimate["lam"])
-        n_paths, substeps = int(cfg["n_paths"]), int(cfg["substeps"])
-        max_evals = int(cfg.get("max_evals", 1500))
+        n_paths, substeps = _whole(cfg["n_paths"], "n_paths"), _whole(cfg["substeps"], "substeps")
+        max_evals = _whole(cfg.get("max_evals", 1500), "max_evals")
         estimate_rho = bool(cfg.get("estimate_rho", False))
     except _SHAPE_ERRORS as exc:
         raise _shape_error("fit file", exc) from exc

@@ -188,11 +188,15 @@ def _as_datasets(datasets) -> list:
 
 def _model_datasets(model, datasets) -> list:
     """_as_datasets, each checked against the model: it must observe the
-    model's coordinates and start from a state of the model's size."""
+    model's coordinates and start from a state of the model's size. Its
+    times must be finite, which Dataset's order check lets NaN slip by,
+    so that every interval length that the kernel gets is positive."""
     out = _as_datasets(datasets)
     for ds in out:
         if tuple(ds.observed) != tuple(model.observed):
             raise DomainError("dataset observed coordinates do not match the model")
+        if not (math.isfinite(ds.t0) and np.isfinite(ds.times).all()):
+            raise DomainError("dataset times must be finite")
         if ds.x0.shape != (model.dim,):
             raise DomainError(
                 f"dataset x0 has {ds.x0.size} entries, the model has {model.dim} states"
@@ -206,11 +210,12 @@ _DRAW_CACHE: OrderedDict = OrderedDict()
 _DRAW_CACHE_BYTES = 32 << 20
 _DRAW_CACHE_LOCK = threading.Lock()
 
-# Bound on a kernel call's rows, counted as if the call held the path
-# states of every substep, (substeps + 1) x J x k doubles per transition.
-# A call no longer holds them: its loop keeps the current substep's states
-# only. A lockstep step with more transitions is split over several calls,
-# so that a call's working memory stays bounded whatever the group's size.
+# Bound on a kernel call's rows, counted at (substeps + 1) x J x k doubles
+# per transition. What it limits is the rows a call stacks, mostly their
+# draws, about (substeps - 1) x J x (k + 1) doubles per transition: near
+# the size that the count gives. A lockstep step with more transitions is
+# split over several calls, so that a call's memory stays bounded whatever
+# the group's size.
 _CALL_BYTES = 1 << 19
 
 
@@ -303,13 +308,13 @@ class _Rows:
     by its datasets object and seed, which are all its rows depend on
     under one model and configuration; the entry holds the datasets, so
     that their id stays theirs while the entry lives. A kernel call reads
-    the rows of its blocks (fit, dataset, first, stop): a lone block's as
-    views, several blocks' stacked into buffers that every call reuses,
-    grown to the largest call. With the rows, a call gets what its kernel
-    run needs of them that theta does not touch: its layout
-    (samplers._Layout) and, with every coordinate observed, its start
-    states. All of these are left as they are when a call repeats the
-    blocks of the last one.
+    the rows of its blocks (fit, dataset, first, stop) stacked into
+    buffers that every call reuses, grown to the largest call. With the
+    rows, a call gets what its kernel run needs of them that theta does
+    not touch: its layout (samplers._Layout) and its start states with
+    the observed coordinates set, which are the whole start states when
+    every coordinate is observed. All of these are left as they are when
+    a call repeats the blocks of the last one.
 
     A lockstep group keeps one _Rows over its runs, so that it builds each
     fit's rows once. After its start simplex a group asks for one point
@@ -347,42 +352,36 @@ class _Rows:
 
     def stack(self, blocks):
         """The rows of a kernel call over blocks (fit, dataset, first,
-        stop), its layout, and its start states, or None with unobserved
-        coordinates; valid until the next call."""
+        stop), its layout, and its start states with the observed
+        coordinates set, all read-only; valid until the next call."""
         key = tuple((self.run[f][0], d, lo, hi) for f, d, lo, hi in blocks)
         if key == self.key:
             return self.stacked, self.layout, self.starts
-        if len(blocks) == 1:
-            f, d, lo, hi = blocks[0]
-            stacked = [a[lo:hi] for a in self.run[f][1][d]]
-        else:
-            stacked = []
-            parts_of = zip(*([a[lo:hi] for a in self.run[f][1][d]] for f, d, lo, hi in blocks))
-            for i, parts in enumerate(parts_of):
-                shape = (sum(len(a) for a in parts),) + parts[0].shape[1:]
-                size = math.prod(shape)
-                if i == len(self.buffers):
-                    self.buffers.append(np.empty(0))
-                if self.buffers[i].size < size:
-                    self.buffers[i] = np.empty(size)
-                rows = self.buffers[i][:size].reshape(shape)
-                np.concatenate(parts, out=rows)
-                rows = rows.view()
-                rows.flags.writeable = False
-                stacked.append(rows)
+        stacked = []
+        parts_of = zip(*([a[lo:hi] for a in self.run[f][1][d]] for f, d, lo, hi in blocks))
+        for i, parts in enumerate(parts_of):
+            shape = (sum(len(a) for a in parts),) + parts[0].shape[1:]
+            size = math.prod(shape)
+            if i == len(self.buffers):
+                self.buffers.append(np.empty(0))
+            if self.buffers[i].size < size:
+                self.buffers[i] = np.empty(size)
+            rows = self.buffers[i][:size].reshape(shape)
+            np.concatenate(parts, out=rows)
+            rows = rows.view()
+            rows.flags.writeable = False
+            stacked.append(rows)
         n_paths, k, substeps, c = self.config
         prev, y, t0, dt = stacked[:4]
-        self.starts = None
-        if not c.n_uno:
-            self.starts = np.empty((len(prev), n_paths, k))
-            self.starts[..., c.o] = prev[:, None, :]
-            self.starts.flags.writeable = False
+        self.starts = np.empty((len(prev), n_paths, k))
+        self.starts[..., c.o] = prev[:, None, :]
+        self.starts.flags.writeable = False
         self.layout = _Layout.of(t0, dt / substeps, y, n_paths, k, substeps, c)
         self.key, self.stacked = key, stacked
         return self.stacked, self.layout, self.starts
 
 
-def _propose(model, problems, n_paths, substeps, rows, clouds, blocks):
+def _propose(model, problems, n_paths, rows, clouds, blocks):
     """One kernel call over the blocks (fit, dataset, first, stop) of a step.
 
     problems are _likelihoods' (theta, sampler, datasets, seed), rows its
@@ -396,11 +395,10 @@ def _propose(model, problems, n_paths, substeps, rows, clouds, blocks):
     stays with its fit and its transition. A DomainError stops the whole
     fit: only the fit's first block reports it.
     """
-    (prev, y, t0, dt, u, *draws), g, starts = rows.stack(blocks)
-    if starts is None:  # partially observed blocks hold one transition each
-        obs, uno = list(model.observed), list(model.unobserved)
-        starts = np.empty((len(prev), n_paths, model.dim))
-        starts[..., obs] = prev[:, None, :]
+    (*_, u, z, z_end, z_dens), g, starts = rows.stack(blocks)
+    uno = list(model.unobserved)
+    if uno:  # partially observed blocks hold one transition each
+        starts = starts.copy()
         for r, (f, d, _, _) in enumerate(blocks):
             starts[r][:, uno] = clouds[f, d]._pick(u[r])
     fits = list(dict.fromkeys(f for f, *_ in blocks))
@@ -408,27 +406,25 @@ def _propose(model, problems, n_paths, substeps, rows, clouds, blocks):
     try:
         # rows after a failing one still run in the call; keep them quiet
         with np.errstate(all="ignore"):
-            ends, log_t, log_p = _transition_ends(model, theta, starts, y, t0, dt, substeps,
-                                                  sampler, draws, g)
+            ends, log_t, log_p = _transition_ends(model, theta, starts, sampler,
+                                                  (z, z_end, z_dens), g)
             log_phat, cv, ess, w = _weight_stats(log_t - log_p, n_paths)
     except (NumericalError, DomainError) as exc:
         if len(fits) > 1:
             return [
                 out
                 for f in fits
-                for out in _propose(model, problems, n_paths, substeps, rows, clouds,
+                for out in _propose(model, problems, n_paths, rows, clouds,
                                     [b for b in blocks if b[0] == f])
             ]
-        if len(prev) == 1 or isinstance(exc, DomainError):
+        if len(starts) == 1 or isinstance(exc, DomainError):
             return [(blocks[0], exc)]
         # rerun one at a time to find the failing rows
         return [
             out
             for f, d, lo, hi in blocks
             for i in range(lo, hi)
-            for out in _propose(
-                model, problems, n_paths, substeps, rows, clouds, [(f, d, i, i + 1)]
-            )
+            for out in _propose(model, problems, n_paths, rows, clouds, [(f, d, i, i + 1)])
         ]
     out, lo = [], 0
     for b in blocks:
@@ -495,7 +491,7 @@ def _likelihoods(model, problems, n_paths: int, substeps: int, on_failure: str,
         for (f, d, lo, hi), res in (
             outcome
             for call in _calls(blocks, _CALL_BYTES // ((substeps + 1) * n_paths * model.dim * 8))
-            for outcome in _propose(model, problems, n_paths, substeps, rows, clouds, call)
+            for outcome in _propose(model, problems, n_paths, rows, clouds, call)
         ):
             # a DomainError anywhere in the step stops its problem, as if raised
             if isinstance(res, DomainError) and (failed[f] is None or failed[f][0] >= 0):

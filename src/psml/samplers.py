@@ -8,61 +8,42 @@ Every proposal returns the log-density of the simulated sub-path under
 the Euler target alongside the log-density under the proposal itself,
 so the importance weight is a difference of accumulators. The driver
 runs a batch of independent transitions at once, looping over substeps
-only; with constant diffusion and every coordinate observed, each
-kernel covariance is a multiple of the Euler one, so a single factor
-per transition serves all substeps and paths.
+only.
+
+The driver, _transition_ends, takes one input form and trusts it:
+float start states (n, J, k), the draws (z, z_end, z_dens) and the
+call's _Layout, which holds what the substeps share that neither theta
+nor rho touches. Outside input enters through propose_transition, which
+checks it, turns a Generator into draws and builds the layout; the
+likelihood builds all three from datasets that it has checked
+(likelihood._Rows).
+
+Before its substep loop, a call computes everything that depends
+neither on the path states nor on the loop's outcome. With constant
+diffusion and every coordinate observed, each kernel covariance is a
+multiple of the Euler one, so one factor L_e per transition serves all
+substeps and paths. The proposal's factor at substep m is then s_m L_e,
+a scalar s_m set by m and rho alone, so every substep's proposal factor
+and its log-determinant are known before the loop too; the draws' own
+log-density, -(k log 2 pi + z'z)/2, comes with the draws. A shared
+factor goes to the paths of a transition in one batched matmul per
+substep, (n, J, k) by (n, k, k); where k = 1 it is applied elementwise,
+which gives the same bits, and the moves of every substep are made
+before the loop. Where k = 1 the factors are square roots (chol_spd's
+closed form for 1x1 blocks) and L_e^-1 is a reciprocal, so the set-up
+makes no LAPACK call.
 
 Each call turns contiguous observed and unobserved coordinate sets into
 basic slices, so that covariance blocks are views rather than copies. A
 partially observed substep factors its Euler and proposal covariances
 in one chol_spd call, takes both log-determinants from one pass over
 the stacked factors, and solves with the Euler factor for the target
-density by forward substitution. On the benchmark's cwd-direct inputs
-(2 transitions, J = 48, k = 3, M = 12) an intermediate substep costs
-about 216 us where it cost 282 us with an LU solve for that density and
-the model terms built by np.stack, and a call 2.33 ms where it took
-2.91 ms (best of 30 rounds, interleaved in one process on a 2-core
-Xeon); scripts/substep_cost.py prints the cost of each part.
+density by forward substitution; scripts/substep_cost.py prints the
+cost of each part.
 
-Before its substep loop, a call computes everything that depends neither
-on the path states nor on the loop's outcome. Of that, what theta and
-rho do not touch either is its layout (_Layout): the substep times, and
-each transition's substep length and observation laid out once as
-contiguous (n, J, k) arrays. A lockstep group builds a call's layout
-once, with a fully observed model's start states, and hands it to every
-call over the same rows (likelihood._Rows); propose_transition builds
-its own. With a shared factor L_e, the proposal's factor at substep m is
-s_m L_e, a scalar s_m set by m and rho alone, so every substep's
-proposal factor and its log-determinant are known before the loop too;
-the draws' own log-density, -(k log 2 pi + z'z)/2, comes from the
-likelihood's draw cache. The loop does the drift, the Euler and bridge
-means, the move, and the proposal and target densities. A shared factor
-goes to the paths of a transition in one batched matmul per substep,
-(n, J, k) by (n, k, k), the gemm calls that one matmul over every
-substep makes; where k = 1 it is applied elementwise, which gives the
-same bits, and the moves of every substep, an (M - 1, n, J, 1) array,
-are made before the loop. On the benchmark's OU fit (100 transitions,
-J = 8, M = 8) a substep costs 28 us where it cost 62 us with all of
-this inside the loop, and a log_likelihood evaluation 0.49 ms where it
-took 0.89 ms; a Lorenz63 evaluation (21 transitions, J = 32, M = 10)
-takes 1.28 ms where it took 1.56 ms (best of 600 evaluations, M and 2M
-interleaved, on a 2-core Xeon).
-Where k = 1 the factors are square roots (chol_spd's closed form for
-1x1 blocks), L_e^-1 is a reciprocal and a log-determinant one log, so
-the set-up makes no LAPACK call. With that and the layout built once
-per group, an OU call's set-up before its loop takes 49 us where it
-took 105 us, and an evaluation in a fit 0.36 ms where it took 0.43 ms
-(best of 30 rounds, old and new code interleaved in one process).
-Every bit stays the same.
-
-The loop keeps only the current substep's states. The likelihood asks
-for endpoints and log-densities alone (_transition_ends), and only
-propose_transition stacks every substep's states for its callers. So
-the likelihood's call allocates nothing of the size of a path history
-but the k = 1 moves, a single coordinate's worth: a steady lockstep
-round of two Lorenz63 fits (42 transitions, J = 32, M = 10) peaks at
-0.53 MB by tracemalloc where it peaked at 1.65 MB with the history, the
-stacked moves and freshly stacked draws (see likelihood._Rows).
+The loop keeps only the current substep's states and returns the
+endpoints with the log-densities; only propose_transition stacks every
+substep's states, for its callers.
 
 A batch may hold the transitions of several fits, as the lockstep
 bootstrap refits do: theta entries then carry one value per transition,
@@ -308,13 +289,14 @@ class _Layout(NamedTuple):
     """What the substeps of a call share that neither theta nor rho
     touches, fixed before its loop.
 
-    The substep length delta (n,) and the substep times (substeps, n);
-    the substep length dl (n, J, k), its observed coordinates dl_o and
-    the observation y (n, J, n_observed) laid out contiguously over the
-    paths, since an (n, 1, 1) constant broadcast over (n, J, k) costs
-    several times a contiguous operation at these sizes. A lockstep
-    group builds a call's layout once and hands it to every call over
-    the same rows (likelihood._Rows).
+    The substep length delta (n,) and the substep times (substeps, n),
+    whose first row is each transition's start time; the substep length
+    dl (n, J, k), its observed coordinates dl_o and the observation y
+    (n, J, n_observed) laid out contiguously over the paths, since an
+    (n, 1, 1) constant broadcast over (n, J, k) costs several times a
+    contiguous operation at these sizes. A lockstep group builds a
+    call's layout once and hands it to every call over the same rows
+    (likelihood._Rows).
     """
 
     delta: np.ndarray
@@ -383,7 +365,7 @@ def _euler(model: SdeModel, theta, x, t, dl, per_path: bool):
 
 def _kernel(model: SdeModel, theta, x, t, m: int, substeps: int, spec: SamplerSpec,
             c: _Coords, g: _Layout, factors: bool = True, ratios: np.ndarray | None = None):
-    """Euler step and proposal of intermediate substep m (0-based, m <= substeps - 2).
+    """Euler step and proposal of intermediate substep m, 0 <= m <= substeps - 2.
 
     x is (n, J, k) and t (n, 1); c holds the model's coordinate indices
     and g the call's layout. Returns (mean_e, q_mean, chol_e, chol_q,
@@ -397,8 +379,6 @@ def _kernel(model: SdeModel, theta, x, t, m: int, substeps: int, spec: SamplerSp
     theta entries and the sampler's rho may hold one value per transition
     (see propose_transition).
     """
-    if not 0 <= m <= substeps - 2:
-        raise DomainError("the proposal kernel covers intermediate substeps only")
     f, mean_e, outer, cov_e = _euler(model, theta, x, t, g.dl, factors)
     w, s = _mix(spec, m, substeps)
     plain = not isinstance(w, np.ndarray) and w == 0.0  # blind forward simulation
@@ -461,42 +441,15 @@ def propose_transition(
     Draw consumption never depends on theta, so equal draws give
     comparable paths across parameter values.
 
-    The substep loop is _transition_ends, which the likelihood calls
-    itself: it keeps only the current substep and returns the endpoints,
-    and this function stacks the states of every substep that it hands
-    out. Before the loop the call computes the substep times and lays out
-    each transition's substep length and observation over its paths; with
-    a shared factor it also computes every substep's proposal factor
-    s_m L_e and its log-determinant, and, where k = 1, every substep's
-    move. The loop does the drift, the Euler and bridge means, the move,
-    the proposal and target densities: an OU substep (100 transitions,
-    J = 8) costs 28 us where it cost 62 us with the hoisted work inside
-    the loop.
+    This is the kernel's entry for outside input: it checks the input,
+    makes the draws and the call's _Layout, and runs _transition_ends on
+    them, collecting the states of every substep.
     """
     starts = np.asarray(starts, dtype=float)
     y_obs = np.asarray(y_obs, dtype=float)
     single = starts.ndim == 2
     if single:
         starts, y_obs = starts[None], y_obs[None]
-    states = []
-    _, log_t, log_p = _transition_ends(model, theta, starts, y_obs, t_start, dt, substeps, spec,
-                                       rng, states=states)
-    states = np.stack(states)
-    if single:
-        return SubPathBatch(states[:, 0], log_t[0], log_p[0])
-    return SubPathBatch(states, log_t, log_p)
-
-
-def _transition_ends(model: SdeModel, theta, starts: np.ndarray, y_obs: np.ndarray, t_start, dt,
-                     substeps: int, spec: SamplerSpec, rng, g: _Layout | None = None,
-                     states: list | None = None):
-    """propose_transition on a batch, float arrays starts (n, J, k) and
-    y_obs (n, n_observed), that keeps only the current substep: returns the
-    endpoints (n, J, k), log_target and log_proposal (n, J). A list given
-    as states receives the states of every substep in turn, starts first.
-    g is the call's _Layout, made beforehand for these t_start, dt and
-    y_obs; without one the call makes its own.
-    """
     if starts.ndim != 3 or starts.shape[2] != model.dim:
         raise DomainError("starts must have shape (J, k) or (n, J, k)")
     n, n_paths, k = starts.shape
@@ -518,10 +471,29 @@ def _transition_ends(model: SdeModel, theta, starts: np.ndarray, y_obs: np.ndarr
     if (z.shape != (n, substeps - 1, n_paths, k) or z_end.shape != (n, n_paths, c.n_uno)
             or z_dens.shape != z.shape[:-1]):
         raise DomainError("draws do not match the transitions")
+    g = _Layout.of(t_start, dt / substeps, y_obs, n_paths, k, substeps, c)
+    states = []
+    _, log_t, log_p = _transition_ends(model, theta, starts, spec, (z, z_end, z_dens), g, states)
+    states = np.stack(states)
+    if single:
+        return SubPathBatch(states[:, 0], log_t[0], log_p[0])
+    return SubPathBatch(states, log_t, log_p)
 
-    if g is None:
-        g = _Layout.of(t_start, dt / substeps, y_obs, n_paths, k, substeps, c)
+
+def _transition_ends(model: SdeModel, theta, starts: np.ndarray, spec: SamplerSpec, draws,
+                     g: _Layout, states: list | None = None):
+    """The substep loop over a batch of n transitions, on inputs that it
+    trusts: float start states (n, J, k), the draws (z, z_end, z_dens)
+    shaped as propose_transition describes, and the call's _Layout g.
+    Keeps only the current substep and returns the endpoints (n, J, k),
+    log_target and log_proposal (n, J). A list given as states receives
+    the states of every substep in turn, starts first.
+    """
+    n, n_paths, k = starts.shape
+    c = _Coords.of(model)
+    z, z_end, z_dens = draws
     times = g.times  # (substeps, n)
+    substeps = len(times)
     ratios = None if c.n_uno else _factor_ratios(spec, substeps)
     shared = c.n_uno == 0 and model.constant_diffusion
     if shared:
@@ -530,7 +502,7 @@ def _transition_ends(model: SdeModel, theta, starts: np.ndarray, y_obs: np.ndarr
         # proposal's log-determinant at every substep is known before the
         # loop.
         x0 = starts[:, :1]
-        outer = np.asarray(model.diffusion_outer(x0, theta, t_start[:, None]), dtype=float)
+        outer = np.asarray(model.diffusion_outer(x0, theta, times[0, :, None]), dtype=float)
         delta = g.delta[:, None, None, None]
         cov_e = outer * delta
         if cov_e.shape != x0.shape + (k,):
@@ -602,11 +574,7 @@ def _transition_ends(model: SdeModel, theta, starts: np.ndarray, y_obs: np.ndarr
         s_uo = cov_e[..., c.u_rows, c.o_cols]
         s_uu = cov_e[..., c.u_rows, c.u_cols]
         diff_o = g.y - mean_e[..., c.o]
-        if s_oo.shape[-1] == 1:
-            root = np.sqrt(s_oo[..., 0])
-            log_t += _white_logpdf(diff_o / root, np.log(root[..., 0]))
-        else:
-            log_t += gauss_logpdf(diff_o, chol_spd(s_oo))
+        log_t += gauss_logpdf(diff_o, chol_spd(s_oo))
         solved = _solve_obs(s_oo, s_ou)  # S_oo^{-1} S_ou
         c_mean = mean_e[..., c.u] + np.einsum("...ou,...o->...u", solved, diff_o)
         chol_c = chol_spd(s_uu - s_uo @ solved)

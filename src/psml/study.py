@@ -36,6 +36,17 @@ _TUNE = "tune"
 _EST = "est"
 
 
+def _whole(value, name: str) -> int:
+    """A count or seed read from a file: a whole number, 8 or 8.0, as an
+    int; anything else (2.5, "8", true, null) is a DomainError naming the
+    field."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise DomainError(f"{name} must be a whole number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EpisodeSpec:
     """One simulated trajectory: initial state, count and spacing of records."""
@@ -58,7 +69,7 @@ class EpisodeSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EpisodeSpec":
-        return cls(tuple(payload["x0"]), int(payload["n"]), float(payload["dt"]))
+        return cls(tuple(payload["x0"]), _whole(payload["n"], "episode n"), float(payload["dt"]))
 
 
 @dataclass(frozen=True)
@@ -130,7 +141,8 @@ class MethodSpec:
         extra = set(payload) - known
         if extra:
             raise DomainError(f"unknown method keys {sorted(extra)}")
-        return cls(**payload)
+        counts = {key: _whole(payload[key], key) for key in ("n_paths", "substeps") if key in payload}
+        return cls(**{**payload, **counts})
 
 
 @dataclass(frozen=True)
@@ -210,9 +222,9 @@ class StudyConfig:
                 theta_init=tuple(payload["theta_init"]),
                 episodes=tuple(EpisodeSpec.from_dict(e) for e in payload["episodes"]),
                 methods=tuple(MethodSpec.from_dict(m) for m in payload["methods"]),
-                n_replicates=int(payload["n_replicates"]),
-                data_substeps=int(payload["data_substeps"]),
-                seed=int(payload.get("seed", 0)),
+                n_replicates=_whole(payload["n_replicates"], "n_replicates"),
+                data_substeps=_whole(payload["data_substeps"], "data_substeps"),
+                seed=_whole(payload.get("seed", 0), "seed"),
                 model_kwargs=dict(payload.get("model_kwargs", {})),
             )
         except _SHAPE_ERRORS as exc:

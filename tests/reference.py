@@ -12,7 +12,8 @@ substep, the Gaussian density through an LU solve with the factor, the
 model drifts built by np.stack, the epidemic covariance with one sign
 check per count, the step function's lookup by search alone, and the
 Cholesky factor, its log-determinant and its inverse through LAPACK for
-1x1 blocks too. None of them is used by psml itself.
+1x1 blocks too, and the endpoint's closed-form density of one observed
+coordinate. None of them is used by psml itself.
 """
 
 from __future__ import annotations
@@ -391,6 +392,15 @@ def gauss_logpdf_solve(diff: np.ndarray, chol: np.ndarray) -> np.ndarray:
         quad = np.einsum("...i,...i->...", v, v)
         ldet = np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
     return -0.5 * (k * math.log(2.0 * math.pi) + quad) - ldet
+
+
+def observed_scalar_logpdf(diff_o: np.ndarray, s_oo: np.ndarray) -> np.ndarray:
+    """The endpoint's Euler marginal log-density of a single observed
+    coordinate in closed form: diff_o (..., 1) over the root of its
+    variance s_oo (..., 1, 1), without a factor routine."""
+    root = np.sqrt(s_oo[..., 0])
+    v = diff_o / root
+    return -0.5 * (math.log(2.0 * math.pi) + v[..., 0] * v[..., 0]) - np.log(root[..., 0])
 
 
 def cwd_sigma_two_checks(s_count, i_count, beta, mu, a, m):

@@ -338,6 +338,24 @@ def test_datasets_that_do_not_fit_the_model_are_rejected(monkeypatch, x0, observ
         optimize._maximize_group(model, [([good], theta, None, 0), ([bad], theta, None, 1)], cfg)
 
 
+@pytest.mark.parametrize("t0, times", [(math.nan, None), (0.0, [0.25, math.nan, 0.75, 1.0])],
+                         ids=["t0", "times"])
+def test_datasets_with_a_nan_time_are_rejected(t0, times):
+    # A NaN time passes Dataset's order check. The kernel trusts the
+    # interval lengths it gets, so the likelihood refuses such data, and in
+    # lockstep the bad problem fails alone.
+    good = cwd_dataset()
+    bad = Dataset(t0, good.x0, good.times if times is None else np.array(times), good.values,
+                  good.observed)
+    model, spec, theta = CwdDirectModel(), SamplerSpec("mbb"), np.array([0.03, 0.2])
+    with pytest.raises(DomainError, match="dataset times must be finite"):
+        log_likelihood(model, theta, bad, 8, 4, spec, seed=0)
+    res = likelihood._likelihoods(model, [(theta, spec, bad, 0), (theta, spec, good, 0)], 8, 4,
+                                  "raise")
+    assert isinstance(res[0], DomainError)
+    assert res[1] == log_likelihood(model, theta, good, 8, 4, spec, seed=0)
+
+
 def test_failure_raise_records_position():
     ds = ou_dataset(n=3, seed=6)
     bad_values = ds.values.copy()
@@ -892,42 +910,43 @@ def test_group_rows_follow_their_fits_between_runs(name):
 @pytest.mark.parametrize("name", ["ou", "lorenz63", "cwd-direct"])
 def test_prepared_kernel_inputs_equal_propose_transition(name):
     # A kernel call fed the inputs that a group's _Rows prepared once -- its
-    # layout and, with every coordinate observed, its start states -- equals
-    # propose_transition, which makes its own, bit for bit, with a theta and
-    # a rho per row. A second call over the same blocks gets the same inputs.
+    # layout and its start states with the observed coordinates set --
+    # equals propose_transition, which makes its own, bit for bit, for
+    # every family, with a theta and, where the family has one, a rho per
+    # row. A second call over the same blocks gets the same inputs.
     theta, episodes, n_paths, substeps = PIN_CASES[name]
     model = make_model(name)
     theta = np.array(theta)
-    problems = [(theta * s, SamplerSpec("aux-mbb", rho), pin_data(model, theta * s, episodes), seed)
-                for s, rho, seed in [(1.0, 0.8, 61), (1.03, 0.55, 62)]]
-    rows = likelihood._Rows()
-    rows.begin(model, n_paths, substeps,
-               [(data, likelihood._model_datasets(model, data), seed) for *_, data, seed in problems])
     obs, uno = list(model.observed), list(model.unobserved)
     # partially observed blocks hold one transition each
     n = episodes[0][1]
     blocks = [(f, d, 1, 2) for f in (0, 1) for d in range(len(episodes))] if uno else [
         (0, 0, 0, n), (1, 0, 2, n - 1)]
-    (prev, y, t0, dt, u, *draws), g, starts = rows.stack(blocks)
-    if uno:
-        assert starts is None
-        starts = np.empty((len(prev), n_paths, model.dim))
-        starts[..., obs] = prev[:, None, :]
-        starts[..., uno] = np.abs(rng_stream(63).normal(5.0, 2.0, (len(prev), n_paths, len(uno))))
-    else:
-        want = np.empty_like(starts)
-        want[..., obs] = prev[:, None, :]
-        assert starts.tobytes() == want.tobytes()
-    theta_rows, spec = likelihood._row_params(problems, blocks)
-    with np.errstate(all="ignore"):
-        ends, log_t, log_p = _transition_ends(model, theta_rows, starts, y, t0, dt, substeps, spec,
-                                              draws, g)
-        batch = propose_transition(model, theta_rows, starts, y, t0, dt, substeps, spec, draws)
-    assert ends.tobytes() == batch.endpoints.tobytes()
-    assert log_t.tobytes() == batch.log_target.tobytes()
-    assert log_p.tobytes() == batch.log_proposal.tobytes()
-    again = rows.stack(blocks)
-    assert again[1] is g and (again[2] is starts) == (not uno)
+    for kind in ("pedersen", "mbb", "regularized", "aux-mbb"):
+        problems = [
+            (theta * s, SamplerSpec(kind, rho if kind in ("regularized", "aux-mbb") else None),
+             pin_data(model, theta * s, episodes), seed)
+            for s, rho, seed in [(1.0, 0.8, 61), (1.03, 0.55, 62)]
+        ]
+        rows = likelihood._Rows()
+        rows.begin(model, n_paths, substeps, [(data, likelihood._model_datasets(model, data), seed)
+                                              for *_, data, seed in problems])
+        (prev, y, t0, dt, u, *draws), g, prepared = rows.stack(blocks)
+        want = np.repeat(prev[:, None, :], n_paths, axis=1)
+        assert prepared[..., obs].tobytes() == want.tobytes()
+        starts = prepared
+        if uno:
+            starts = prepared.copy()
+            starts[..., uno] = np.abs(rng_stream(63).normal(5.0, 2.0, (len(prev), n_paths, len(uno))))
+        theta_rows, spec = likelihood._row_params(problems, blocks)
+        with np.errstate(all="ignore"):
+            ends, log_t, log_p = _transition_ends(model, theta_rows, starts, spec, draws, g)
+            batch = propose_transition(model, theta_rows, starts, y, t0, dt, substeps, spec, draws)
+        assert ends.tobytes() == batch.endpoints.tobytes(), kind
+        assert log_t.tobytes() == batch.log_target.tobytes(), kind
+        assert log_p.tobytes() == batch.log_proposal.tobytes(), kind
+        again = rows.stack(blocks)
+        assert again[1] is g and again[2] is prepared
 
 
 def test_steady_ou_round_rebuilds_no_layout(monkeypatch):

@@ -13,11 +13,13 @@ from psml.core import (_LOG_2PI, Dataset, DomainError, NumericalError, SdeModel,
                        _logdet, chol_spd, derive_seed, gauss_logpdf, rng_stream, simulate_dataset)
 from psml.likelihood import TransitionFailure, log_likelihood
 from psml.models import CwdDirectModel, Lorenz63Model, OuModel, StepFunction, cwd_sigma
-from psml.samplers import SamplerSpec, _RowRho, _draw_logpdf, _transition_ends, propose_transition
+from psml.samplers import (SamplerSpec, _Coords, _draw_logpdf, _Layout, _RowRho, _transition_ends,
+                           propose_transition)
 from psml.tune import prediction_error
 from reference import (chol_spd_lapack, cwd_drift_stacked, cwd_sigma_two_checks,
                        gauss_logpdf_solve, likelihoods_by_transition, logdet_diagonal_sum,
-                       lorenz_drift_stacked, simulate_paths_batch, step_value_by_search)
+                       lorenz_drift_stacked, observed_scalar_logpdf, simulate_paths_batch,
+                       step_value_by_search)
 
 MODELS = {
     # model, theta, x0, number of transitions, interval length
@@ -190,8 +192,9 @@ def test_endpoint_run_equals_propose_transition(name, seed, n, n_paths, m, kind)
     draws = (z, rng.standard_normal((n, n_paths, len(model.unobserved))), _draw_logpdf(z))
     spec = SamplerSpec(kind) if rhos is None else _RowRho(kind, rhos)
     args = (model, thetas.T[:, :, None], starts, y_obs, t0, dt, m, spec, draws)
+    g = _Layout.of(t0, dt / m, y_obs, n_paths, k, m, _Coords.of(model))
     with np.errstate(all="ignore"):
-        ends, log_t, log_p = _transition_ends(*args)
+        ends, log_t, log_p = _transition_ends(model, thetas.T[:, :, None], starts, spec, draws, g)
         batch = propose_transition(*args)
         solos = [
             propose_transition(model, thetas[r], starts[r], y_obs[r], t0[r], dt[r], m,
@@ -298,6 +301,26 @@ def test_scalar_stacks_take_lapacks_path_when_not_positive(data, n, n_paths):
             elif (stack == 0).any():
                 moved = np.isfinite(stack) & (stack > 0)
                 assert not (got[moved] == np.sqrt(stack[moved])).any()
+
+
+@settings(max_examples=200)
+@given(data=st.data(), n=st.integers(1, 4), n_paths=st.integers(1, 5))
+def test_observed_endpoint_density_equals_its_scalar_closed_form(data, n, n_paths):
+    # The endpoint's observed block goes through chol_spd and gauss_logpdf
+    # at every width. With one observed coordinate that equals the closed
+    # form the endpoint once took of its own, bit for bit, on an
+    # (n, J, 1, 1) stack of floored variances: positive, +inf or NaN, since
+    # _floor_obs_diag leaves no 0 or negative entry.
+    size = n * n_paths
+    variances = data.draw(st.lists(st.one_of(positive, st.just(math.nan)), min_size=size,
+                                   max_size=size))
+    diffs = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=size, max_size=size))
+    s_oo = np.array(variances).reshape(n, n_paths, 1, 1)
+    diff_o = np.array(diffs).reshape(n, n_paths, 1)
+    with np.errstate(all="ignore"):
+        got = gauss_logpdf(diff_o, chol_spd(s_oo))
+        want = observed_scalar_logpdf(diff_o, s_oo)
+    assert same_bits(got, want)
 
 
 def raises_domain_error(fn, *args) -> bool:

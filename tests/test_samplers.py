@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from psml.core import NumericalError, chol_spd, rng_stream
+from psml.core import DomainError, NumericalError, chol_spd, rng_stream
 from psml.models import CwdDirectModel, Lorenz63Model, OuModel
 from psml.samplers import (
     KINDS,
@@ -134,12 +134,6 @@ def test_kernel_aux_scales_bridge_covariance():
     mean_a, cov_a = proposal_kernel(*args, SamplerSpec("aux-mbb", 0.25))
     np.testing.assert_array_equal(mean_a, mean_b)
     np.testing.assert_allclose(cov_a, 0.25 * cov_b, rtol=1e-15)
-
-
-def test_kernel_rejects_final_substep():
-    with pytest.raises(Exception):
-        proposal_kernel(OuModel(), OU_THETA, np.array([1.0]), np.array([0.8]), 0.0,
-                        7, 8, 0.125, SamplerSpec("mbb"))
 
 
 def test_kernel_partial_observation_conditioning():
@@ -388,13 +382,25 @@ def test_importance_weight_overflow_stays_in_logs():
     assert w[1] == 1.0
 
 
-def test_propose_validates_shapes():
-    with pytest.raises(Exception):
-        propose_transition(OuModel(), OU_THETA, np.ones(3), np.array([0.8]), 0.0,
-                           1.0, 4, SamplerSpec("mbb"), rng_stream(0))
-    with pytest.raises(Exception):
-        propose_transition(OuModel(), OU_THETA, np.ones((3, 1)), np.array([0.8, 0.9]),
-                           0.0, 1.0, 4, SamplerSpec("mbb"), rng_stream(0))
-    with pytest.raises(Exception):
-        propose_transition(OuModel(), OU_THETA, np.ones((3, 1)), np.array([0.8]),
-                           0.0, -1.0, 4, SamplerSpec("mbb"), rng_stream(0))
+@pytest.mark.parametrize("change, message", [
+    ({"starts": np.ones(3)}, r"starts must have shape \(J, k\) or \(n, J, k\)"),
+    ({"starts": np.ones((3, 2))}, r"starts must have shape \(J, k\) or \(n, J, k\)"),
+    ({"y_obs": np.array([0.8, 0.9])}, "y_obs must carry one value per observed coordinate"),
+    ({"dt": -1.0}, "interval length must be positive"),
+    ({"dt": 0.0}, "interval length must be positive"),
+    ({"substeps": 0}, r"substeps must be >= 1"),
+    ({"rng": (np.zeros((1, 2, 3, 1)), np.zeros((1, 3, 0)))}, "draws do not match the transitions"),
+    ({"rng": (np.zeros((1, 3, 3, 1)), np.zeros((1, 3, 1)))}, "draws do not match the transitions"),
+    ({"rng": (np.zeros((1, 3, 3, 1)), np.zeros((1, 3, 0)), np.zeros((1, 3, 2)))},
+     "draws do not match the transitions"),
+], ids=["starts-1d", "starts-width", "y_obs-width", "dt-negative", "dt-zero", "substeps-zero",
+        "draws-substeps", "draws-endpoint", "draws-logpdf"])
+def test_propose_validates_shapes(change, message):
+    # propose_transition is the kernel's entry for outside input, and the
+    # only place that checks it.
+    args = dict(starts=np.ones((3, 1)), y_obs=np.array([0.8]), dt=1.0, substeps=4,
+                rng=rng_stream(0))
+    args.update(change)
+    with pytest.raises(DomainError, match=message):
+        propose_transition(OuModel(), OU_THETA, args["starts"], args["y_obs"], 0.0, args["dt"],
+                           args["substeps"], SamplerSpec("mbb"), args["rng"])

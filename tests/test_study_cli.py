@@ -541,6 +541,48 @@ def test_cli_bootstrap_file_is_independent_of_threads(tmp_path):
     assert json.loads(outs[0].read_text())["n_failed"] == 0
 
 
+def _counted(payload: dict, where: str) -> dict:
+    """The object in a study config or fit file that holds a count field."""
+    return {"study": payload, "episode": payload.get("episodes", [{}])[0],
+            "method": payload.get("methods", [{}])[-1], "fit": payload.get("config")}[where]
+
+
+@pytest.mark.parametrize("value", ["whole", 2.5, "8", True, None])
+@pytest.mark.parametrize("where, key", [
+    ("study", "n_replicates"), ("study", "data_substeps"), ("study", "seed"), ("episode", "n"),
+    ("method", "n_paths"), ("method", "substeps"),
+    ("fit", "n_paths"), ("fit", "substeps"), ("fit", "max_evals"),
+])
+def test_counts_read_from_files_must_be_whole_numbers(tmp_path, capsys, ou_fit, where, key, value):
+    # A whole number given as a float (8.0) is taken as the int; anything
+    # else is a configuration error naming the field, where it used to be
+    # cut to an int (2.5 ran as 2) or to fail as a TypeError (exit code 1).
+    if where == "fit":
+        payload = json.loads(ou_fit.read_text())
+        command = ["bootstrap", "-B", "2"]
+    else:
+        payload = tiny_study(n_replicates=1).to_dict()
+        command = ["study", "--config"]
+    fields = _counted(payload, where)
+    value = float(fields[key]) if value == "whole" else value
+    fields[key] = value
+    path, out = tmp_path / "in.json", tmp_path / "out"
+    path.write_text(json.dumps(payload))
+    whole = isinstance(value, float) and value.is_integer()
+    if where != "fit":
+        if whole:
+            config = StudyConfig.from_dict(payload)
+            got = _counted(config.to_dict(), where)[key]
+            assert type(got) is int and got == value
+        else:
+            with pytest.raises(DomainError, match=f"{key} must be a whole number"):
+                StudyConfig.from_dict(payload)
+    assert run_cli(*command, path, "--out", out) == (0 if whole else 2)
+    if not whole:
+        assert f"{key} must be a whole number, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("command, edit, message", [
     pytest.param("bootstrap", lambda p: [p], "fit file must be a JSON object", id="bootstrap-list"),
     pytest.param("bootstrap", lambda p: p["estimate"].update(lam=None), "fit file is malformed",
