@@ -353,7 +353,8 @@ class _Rows:
     def stack(self, blocks):
         """The rows of a kernel call over blocks (fit, dataset, first,
         stop), its layout, and its start states with the observed
-        coordinates set, all read-only; valid until the next call."""
+        coordinates set; rows and start states are read-only, and all
+        are valid until the next call."""
         key = tuple((self.run[f][0], d, lo, hi) for f, d, lo, hi in blocks)
         if key == self.key:
             return self.stacked, self.layout, self.starts

@@ -396,8 +396,8 @@ def test_importance_weight_overflow_stays_in_logs():
 ], ids=["starts-1d", "starts-width", "y_obs-width", "dt-negative", "dt-zero", "substeps-zero",
         "draws-substeps", "draws-endpoint", "draws-logpdf"])
 def test_propose_validates_shapes(change, message):
-    # propose_transition is the kernel's entry for outside input, and the
-    # only place that checks it.
+    # propose_transition is the kernel's entry for outside input, so these
+    # checks are its own: the kernel trusts what it is given.
     args = dict(starts=np.ones((3, 1)), y_obs=np.array([0.8]), dt=1.0, substeps=4,
                 rng=rng_stream(0))
     args.update(change)

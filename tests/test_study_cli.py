@@ -543,8 +543,11 @@ def test_cli_bootstrap_file_is_independent_of_threads(tmp_path):
 
 def _counted(payload: dict, where: str) -> dict:
     """The object in a study config or fit file that holds a count field."""
-    return {"study": payload, "episode": payload.get("episodes", [{}])[0],
-            "method": payload.get("methods", [{}])[-1], "fit": payload.get("config")}[where]
+    if where == "episode":
+        return payload["episodes"][0]
+    if where == "method":
+        return payload["methods"][-1]
+    return payload["config"] if where == "fit" else payload
 
 
 @pytest.mark.parametrize("value", ["whole", 2.5, "8", True, None])
