@@ -10,7 +10,7 @@ so the importance weight is a difference of accumulators. The driver
 runs a batch of independent transitions at once, looping over substeps
 only.
 
-The driver, _transition_ends, takes one input form and trusts it:
+The kernel, _transition_ends, takes one input form and trusts it:
 float start states (n, J, k), the draws (z, z_end, z_dens) and the
 call's _Layout, which holds what the substeps share that neither theta
 nor rho touches. Outside input enters through propose_transition, which
