@@ -8,12 +8,19 @@ inputs for --seed and prints, in microseconds per call, the best of
 --repeat rounds of --number calls each, timed in the process's CPU
 time so that time spent descheduled on a shared machine is left out:
 
+- the per-evaluation budget of one unit of work (a capped fit, or a
+  bootstrap's refits on one worker) by layer: the kernel
+  (_transition_ends), the weight statistics (_weight_stats), the
+  likelihood's plumbing around them (the rest of _likelihoods) and the
+  optimizer's (the rest of the unit), from the best of --repeat units;
+  the timers around each kernel call add about a microsecond to the
+  plumbing;
 - log_likelihood: one evaluation at the fit's start point, in rounds of
   a tenth as many calls;
 - kernel call: one _transition_ends call on the inputs of the
-  likelihood's first kernel call at that point, read from a group's
-  rows (likelihood._Rows) over the blocks that the likelihood gave that
-  call, as the likelihood reads them;
+  likelihood's first kernel call at that point, as a prepared group
+  (likelihood._Problem) builds them over the blocks that the likelihood
+  gave that call;
 - fixed cost per kernel call: that call's time less the time of its M
   substeps, 2 call(M) - call(2M), from calls with M and 2M substeps:
   its set-up before the substep loop, with the endpoint substep counted
@@ -29,8 +36,8 @@ time so that time spent descheduled on a shared machine is left out:
 It then prints the memory churn of a steady lockstep round: the fits of
 the unit's first lockstep group (a bootstrap's first chunk) evaluated
 at their start points together, as the fit driver does once every fit
-asks for one point, on a group's rows (likelihood._Rows) that an
-earlier round has already built and stacked. It gives the peak
+asks for one point, in a group that an earlier round has already
+prepared and stacked. It gives the peak
 allocation of one such round by tracemalloc, and the minor page faults
 per evaluation (resource.getrusage) over a tenth of --number rounds; the
 benchmark's per-evaluation spans do not see either.
@@ -56,7 +63,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 sys.dont_write_bytecode = True  # leave no caches in src/ or perfbench/
 
-from psml import core, likelihood, samplers, tune  # noqa: E402
+from psml import core, likelihood, optimize, samplers, tune  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
@@ -82,43 +89,82 @@ def best_us(fns, repeat: int, number: int) -> list:
     return [min(col) for col in zip(*rounds_us(fns, repeat, number))]
 
 
-class _Recording(likelihood._Rows):
-    """A group's rows that note the blocks of every kernel call they stack."""
+class _Recording(likelihood._Problem):
+    """A prepared group that notes the blocks of every kernel call whose
+    inputs it hands out."""
 
-    def __init__(self):
-        super().__init__()
-        self.calls = []
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.seen = []
 
-    def stack(self, blocks):
-        self.calls.append(list(blocks))
-        return super().stack(blocks)
+    def inputs(self, fits, blocks):
+        self.seen.append(list(blocks))
+        return super().inputs(fits, blocks)
 
 
 def first_call(inputs, substeps: int):
     """Arguments of _transition_ends for the likelihood's first kernel call
     at the start point, with substeps substeps: the call's blocks as the
-    likelihood cuts its first step at the workload's M (likelihood._calls),
-    read from rows built for substeps, so that calls with M and 2M
-    substeps hold the same transitions."""
+    likelihood cuts its first step at the workload's M, read from a group
+    prepared for substeps, so that calls with M and 2M substeps hold the
+    same transitions."""
     w, model = inputs.workload, inputs.model
     theta = np.asarray(w.theta_init, dtype=float)
     spec = samplers.SamplerSpec(w.kind, w.rho_init)
     seed = inputs.fits()[0][2]
-    recording = _Recording()
-    likelihood._likelihoods(model, [(theta, spec, inputs.datasets, seed)], w.n_paths, w.substeps,
-                            "neginf", recording)
-    blocks = recording.calls[0]
-    rows = likelihood._Rows()
-    data = likelihood._model_datasets(model, inputs.datasets)
-    rows.begin(model, w.n_paths, substeps, [(inputs.datasets, data, seed)])
-    (*_, z, z_end, z_dens), g, starts = rows.stack(blocks)
+    recording = _Recording(model, w.n_paths, w.substeps, w.kind)
+    fit = recording.add(inputs.datasets, seed)
+    likelihood._likelihoods(recording, [(fit, theta, spec.rho)], "neginf")
+    blocks = recording.seen[0]
+    group = likelihood._Problem(model, w.n_paths, substeps, w.kind)
+    (_, z, z_end, z_dens), g, starts = group.inputs([group.add(inputs.datasets, seed)], blocks)
     uno = list(model.unobserved)
     if uno:
         # the first step's particle clouds are point masses at the start states
+        data = likelihood._model_datasets(model, inputs.datasets)
         starts = starts.copy()
         for r, (_, d, _, _) in enumerate(blocks):
             starts[r][:, uno] = data[d].x0[uno]
     return (model, theta, starts, spec, (z, z_end, z_dens), g)
+
+
+def layer_budget(inputs, repeat: int):
+    """(evaluations, then per evaluation in us: total, kernel, weight
+    statistics, likelihood plumbing, optimizer) of one unit of work on
+    one worker, from the best of repeat units by total CPU time."""
+    spent = {}
+
+    def timed(name, fn):
+        def wrapper(*args):
+            t = time.process_time()
+            try:
+                return fn(*args)
+            finally:
+                spent[name] = spent.get(name, 0.0) + time.process_time() - t
+        return wrapper
+
+    targets = [(optimize, "_likelihoods"), (likelihood, "_transition_ends"),
+               (likelihood, "_weight_stats")]
+    saved = [(module, name, getattr(module, name)) for module, name in targets]
+    inputs.run(workers=1)
+    best = None
+    try:
+        for module, name, fn in saved:
+            setattr(module, name, timed(name, fn))
+        for _ in range(repeat):
+            spent.clear()
+            t = time.process_time()
+            evals = inputs.run(workers=1).evals
+            total = time.process_time() - t
+            if best is None or total < best[0]:
+                best = (total, dict(spent), evals)
+    finally:
+        for module, name, fn in saved:
+            setattr(module, name, fn)
+    total, spent, evals = best
+    lik, kernel, stats = (spent.get(name, 0.0) for _, name in targets)
+    us = [1e6 * v / evals for v in (total, kernel, stats, lik - kernel - stats, total - lik)]
+    return [evals] + us
 
 
 def part_timers(args):
@@ -171,14 +217,15 @@ def round_churn(inputs, rounds: int):
     fits = inputs.fits()
     if w.replicates:
         fits = fits[: len(tune._chunks(w.replicates, w.workers, tune._GROUP_FITS)[0])]
-    spec = samplers.SamplerSpec(w.kind, w.rho_init)
-    problems = [(np.asarray(theta, dtype=float), spec, data, seed) for data, theta, seed in fits]
-    rows = likelihood._Rows()
+    rho = samplers.SamplerSpec(w.kind, w.rho_init).rho
+    group = likelihood._Problem(inputs.model, w.n_paths, w.substeps, w.kind)
+    problems = [(group.add(data, seed), np.asarray(theta, dtype=float), rho)
+                for data, theta, seed in fits]
 
     def one_round():
-        likelihood._likelihoods(inputs.model, problems, w.n_paths, w.substeps, "neginf", rows)
+        likelihood._likelihoods(group, problems, "neginf")
 
-    one_round()  # builds the group's rows and the stacks that later rounds reuse
+    one_round()  # builds the stacks and layouts that later rounds reuse
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(rounds):
         one_round()
@@ -209,6 +256,10 @@ def report(name: str, repeat: int, number: int, seed: int) -> None:
     n, n_paths, k = one[2].shape
     print(f"{name}: {model.__class__.__name__}, n = {n}, J = {n_paths}, k = {k}, "
           f"M = {w.substeps}, {w.kind} (us per call, {repeat} rounds of {number})")
+    evals, *budget = layer_budget(inputs, repeat)
+    print(f"  budget per evaluation over a unit of {evals}: " + ", ".join(
+        f"{label} {us:.1f}" for label, us in zip(
+            ("total", "kernel", "weight statistics", "likelihood plumbing", "optimizer"), budget)))
     [lik] = best_us([evaluation], repeat, max(number // 10, 1))
     calls = rounds_us([lambda: samplers._transition_ends(*one),
                        lambda: samplers._transition_ends(*two)], repeat, number)

@@ -22,6 +22,7 @@ from .core import (
     DomainError,
     NumericalError,
     _shape_error,
+    _whole,
     dataset_from_dict,
     dataset_to_dict,
     load_dataset,
@@ -35,7 +36,6 @@ from .study import (
     EpisodeSpec,
     MethodSpec,
     StudyConfig,
-    _whole,
     fit_method,
     fit_record,
     replicate_data,

@@ -32,6 +32,16 @@ class DomainError(ValueError):
     """Inputs fall outside an operation's admissible domain."""
 
 
+def _whole(value, name: str) -> int:
+    """A count or seed: a whole number, 8 or 8.0, as an int; anything else
+    (2.5, "8", true, null) is a DomainError naming the field."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise DomainError(f"{name} must be a whole number, got {value!r}")
+
+
 class NumericalError(RuntimeError):
     """A linear-algebra kernel failed beyond jitter repair."""
 
@@ -148,10 +158,11 @@ class SdeModel:
             raise DomainError(
                 f"expected {self.n_params} parameters, got shape {theta.shape}"
             )
-        if not np.all(np.isfinite(theta)):
+        values = theta.tolist()
+        if not all(map(math.isfinite, values)):
             raise DomainError("parameter vector has non-finite entries")
         for i, kind in enumerate(self.param_constraints):
-            v = theta[i]
+            v = values[i]
             if kind == POSITIVE and v <= 0:
                 raise DomainError(f"parameter {self.param_names[i]} must be > 0")
             if kind == UNIT_INTERVAL and not 0.0 <= v <= 1.0:
@@ -277,6 +288,8 @@ class Dataset:
             raise DomainError("values width must match the observed index tuple")
         if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(values))):
             raise DomainError("dataset contains non-finite entries")
+        if not (math.isfinite(self.t0) and np.all(np.isfinite(times))):
+            raise DomainError("dataset times must be finite")
         if times[0] <= self.t0 or np.any(np.diff(times) <= 0):
             raise DomainError("observation times must be strictly increasing after t0")
         object.__setattr__(self, "x0", x0)

@@ -22,6 +22,7 @@ from .core import (
     DomainError,
     NumericalError,
     SdeModel,
+    _whole,
     derive_seed,
     rng_stream,
     validate_model,
@@ -100,15 +101,14 @@ class _Segment(NamedTuple):
     ess: np.ndarray
 
 
-def _left_to_right(arrays) -> float:
-    """Sum of the arrays' entries in order. Python 3.12's sum() of floats
-    is compensated, so it would differ in the last bits from one Python
-    to another."""
-    total = 0.0
-    for a in arrays:
-        for v in a.tolist():
-            total += v
-    return total
+def _left_to_right(arrays: list) -> float:
+    """Sum of the arrays' entries in order, from 0.0. np.add.accumulate
+    adds one entry at a time; np.sum adds pairwise, and Python 3.12's
+    sum() of floats is compensated, so either would differ in the last
+    bits. Starting from the first entry instead of 0.0 changes at most
+    the sign of a zero sum, which the closing + 0.0 sets as 0.0 gives it."""
+    a = arrays[0] if len(arrays) == 1 else np.concatenate(arrays) if arrays else ()
+    return float(np.add.accumulate(a)[-1]) + 0.0 if len(a) else 0.0
 
 
 class LikelihoodResult:
@@ -120,8 +120,8 @@ class LikelihoodResult:
 
     def __init__(self, segments: list, failed: bool = False):
         self.segments, self.failed = segments, failed
-        self.cv_sum = _left_to_right(g.cv for g in segments)
-        self.loglik = -math.inf if failed else _left_to_right(g.log_phat for g in segments)
+        self.cv_sum = _left_to_right([g.cv for g in segments])
+        self.loglik = -math.inf if failed else _left_to_right([g.log_phat for g in segments])
 
     def __eq__(self, other):
         if not isinstance(other, LikelihoodResult):
@@ -153,6 +153,10 @@ class PenaltyConfig:
     def __post_init__(self):
         if not self.lam >= 0.0:
             raise DomainError("lambda must be >= 0")
+        if not math.isfinite(self.lam):
+            raise DomainError("lambda must be finite")
+        for key in ("n_paths", "substeps"):
+            object.__setattr__(self, key, _whole(getattr(self, key), key))
         if self.n_paths < 2:
             raise DomainError("need at least 2 paths per transition")
         if self.substeps < 1:
@@ -188,15 +192,11 @@ def _as_datasets(datasets) -> list:
 
 def _model_datasets(model, datasets) -> list:
     """_as_datasets, each checked against the model: it must observe the
-    model's coordinates and start from a state of the model's size. Its
-    times must be finite, which Dataset's order check lets NaN slip by,
-    so that every interval length that the kernel gets is positive."""
+    model's coordinates and start from a state of the model's size."""
     out = _as_datasets(datasets)
     for ds in out:
         if tuple(ds.observed) != tuple(model.observed):
             raise DomainError("dataset observed coordinates do not match the model")
-        if not (math.isfinite(ds.t0) and np.isfinite(ds.times).all()):
-            raise DomainError("dataset times must be finite")
         if ds.x0.shape != (model.dim,):
             raise DomainError(
                 f"dataset x0 has {ds.x0.size} entries, the model has {model.dim} states"
@@ -209,6 +209,13 @@ def _model_datasets(model, datasets) -> list:
 _DRAW_CACHE: OrderedDict = OrderedDict()
 _DRAW_CACHE_BYTES = 32 << 20
 _DRAW_CACHE_LOCK = threading.Lock()
+
+# A block of at least this many transitions runs as a kernel call of its
+# own, on its fit's rows as they are, in a run that stacks afresh: from
+# there the kernel's cost per row is flat (an OU call of J = 8, M = 8
+# takes 1.58 us per row at 100 rows and 1.41 at 500), and stacking a row
+# (0.39 us) costs more than the call it would save.
+_SOLO_ROWS = 64
 
 # Bound on a kernel call's rows, counted at (substeps + 1) x J x k doubles
 # per transition. What it limits is the rows a call stacks, mostly their
@@ -288,145 +295,202 @@ def _calls(blocks, most: int):
 
 
 def _row_params(problems, blocks):
-    """theta and sampler of a kernel call whose blocks (fit, dataset,
-    first, stop) come from several problems: each theta entry as (n, 1),
-    one value per transition, and rho, where the family has one, as (n,)."""
+    """theta and sampler of a kernel call whose blocks (problem, dataset,
+    first, stop) come from several problems, (theta, sampler, ...) each:
+    each theta entry as (n, 1), one value per transition, and rho, where
+    the family has one, as (n,)."""
     counts = [hi - lo for _, _, lo, hi in blocks]
-    theta = np.repeat([problems[f][0] for f, *_ in blocks], counts, axis=0).T[:, :, None]
+    theta = np.repeat([problems[p][0] for p, *_ in blocks], counts, axis=0).T[:, :, None]
     spec = problems[blocks[0][0]][1]
-    if spec.has_rho:
-        spec = _RowRho(spec.kind, np.repeat([problems[f][1].rho for f, *_ in blocks], counts))
+    if spec.rho is not None:
+        spec = _RowRho(spec.kind, np.repeat([problems[p][1].rho for p, *_ in blocks], counts))
     return theta, spec
 
 
-class _Rows:
-    """Transition rows of the problems of likelihood runs, and the stacks
-    that kernel calls read them from.
+class _Problem:
+    """A lockstep group's prepared problem: everything that evaluating its
+    fits needs and that neither theta nor rho touches, built once, so that
+    an evaluation does only the work that theta and rho change.
 
-    A fit's rows, per dataset one per transition: previous observation,
-    observation, start time, length, then the cached draws. A fit is known
-    by its datasets object and seed, which are all its rows depend on
-    under one model and configuration; the entry holds the datasets, so
-    that their id stays theirs while the entry lives. A kernel call reads
-    the rows of its blocks (fit, dataset, first, stop) stacked into
-    buffers that every call reuses, grown to the largest call. With the
-    rows, a call gets what its kernel run needs of them that theta does
-    not touch: its layout (samplers._Layout) and its start states with
-    the observed coordinates set, which are the whole start states when
-    every coordinate is observed. All of these are left as they are when
-    a call repeats the blocks of the last one.
+    The group's fits share the model, the path count J, the substep count
+    M and the sampler family. add() enters a fit by its datasets and its
+    evaluation seed: it checks the datasets against the model, once, and
+    keeps per dataset the fit's rows, one per transition (previous
+    observation, observation, start time, length, then the cached draws),
+    and, with unobserved coordinates, the point-mass particle clouds at
+    the start states; with every coordinate observed, the inputs of each
+    dataset's call alone. A run of _likelihoods then names per problem
+    only a fit, a theta and a rho.
 
-    A lockstep group keeps one _Rows over its runs, so that it builds each
-    fit's rows once. After its start simplex a group asks for one point
-    per running fit in every round, so a round whose step is one call
-    reads the stacks and layout of the last round's call as they are, and
-    a round of several calls restacks them into the same memory: no
-    steady round allocates stacked draws, and the stacks never weigh more
-    than the largest call's rows.
+    A run's plan is its schedule: its steps (the blocks (problem, dataset,
+    first, stop) of each) and each step's kernel calls as _calls cuts
+    them. A call's inputs are its draws, their samplers._Layout and their
+    start states with the observed coordinates set. The draws of a call of
+    one block are views of its fit's rows, and those of several blocks are
+    stacked. The group keeps the plan of its last run whose problems are
+    distinct fits, with each call's inputs once built: every round of a
+    fit driver after its start simplex is such a run, save a shrink, so a
+    round that repeats the last one's fits reads its schedule and every
+    call's inputs as they are. A run that lists a fit twice (a start
+    simplex, a shrink) plans for itself and builds each call's inputs
+    when the call runs, and keeps neither; since it would stack afresh,
+    a block of _SOLO_ROWS rows or more runs as a call of its own. So
+    besides its fits' rows, a group holds at most one stacked copy of
+    them, plus their layouts.
     """
 
-    def __init__(self):
-        self.fits, self.run = {}, []
-        self.key, self.stacked, self.buffers = None, [], []
-        self.layout = self.starts = None
+    def __init__(self, model, n_paths: int, substeps: int, kind: str):
+        validate_model(model)
+        self.model, self.n_paths, self.substeps, self.kind = model, n_paths, substeps, kind
+        self.c = _Coords.of(model)
+        self.uno = list(model.unobserved)
+        self.fits = []  # per fit, (rows, start clouds, inputs of a whole block) per dataset
+        self.kept = None  # (fits, plan) of the last run whose problems are distinct fits
 
-    def begin(self, model, n_paths: int, substeps: int, fits):
-        """Start a run whose problem f belongs to the fit fits[f],
-        (datasets, data, seed) with data the datasets checked against the
-        model."""
-        self.run = []
-        obs, n_uno = list(model.observed), len(model.unobserved)
-        # what a call's layout and start states depend on besides its rows
-        self.config = (n_paths, model.dim, substeps, _Coords.of(model))
-        for datasets, data, seed in fits:
-            key = (id(datasets), seed)
-            if key not in self.fits:
-                rows = []
-                for d, ds in enumerate(data):
-                    t_start = np.concatenate(([ds.t0], ds.times[:-1]))
-                    prev_obs = np.concatenate((ds.x0[obs][None], ds.values[:-1]))
-                    draws = _dataset_draws(seed, d, ds.n, n_paths, substeps, model.dim, n_uno)
-                    rows.append((prev_obs, ds.values, t_start, ds.times - t_start) + draws)
-                self.fits[key] = (datasets, rows)
-            self.run.append((key, self.fits[key][1]))
+    def add(self, datasets, seed: int) -> int:
+        """Enter the fit of datasets, evaluated under seed; returns its index.
 
-    def stack(self, blocks):
-        """The rows of a kernel call over blocks (fit, dataset, first,
-        stop), its layout, and its start states with the observed
-        coordinates set; rows and start states are read-only, and all
-        are valid until the next call."""
-        key = tuple((self.run[f][0], d, lo, hi) for f, d, lo, hi in blocks)
-        if key == self.key:
-            return self.stacked, self.layout, self.starts
-        stacked = []
-        parts_of = zip(*([a[lo:hi] for a in self.run[f][1][d]] for f, d, lo, hi in blocks))
-        for i, parts in enumerate(parts_of):
-            shape = (sum(len(a) for a in parts),) + parts[0].shape[1:]
-            size = math.prod(shape)
-            if i == len(self.buffers):
-                self.buffers.append(np.empty(0))
-            if self.buffers[i].size < size:
-                self.buffers[i] = np.empty(size)
-            rows = self.buffers[i][:size].reshape(shape)
-            np.concatenate(parts, out=rows)
-            rows = rows.view()
-            rows.flags.writeable = False
-            stacked.append(rows)
-        n_paths, k, substeps, c = self.config
-        prev, y, t0, dt = stacked[:4]
-        self.starts = np.empty((len(prev), n_paths, k))
-        self.starts[..., c.o] = prev[:, None, :]
-        self.starts.flags.writeable = False
-        self.layout = _Layout.of(t0, dt / substeps, y, n_paths, k, substeps, c)
-        self.key, self.stacked = key, stacked
-        return self.stacked, self.layout, self.starts
+        With every coordinate observed, a dataset's transitions are one
+        block, and the inputs of its call alone are built here, once."""
+        model, n_uno = self.model, len(self.uno)
+        data = _model_datasets(model, datasets)
+        obs = list(model.observed)
+        rows = []
+        for d, ds in enumerate(data):
+            t_start = np.concatenate(([ds.t0], ds.times[:-1]))
+            prev_obs = np.concatenate((ds.x0[obs][None], ds.values[:-1]))
+            draws = _dataset_draws(seed, d, ds.n, self.n_paths, self.substeps, model.dim, n_uno)
+            rows.append((prev_obs, ds.values, t_start, ds.times - t_start) + draws)
+        clouds = [ParticleCloud.point_mass(ds.x0[self.uno]) for ds in data] if n_uno else []
+        whole = [] if n_uno else [self._build(r) for r in rows]
+        self.fits.append((rows, clouds, whole))
+        return len(self.fits) - 1
+
+    def calls(self, blocks, stack: bool = True) -> list:
+        """The blocks of a step cut into kernel calls (_calls), at the row
+        bound that _CALL_BYTES sets. Unless stack, a block of at least
+        _SOLO_ROWS rows is a call of its own."""
+        most = _CALL_BYTES // ((self.substeps + 1) * self.n_paths * self.model.dim * 8)
+        out, pack = [], []
+        for b in blocks:
+            if stack or b[3] - b[2] < _SOLO_ROWS:
+                pack.append(b)
+                continue
+            if pack:
+                out += _calls(pack, most)
+                pack = []
+            out += _calls([b], most)
+        if pack:
+            out += _calls(pack, most)
+        return [_Call(call) for call in out]
+
+    def plan(self, fits):
+        """The schedule of a run whose problem p belongs to the fit fits[p]:
+        per step its blocks and its kernel calls, and whether the group
+        keeps it.
+
+        With every coordinate observed one step holds every transition of
+        every problem; otherwise step i holds transition i of every
+        (problem, dataset) pair that has one."""
+        if self.kept is not None and self.kept[0] == fits:
+            return self.kept[1], True
+        lengths = [[len(rows[1]) for rows in self.fits[f][0]] for f in fits]
+        if self.uno:
+            steps = [
+                [(p, d, i, i + 1) for p, ns in enumerate(lengths) for d, n in enumerate(ns) if i < n]
+                for i in range(max(n for ns in lengths for n in ns))
+            ]
+        else:
+            steps = [[(p, d, 0, n) for p, ns in enumerate(lengths) for d, n in enumerate(ns)]]
+        keep = len(set(fits)) == len(fits)
+        plan = [(step, self.calls(step, keep)) for step in steps]
+        if keep:
+            self.kept = (fits, plan)
+        return plan, keep
+
+    def inputs(self, fits, blocks):
+        """The inputs of a kernel call over blocks (problem, dataset,
+        first, stop), problem p being of the fit fits[p]: its draws (u, z,
+        z_end, z_dens), its layout, and its start states with the observed
+        coordinates set. Draws and start states are read-only; a whole
+        dataset's block alone reads the inputs that add built."""
+        if len(blocks) == 1:
+            [(p, d, lo, hi)] = blocks
+            rows, _, whole = self.fits[fits[p]]
+            if whole and lo == 0 and hi == len(rows[d][0]):
+                return whole[d]
+            return self._build([a[lo:hi] for a in rows[d]])
+        parts = [[a[lo:hi] for a in self.fits[fits[p]][0][d]] for p, d, lo, hi in blocks]
+        rows = [np.concatenate(col) for col in zip(*parts)]
+        for a in rows:
+            a.flags.writeable = False
+        return self._build(rows)
+
+    def _build(self, rows):
+        """Draws, layout and start states of a call over the rows."""
+        prev, y, t0, dt, *draws = rows
+        starts = np.empty((len(prev), self.n_paths, self.model.dim))
+        starts[..., self.c.o] = prev[:, None, :]
+        starts.flags.writeable = False
+        return draws, _Layout.of(t0, dt / self.substeps, y, draws[1], self.c), starts
 
 
-def _propose(model, problems, n_paths, rows, clouds, blocks):
-    """One kernel call over the blocks (fit, dataset, first, stop) of a step.
+class _Call:
+    """A kernel call of a plan: its blocks (problem, dataset, first, stop),
+    and its inputs once a kept plan has built them."""
 
-    problems are _likelihoods' (theta, sampler, datasets, seed), rows its
-    _Rows, from which the call reads its rows, and clouds its particle
-    clouds per (fit, dataset). The kernel keeps only the current substep
-    and hands back endpoints and log-densities. Returns, per block,
-    (block, outcome): the error that stopped it, or the arrays (log_phat,
-    cv, ess, endpoints, weights) of its rows, where a row whose weights
-    all vanished has a NaN log_phat. A call that fails is run again fit
-    by fit, and a fit's block that fails row by row, so that a failure
-    stays with its fit and its transition. A DomainError stops the whole
-    fit: only the fit's first block reports it.
+    __slots__ = ("blocks", "inputs")
+
+    def __init__(self, blocks):
+        self.blocks, self.inputs = blocks, None
+
+
+def _propose(group: _Problem, fits, params, clouds, blocks, inputs=None):
+    """One kernel call over the blocks (problem, dataset, first, stop) of a step.
+
+    group is the run's prepared problem, fits[p] the fit of problem p and
+    params[p] its (theta, sampler), clouds the run's particle clouds per
+    (problem, dataset), and inputs the call's inputs where its plan keeps
+    them (_Problem.inputs builds them otherwise). The kernel keeps only
+    the current substep and hands back endpoints and log-densities.
+    Returns, per block, (block, outcome): the error that stopped it, or
+    the arrays (log_phat, cv, ess, endpoints, weights) of its rows, where
+    a row whose weights all vanished has a NaN log_phat. A call that
+    fails is run again problem by problem, and a problem's block that
+    fails row by row, so that a failure stays with its problem and its
+    transition. A DomainError stops the whole problem: only its first
+    block reports it.
     """
-    (*_, u, z, z_end, z_dens), g, starts = rows.stack(blocks)
-    uno = list(model.unobserved)
+    draws, g, starts = group.inputs(fits, blocks) if inputs is None else inputs
+    uno = group.uno
     if uno:  # partially observed blocks hold one transition each
         starts = starts.copy()
-        for r, (f, d, _, _) in enumerate(blocks):
-            starts[r][:, uno] = clouds[f, d]._pick(u[r])
-    fits = list(dict.fromkeys(f for f, *_ in blocks))
-    theta, sampler = _row_params(problems, blocks) if len(fits) > 1 else problems[fits[0]][:2]
+        u = draws[0]
+        for r, (p, d, _, _) in enumerate(blocks):
+            starts[r][:, uno] = clouds[p, d]._pick(u[r])
+    problems = list(dict.fromkeys(p for p, *_ in blocks))
+    theta, sampler = _row_params(params, blocks) if len(problems) > 1 else params[problems[0]]
     try:
-        # rows after a failing one still run in the call; keep them quiet
-        with np.errstate(all="ignore"):
-            ends, log_t, log_p = _transition_ends(model, theta, starts, sampler,
-                                                  (z, z_end, z_dens), g)
-            log_phat, cv, ess, w = _weight_stats(log_t - log_p, n_paths)
+        ends, log_t, log_p = _transition_ends(group.model, theta, starts, sampler, draws[1:], g)
+        log_phat, cv, ess, w = _weight_stats(log_t - log_p, group.n_paths)
     except (NumericalError, DomainError) as exc:
-        if len(fits) > 1:
+        if len(problems) > 1:
             return [
                 out
-                for f in fits
-                for out in _propose(model, problems, n_paths, rows, clouds,
-                                    [b for b in blocks if b[0] == f])
+                for p in problems
+                for out in _propose(group, fits, params, clouds, [b for b in blocks if b[0] == p])
             ]
         if len(starts) == 1 or isinstance(exc, DomainError):
             return [(blocks[0], exc)]
         # rerun one at a time to find the failing rows
         return [
             out
-            for f, d, lo, hi in blocks
+            for p, d, lo, hi in blocks
             for i in range(lo, hi)
-            for out in _propose(model, problems, n_paths, rows, clouds, [(f, d, i, i + 1)])
+            for out in _propose(group, fits, params, clouds, [(p, d, i, i + 1)])
         ]
+    if len(blocks) == 1:
+        return [(blocks[0], (log_phat, cv, ess, ends, w))]
     out, lo = [], 0
     for b in blocks:
         hi = lo + b[3] - b[2]
@@ -435,101 +499,92 @@ def _propose(model, problems, n_paths, rows, clouds, blocks):
     return out
 
 
-def _likelihoods(model, problems, n_paths: int, substeps: int, on_failure: str,
-                 rows: _Rows | None = None) -> list:
-    """log_likelihood of independent problems, (theta, sampler, datasets,
-    seed) each, in lockstep; every sampler is of one family.
+def _likelihoods(group: _Problem, problems, on_failure: str) -> list:
+    """log_likelihood of independent problems of a prepared group, in
+    lockstep: a problem is (fit, theta, rho), with fit an index that
+    group.add gave and rho None for a family without one.
 
     The (dataset, transition) schedule of log_likelihood gains an outer
-    problem axis: with every coordinate observed one kernel call holds
-    every transition of every problem, otherwise step i holds transition
-    i of every (problem, dataset) pair still running. Returns per problem
-    its LikelihoodResult, or the exception that stopped it: the
-    DomainError it raised, or under on_failure "raise" its
-    TransitionFailure. A problem's outcome never depends on the others.
-    rows is the _Rows of the lockstep group whose run this is; without
-    one, the run builds its rows for itself.
+    problem axis (_Problem.plan). Returns per problem its
+    LikelihoodResult, or the exception that stopped it: the DomainError
+    it raised, or under on_failure "raise" its TransitionFailure. A
+    problem's outcome never depends on the others.
     """
-    if on_failure not in ("raise", "neginf"):
-        raise DomainError("on_failure must be 'raise' or 'neginf'")
-    validate_model(model)
-    uno = list(model.unobserved)
+    model = group.model
     out = [None] * len(problems)
     live = []
-    for f, (theta, sampler, datasets, seed) in enumerate(problems):
+    for j, (f, theta, rho) in enumerate(problems):
         try:
             theta = model.validate_theta(theta)
-            data = _model_datasets(model, datasets)
+            if rho is not None and not 0.0 < rho <= 1.0:
+                SamplerSpec(group.kind, rho)  # the family's own range check
         except DomainError as exc:
-            out[f] = exc
+            out[j] = exc
             continue
-        live.append((f, (theta, sampler, data, seed), (datasets, data, seed)))
+        live.append((j, f, (theta, _RowRho(group.kind, rho))))
     if not live:
         return out
-    index, problems, fits = zip(*live)  # from here on, f counts valid problems only
-    rows = _Rows() if rows is None else rows
-    rows.begin(model, n_paths, substeps, fits)
-    clouds = {}
-    if uno:
-        for f, (_, _, data, _) in enumerate(problems):
-            for d, ds in enumerate(data):
-                clouds[f, d] = ParticleCloud.point_mass(ds.x0[uno])
-        steps = [
-            [(f, d, i, i + 1) for f, p in enumerate(problems) for d, ds in enumerate(p[2]) if i < ds.n]
-            for i in range(max(ds.n for p in problems for ds in p[2]))
-        ]
-    else:
-        steps = [[(f, d, 0, ds.n) for f, p in enumerate(problems) for d, ds in enumerate(p[2])]]
-    segments = [[[] for _ in p[2]] for p in problems]
+    index, fits, params = zip(*live)  # from here on, p counts valid problems only
+    plan, keep = group.plan(fits)
+    clouds = {(p, d): cloud for p, f in enumerate(fits) for d, cloud in enumerate(group.fits[f][1])
+              } if group.uno else None
+    segments = [[[] for _ in group.fits[f][0]] for f in fits]
     # per problem, (dataset, transition, error) first in dataset-major order;
     # a DomainError is filed under dataset -1, which stops every dataset
-    failed = [None] * len(problems)
-    for step in steps:
-        blocks = [b for b in step if failed[b[0]] is None or b[1] < failed[b[0]][0]]
-        if not blocks:
-            break
-        cut = set()  # problems whose failure this step makes the rest of it moot
-        for (f, d, lo, hi), res in (
-            outcome
-            for call in _calls(blocks, _CALL_BYTES // ((substeps + 1) * n_paths * model.dim * 8))
-            for outcome in _propose(model, problems, n_paths, rows, clouds, call)
-        ):
-            # a DomainError anywhere in the step stops its problem, as if raised
-            if isinstance(res, DomainError) and (failed[f] is None or failed[f][0] >= 0):
-                failed[f] = (-1, lo, res)
-                cut.add(f)
-            if f in cut:
-                continue
-            if isinstance(res, Exception):
-                failed[f] = (d, lo, res)
-                cut.add(f)
-                continue
-            log_phat, cv, ess, ends, w = res
-            vanished = np.isnan(log_phat)
-            if vanished.any():
-                stop = int(vanished.argmax())
-                failed[f] = (d, lo + stop, TransitionFailure("all importance weights vanished"))
-                cut.add(f)
-                log_phat, cv, ess = log_phat[:stop], cv[:stop], ess[:stop]
-            elif uno:
-                clouds[f, d] = ParticleCloud(ends[0][:, uno], w[0] / w[0].sum())
-            segments[f][d].append(_Segment(d, lo, log_phat, cv, ess))
-    for f, fail, sg in zip(index, failed, segments):
+    failed = [None] * len(fits)
+    any_failed = False
+    # rows after a failing one still run in a call; keep them quiet
+    with np.errstate(all="ignore"):
+        for step, calls in plan:
+            if any_failed:
+                blocks = [b for b in step if failed[b[0]] is None or b[1] < failed[b[0]][0]]
+                if not blocks:
+                    break
+                if blocks != step:
+                    calls = group.calls(blocks, keep)
+            cut = set()  # problems whose failure this step makes the rest of it moot
+            for call in calls:
+                if keep and call.inputs is None:
+                    call.inputs = group.inputs(fits, call.blocks)
+                for (p, d, lo, hi), res in _propose(group, fits, params, clouds, call.blocks,
+                                                    call.inputs):
+                    # a DomainError anywhere in the step stops its problem, as if raised
+                    if isinstance(res, DomainError) and (failed[p] is None or failed[p][0] >= 0):
+                        failed[p] = (-1, lo, res)
+                        cut.add(p)
+                    if p in cut:
+                        continue
+                    if isinstance(res, Exception):
+                        failed[p] = (d, lo, res)
+                        cut.add(p)
+                        continue
+                    log_phat, cv, ess, ends, w = res
+                    vanished = np.isnan(log_phat)
+                    if vanished.any():
+                        stop = int(vanished.argmax())
+                        failed[p] = (d, lo + stop, TransitionFailure("all importance weights vanished"))
+                        cut.add(p)
+                        log_phat, cv, ess = log_phat[:stop], cv[:stop], ess[:stop]
+                    elif group.uno:
+                        clouds[p, d] = ParticleCloud(ends[0][:, group.uno], w[0] / w[0].sum())
+                    segments[p][d].append(_Segment(d, lo, log_phat, cv, ess))
+            any_failed = any_failed or bool(cut)
+    for j, fail, sg in zip(index, failed, segments):
         if fail is None:
-            out[f] = LikelihoodResult([g for d in sg for g in d])
+            out[j] = LikelihoodResult([g for d in sg for g in d])
             continue
         d_idx, i, cause = fail
         if d_idx < 0:
-            out[f] = cause
+            out[j] = cause
         elif on_failure == "raise":
-            out[f] = TransitionFailure(
+            out[j] = TransitionFailure(
                 f"transition {i} of dataset {d_idx} failed: {cause}",
                 dataset_index=d_idx,
                 index=i,
             )
-            out[f].__cause__ = cause
+            out[j].__cause__ = cause
         else:
-            out[f] = LikelihoodResult([g for d in sg[: d_idx + 1] for g in d], failed=True)
+            out[j] = LikelihoodResult([g for d in sg[: d_idx + 1] for g in d], failed=True)
     return out
 
 
@@ -556,9 +611,14 @@ def log_likelihood(
     running. on_failure selects between raising a TransitionFailure for
     the first failing transition in dataset-major order and returning
     -inf with the diagnostics of the transitions before it; a failure
-    stops its own dataset and the ones after it.
+    stops its own dataset and the ones after it. Each call prepares its
+    problem (_Problem) afresh; a call of one block reads the cached draws
+    as they are.
     """
-    [res] = _likelihoods(model, [(theta, sampler, datasets, seed)], n_paths, substeps, on_failure)
+    if on_failure not in ("raise", "neginf"):
+        raise DomainError("on_failure must be 'raise' or 'neginf'")
+    group = _Problem(model, n_paths, substeps, sampler.kind)
+    [res] = _likelihoods(group, [(group.add(datasets, seed), theta, sampler.rho)], on_failure)
     if isinstance(res, Exception):
         raise res
     return res

@@ -23,8 +23,9 @@ from .core import (
     UNIT_INTERVAL,
     DomainError,
     SdeModel,
+    _whole,
 )
-from .likelihood import PenaltyConfig, _likelihoods, _model_datasets, _objective, _Rows
+from .likelihood import PenaltyConfig, _likelihoods, _objective, _Problem
 
 # Clip for transformed coordinates; exp of the bound stays finite.
 _Z_CLIP = 700.0
@@ -45,6 +46,7 @@ class OptimizerConfig:
     simplex_step: float = 0.1
 
     def __post_init__(self):
+        object.__setattr__(self, "max_evals", _whole(self.max_evals, "max_evals"))
         if self.f_tol < 0:
             raise DomainError("f_tol must be >= 0")
         if self.simplex_step <= 0:
@@ -97,18 +99,18 @@ def untransform(z, constraints: Sequence[str]) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape != (len(constraints),):
         raise DomainError("z and constraints must align")
-    out = np.empty_like(z)
-    for i, kind in enumerate(constraints):
-        v = min(max(float(z[i]), -_Z_CLIP), _Z_CLIP)  # np.clip's value, without its overhead
+    out = []
+    for zi, kind in zip(z.tolist(), constraints):
+        v = min(max(zi, -_Z_CLIP), _Z_CLIP)  # np.clip's value, without its overhead
         if kind == FREE:
-            out[i] = z[i]
+            out.append(zi)
         elif kind == POSITIVE:
-            out[i] = math.exp(v)
+            out.append(math.exp(v))
         elif kind == UNIT_INTERVAL:
-            out[i] = min(1.0 / (1.0 + math.exp(-v)), _UNIT_CEIL)
+            out.append(min(1.0 / (1.0 + math.exp(-v)), _UNIT_CEIL))
         else:
             raise DomainError(f"unknown constraint kind {kind!r}")
-    return out
+    return np.array(out, dtype=float)
 
 
 def _simplex(x0, config: OptimizerConfig):
@@ -144,7 +146,7 @@ def _simplex(x0, config: OptimizerConfig):
 
     converged = False
     while True:
-        order = np.argsort(values, kind="stable")
+        order = sorted(range(len(values)), key=values.__getitem__)  # stable
         simplex = [simplex[j] for j in order]
         values = [values[j] for j in order]
         spread = values[-1] - values[0]
@@ -153,7 +155,7 @@ def _simplex(x0, config: OptimizerConfig):
             break
         if evals + 1 > config.max_evals:
             break
-        centroid = np.mean(simplex[:-1], axis=0)
+        centroid = np.add.reduce(simplex[:-1], axis=0) / d  # np.mean's steps
         reflected = centroid + (centroid - simplex[-1])
         [f_r] = yield from ask([reflected])
         if f_r < values[0]:
@@ -221,19 +223,22 @@ class PsmlFit:
 
 class _Fit:
     """One fit's side of a _maximize_group search: its start z0 in the
-    search space, the map from search points to (theta, rho), the best
-    evaluation so far and the PsmlFit.
+    search space, the map from search points to (theta, rho), its index
+    in the group's prepared problem, the best evaluation so far and the
+    PsmlFit.
 
     The best evaluation is kept as (z, value, result), so that the fit
     needs no extra run for its diagnostics. Of equal values the first is
     kept, as the simplex keeps it; should the simplex still end on
-    another point, that point is evaluated again.
+    another point, that point is evaluated again. A fixed rho that the
+    family refuses is refused once, here: every point of the fit then
+    reads as its DomainError (refused), as the first one ends the search.
     """
 
     def __init__(self, model, datasets, config, theta_init, rho_init, optimizer, seed,
-                 estimate_rho):
+                 estimate_rho, group: _Problem):
         theta_init = model.validate_theta(theta_init)
-        _model_datasets(model, datasets)
+        self.index = group.add(datasets, seed)
         cons = model.param_constraints
         has_rho = config.sampler.has_rho
         if estimate_rho is None:
@@ -246,11 +251,17 @@ class _Fit:
                 raise DomainError("rho_init required for a rho-bearing sampler")
         else:
             rho0 = None
+        self.refused = None
         x0 = theta_init
         if estimate_rho:
             cons = (*cons, UNIT_INTERVAL)
             x0 = np.append(x0, min(max(rho0, 1e-8), 1.0 - 1e-8))
-        self.model, self.datasets, self.config, self.seed = model, datasets, config, seed
+        else:
+            try:
+                config.sampler.with_rho(rho0)
+            except DomainError as exc:
+                self.refused = exc
+        self.group, self.config = group, config
         self.z0, self.cons, self.rho0 = transform(x0, cons), cons, rho0
         self.p, self.estimate_rho = len(model.param_constraints), estimate_rho
         self.best = None
@@ -275,7 +286,7 @@ class _Fit:
         if np.array_equal(self.best[0], res.x):
             _, value, lik = self.best
         else:
-            [outcome] = _evaluate(self.model, self.config, [(self, res.x)])
+            [outcome] = _evaluate(self.group, self.config.lam, [(self, res.x)])
             if isinstance(outcome, DomainError):
                 raise outcome
             value, lik = outcome
@@ -319,24 +330,14 @@ def maximize_psml(
     return fit
 
 
-def _evaluate(model, config: PenaltyConfig, points, rows: _Rows | None = None) -> list:
-    """Outcomes, as _Fit.tell takes them, of the points (fit, z) of
-    several fits, from one lockstep likelihood run; rows is the _Rows of
-    the fits' group, if any."""
-    outcomes = [None] * len(points)
-    problems, slots = [], []
-    for j, (fit, z) in enumerate(points):
-        theta, rho = fit.split(z)
-        try:
-            sampler = config.sampler if rho is None else config.sampler.with_rho(rho)
-        except DomainError as exc:
-            outcomes[j] = exc
-            continue
-        problems.append((theta, sampler, fit.datasets, fit.seed))
-        slots.append(j)
-    results = _likelihoods(model, problems, config.n_paths, config.substeps, "neginf", rows)
-    for j, res in zip(slots, results):
-        outcomes[j] = res if isinstance(res, DomainError) else (_objective(res, config.lam), res)
+def _evaluate(group: _Problem, lam: float, points) -> list:
+    """Outcomes, as _Fit.tell takes them, of the points (fit, z) of fits
+    of one group, from one lockstep likelihood run, at penalty weight lam."""
+    outcomes = [fit.refused for fit, _ in points]
+    slots = [j for j, out in enumerate(outcomes) if out is None]
+    problems = [(fit.index, *fit.split(z)) for fit, z in (points[j] for j in slots)]
+    for j, res in zip(slots, _likelihoods(group, problems, "neginf")):
+        outcomes[j] = res if isinstance(res, DomainError) else (_objective(res, lam), res)
     return outcomes
 
 
@@ -347,24 +348,27 @@ def _maximize_group(model, fits, config: PenaltyConfig,
     each, that share the model, the penalty configuration and the
     optimizer, run in lockstep.
 
-    Each round evaluates every point that the running fits ask for in one
-    likelihood run, whose kernel calls hold the transitions of all of
-    them. The group's _Rows holds the fits' rows, built once, and the
-    buffers that the kernel calls stack them into, so that a steady round
-    allocates no stacked draws. Returns
-    per fit its PsmlFit, or the EstimationError that ended it. A fit's
-    result is the same, bit for bit, whichever fits share its group, and
-    equals that of a search that evaluates its points one at a time.
+    The group prepares its problem once (likelihood._Problem): the model
+    and every fit's datasets are checked, and each fit's rows and draws
+    built, before the first round, and a round that asks for one point
+    per running fit, as every round after the start simplex does save a
+    shrink, runs the schedule and kernel inputs of the last such round
+    as they are. Each round evaluates every point that the running fits
+    ask for in one likelihood run, whose kernel calls hold the
+    transitions of all of them. Returns per fit its PsmlFit, or the
+    EstimationError that ended it. A fit's result is the same, bit for
+    bit, whichever fits share its group, and equals that of a search
+    that evaluates its points one at a time.
     """
-    fits = [_Fit(model, data, config, theta, rho, optimizer, seed, estimate_rho)
+    group = _Problem(model, config.n_paths, config.substeps, config.sampler.kind)
+    fits = [_Fit(model, data, config, theta, rho, optimizer, seed, estimate_rho, group)
             for data, theta, rho, seed in fits]
     out = [None] * len(fits)
     searches = [_simplex(fit.z0, optimizer) for fit in fits]
     asks = {i: next(search) for i, search in enumerate(searches)}
-    rows = _Rows()
     while asks:
         points = [(i, z) for i, zs in asks.items() for z in zs]
-        outcomes = _evaluate(model, config, [(fits[i], z) for i, z in points], rows)
+        outcomes = _evaluate(group, config.lam, [(fits[i], z) for i, z in points])
         values = {i: [] for i in asks}
         for (i, z), outcome in zip(points, outcomes):
             values[i].append(fits[i].tell(z, outcome))

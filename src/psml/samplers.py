@@ -15,8 +15,8 @@ float start states (n, J, k), the draws (z, z_end, z_dens) and the
 call's _Layout, which holds what the substeps share that neither theta
 nor rho touches. Outside input enters through propose_transition, which
 checks it, turns a Generator into draws and builds the layout; the
-likelihood builds all three from datasets that it has checked
-(likelihood._Rows).
+likelihood builds all three, once per fit or per kept call, from
+datasets that it has checked (likelihood._Problem).
 
 Before its substep loop, a call computes everything that depends
 neither on the path states nor on the loop's outcome. With constant
@@ -143,8 +143,12 @@ class SubPathBatch:
 
 
 class _RowRho(NamedTuple):
-    """The sampler of a batch whose transitions come from several fits:
-    one family, and rho as an (n,) array, one value per transition."""
+    """The sampler of a kernel call, as the likelihood hands it over: one
+    family, and rho as a float, as an (n,) array of one value per
+    transition when the call's transitions come from several fits, or
+    None for a family without one. Its rho is trusted: it comes from a
+    SamplerSpec, or from a search coordinate that stays inside the
+    family's range."""
 
     kind: str
     rho: np.ndarray
@@ -172,15 +176,16 @@ def _mix(spec: SamplerSpec, m: int, substeps: int) -> tuple[float, float]:
     return 1.0, spec.rho if spec.kind == "aux-mbb" else 1.0
 
 
-def _factor_ratios(spec: SamplerSpec, substeps: int) -> np.ndarray:
+def _factor_ratios(spec: SamplerSpec, g: "_Layout") -> np.ndarray:
     """Ratio of the proposal factor to the Euler one at every intermediate
     substep of a fully observed model, where the bridge covariance is
     (r - 1)/r times the Euler one with r substeps left: the root of
     (1 - w) + w s (r - 1)/r, shaped (substeps - 1, n, 1, 1, 1) to scale
-    (n, J, k, k) factors, with n = 1 unless rho is per transition."""
-    r = np.arange(substeps, 1, -1.0)[:, None]
-    w, s = _mix(spec, substeps - r, substeps)
-    return np.sqrt((1.0 - w) + w * s * ((r - 1) / r))[..., None, None, None]
+    (n, J, k, k) factors, with n = 1 unless rho is per transition. The r
+    grid and (r - 1)/r come with the call's layout g."""
+    substeps = len(g.times)
+    w, s = _mix(spec, substeps - g.r, substeps)
+    return np.sqrt((1.0 - w) + w * s * g.r_frac)[..., None, None, None]
 
 
 def _convex(w, s, a, b):
@@ -294,9 +299,14 @@ class _Layout(NamedTuple):
     dl (n, J, k), its observed coordinates dl_o and the observation y
     (n, J, n_observed) laid out contiguously over the paths, since an
     (n, 1, 1) constant broadcast over (n, J, k) costs several times a
-    contiguous operation at these sizes. A lockstep group builds a
-    call's layout once and hands it to every call over the same rows
-    (likelihood._Rows).
+    contiguous operation at these sizes. r is the number of substeps
+    left at each intermediate substep, substeps down to 2, as
+    (substeps - 1, 1), and r_frac (r - 1)/r, for _factor_ratios; zt is
+    the intermediate draws substep-major, (substeps - 1, n, J, 1), for
+    the elementwise moves of a one-coordinate model, and None for a wider
+    one; c is the model's coordinates. A lockstep group builds a call's
+    layout once and hands it to every call over the same rows
+    (likelihood._Problem).
     """
 
     delta: np.ndarray
@@ -304,14 +314,24 @@ class _Layout(NamedTuple):
     dl: np.ndarray
     dl_o: np.ndarray
     y: np.ndarray
+    r: np.ndarray
+    r_frac: np.ndarray
+    zt: np.ndarray | None
+    c: _Coords
 
     @classmethod
-    def of(cls, t_start, delta, y_obs, n_paths: int, k: int, substeps: int, c: "_Coords"):
-        n = len(delta)
+    def of(cls, t_start, delta, y_obs, z, c: _Coords):
+        """The layout of transitions starting at t_start, with substep
+        length delta and observation y_obs, whose intermediate draws z
+        are (n, substeps - 1, J, k)."""
+        n, steps, n_paths, k = z.shape
+        substeps = steps + 1
         dl = np.repeat(delta, n_paths * k).reshape(n, n_paths, k)
         y = np.repeat(y_obs, n_paths, axis=0).reshape(n, n_paths, -1)
         times = t_start + np.arange(substeps)[:, None] * delta
-        return cls(delta, times, dl, dl[..., c.o], y)
+        r = np.arange(substeps, 1, -1.0)[:, None]
+        zt = np.ascontiguousarray(np.swapaxes(z, 0, 1)) if k == 1 else None
+        return cls(delta, times, dl, dl[..., c.o], y, r, (r - 1) / r, zt, c)
 
 
 def _bridge_moments(f, outer, x, c: _Coords, r: int, g: _Layout):
@@ -471,7 +491,7 @@ def propose_transition(
     if (z.shape != (n, substeps - 1, n_paths, k) or z_end.shape != (n, n_paths, c.n_uno)
             or z_dens.shape != z.shape[:-1]):
         raise DomainError("draws do not match the transitions")
-    g = _Layout.of(t_start, dt / substeps, y_obs, n_paths, k, substeps, c)
+    g = _Layout.of(t_start, dt / substeps, y_obs, z, c)
     states = []
     _, log_t, log_p = _transition_ends(model, theta, starts, spec, (z, z_end, z_dens), g, states)
     states = np.stack(states)
@@ -490,11 +510,11 @@ def _transition_ends(model: SdeModel, theta, starts: np.ndarray, spec: SamplerSp
     the states of every substep in turn, starts first.
     """
     n, n_paths, k = starts.shape
-    c = _Coords.of(model)
+    c = g.c
     z, z_end, z_dens = draws
     times = g.times  # (substeps, n)
     substeps = len(times)
-    ratios = None if c.n_uno else _factor_ratios(spec, substeps)
+    ratios = None if c.n_uno else _factor_ratios(spec, g)
     shared = c.n_uno == 0 and model.constant_diffusion
     if shared:
         # One Euler factor L_e per transition, (n, 1, k, k), serves every
@@ -514,14 +534,13 @@ def _transition_ends(model: SdeModel, theta, starts: np.ndarray, spec: SamplerSp
         logdet_qs = _logdet(chol_q)  # (substeps - 1, n, 1)
         q_t = np.swapaxes(chol_q[:, :, 0], -1, -2)
         if k == 1:
-            # Scalar factors, laid out over the paths and applied
-            # elementwise: batched matmul adds the same product to a 0.0
-            # accumulator, in several times the time, and the inverse
-            # is a reciprocal. The moves of every substep,
+            # Scalar factors, applied elementwise to the layout's
+            # substep-major draws: batched matmul adds the same product to
+            # a 0.0 accumulator, in several times the time, and the
+            # inverse is a reciprocal. The moves of every substep,
             # (substeps - 1, n, J, 1), are made at once.
             inv_t = np.repeat(1.0 / chol_e[:, 0], n_paths, axis=1)
-            moves = np.repeat(q_t, n_paths, axis=2)
-            moves *= np.swapaxes(z, 0, 1)
+            moves = q_t * g.zt
             moves += 0.0
         else:
             # factors transposed for v @ L^T, (n, J, k) by (n, k, k) in one
@@ -537,6 +556,7 @@ def _transition_ends(model: SdeModel, theta, starts: np.ndarray, spec: SamplerSp
         out -= logdet_e
         return out
 
+    pedersen = spec.kind == "pedersen"
     log_t = np.zeros((n, n_paths))
     log_p = np.zeros((n, n_paths))
     x = starts
@@ -546,21 +566,35 @@ def _transition_ends(model: SdeModel, theta, starts: np.ndarray, spec: SamplerSp
         mean_e, q_mean, chol_m, chol_q, logdet_m, logdet_q = _kernel(
             model, theta, x, times[m, :, None], m, substeps, spec, c, g, not shared, ratios
         )
-        if shared:
-            x = q_mean + (moves[m] if k == 1 else z[:, m] @ q_t[m])
-            logdet_q = logdet_qs[m]
-        else:
+        if not shared:
             x = q_mean + chol_mul(chol_q, z[:, m])
-        dens = z_dens[:, m] - logdet_q
-        log_p += dens
-        if spec.kind == "pedersen":
-            log_t += dens
-        elif shared:
-            log_t += shared_log_target(x - mean_e)
+            dens = z_dens[:, m] - logdet_q
+            log_p += dens
+            log_t += dens if pedersen else _factor_logpdf(x - mean_e, chol_m, logdet_m)
+        elif k == 1:
+            x = q_mean + moves[m]
+            if not pedersen:
+                # the spent move's slot keeps the whitened residual
+                np.multiply(x - mean_e, inv_t, out=moves[m])
         else:
-            log_t += _factor_logpdf(x - mean_e, chol_m, logdet_m)
+            x = q_mean + z[:, m] @ q_t[m]
+            if not pedersen:
+                log_t += shared_log_target(x - mean_e)
         if states is not None:
             states.append(x)
+    if shared:
+        # Every substep's proposal density, and for k = 1 its target
+        # density, summed over the substeps in order: a reduction over the
+        # leading axis adds one substep's row at a time, as the loop would.
+        log_p = np.add.reduce(np.swapaxes(z_dens, 0, 1) - logdet_qs, axis=0)
+        if pedersen:
+            log_t = log_p.copy()
+        elif k == 1:
+            sq = moves[..., 0] * moves[..., 0]
+            sq += _LOG_2PI
+            sq *= -0.5
+            sq -= logdet_e
+            log_t = np.add.reduce(sq, axis=0)
     # endpoint substep: pin observed coordinates, draw the unobserved rest
     _, mean_e, _, cov_e = _euler(model, theta, x, times[-1, :, None], g.dl, not shared)
     end = np.empty_like(x)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -20,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (_SHAPE_ERRORS, DomainError, NumericalError, TimeGrid, _shape_error, derive_seed,
-                   rng_stream, simulate_dataset)
+from .core import (_SHAPE_ERRORS, DomainError, NumericalError, TimeGrid, _shape_error, _whole,
+                   derive_seed, rng_stream, simulate_dataset)
 from .likelihood import PenaltyConfig, TransitionFailure
 from .models import make_model, ou_exact_mle
 from .optimize import EstimationError, OptimizerConfig, maximize_psml
@@ -34,17 +35,6 @@ _TAG_FIT = 11
 
 _TUNE = "tune"
 _EST = "est"
-
-
-def _whole(value, name: str) -> int:
-    """A count or seed read from a file: a whole number, 8 or 8.0, as an
-    int; anything else (2.5, "8", true, null) is a DomainError naming the
-    field."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise DomainError(f"{name} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -91,6 +81,10 @@ class MethodSpec:
     rho_init: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise DomainError(f"method name must be a string, got {self.name!r}")
+        for key in ("n_paths", "substeps"):
+            object.__setattr__(self, key, _whole(getattr(self, key), key))
         if self.kind == "exact-mle":
             if (self.rho, self.rho_init) != (None, None) or self.lam not in (0.0, 0):
                 raise DomainError("exact-mle takes no sampler options")
@@ -105,6 +99,8 @@ class MethodSpec:
             raise DomainError(f"lam must be a number or {_TUNE!r}")
         if not isinstance(self.lam, str) and not self.lam >= 0:
             raise DomainError("lam must be >= 0")
+        if not isinstance(self.lam, str) and not math.isfinite(self.lam):
+            raise DomainError("lam must be finite")
         if isinstance(self.rho, str) and self.rho != _EST:
             raise DomainError(f"rho must be a number, {_EST!r}, or None")
         if self.estimates_rho and self.kind not in _RHO_KINDS:
@@ -141,8 +137,7 @@ class MethodSpec:
         extra = set(payload) - known
         if extra:
             raise DomainError(f"unknown method keys {sorted(extra)}")
-        counts = {key: _whole(payload[key], key) for key in ("n_paths", "substeps") if key in payload}
-        return cls(**{**payload, **counts})
+        return cls(**payload)
 
 
 @dataclass(frozen=True)

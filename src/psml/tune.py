@@ -319,7 +319,7 @@ def parametric_bootstrap(
 
     # A hook may close over this process's state, so it never leaves it.
     workers = 1 if estimate is not None else workers
-    # A group's _Rows holds its fits' draws from one evaluation to the next,
+    # A group's prepared problem (likelihood._Problem) holds its fits' draws,
     # so the draw cache's byte bound caps a group's draw memory.
     per_fit = sum(
         _draw_nbytes(t.n, n_paths, substeps, model.dim, len(model.unobserved)) for t in templates

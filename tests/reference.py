@@ -6,7 +6,8 @@ transition law, one Euler-Maruyama substep and a path of them, per-path
 importance weights, the weight coefficient of variation and the
 effective sample size, a fit whose simplex evaluates its points one at
 a time, and a lockstep likelihood run whose results are taken
-transition by transition. The last few are earlier forms of library
+transition by transition, beside an adapter (Lockstep) that runs
+lockstep problems given as log_likelihood takes them. The last few are earlier forms of library
 code kept as oracles: replicate paths stepped one euler_step per
 substep, the Gaussian density through an LU solve with the factor, the
 model drifts built by np.stack, the epidemic covariance with one sign
@@ -27,8 +28,8 @@ import numpy as np
 from psml.core import (DomainError, NumericalError, SdeModel, TimeGrid, _check_drift, _sym_check,
                        chol_spd, gauss_logpdf, validate_model)
 from psml.likelihood import (_CALL_BYTES, PenaltyConfig, ParticleCloud, TransitionDiag,
-                             TransitionFailure, _calls, _dataset_draws, _model_datasets,
-                             _row_params, penalized_log_likelihood)
+                             TransitionFailure, _calls, _dataset_draws, _likelihoods,
+                             _model_datasets, _Problem, _row_params, penalized_log_likelihood)
 from psml.samplers import propose_transition
 from psml.optimize import EstimationError, OptimizerConfig, PsmlFit, _Fit, nelder_mead
 from psml.samplers import SubPathBatch
@@ -219,7 +220,8 @@ def maximize_one_at_a_time(
 ) -> PsmlFit:
     """maximize_psml with the simplex driven by nelder_mead, each point
     sent to penalized_log_likelihood on its own, in the order asked."""
-    fit = _Fit(model, datasets, config, theta_init, rho_init, optimizer, seed, estimate_rho)
+    group = _Problem(model, config.n_paths, config.substeps, config.sampler.kind)
+    fit = _Fit(model, datasets, config, theta_init, rho_init, optimizer, seed, estimate_rho, group)
     evaluated = []
 
     def objective(z):
@@ -375,6 +377,31 @@ def likelihoods_by_transition(model, problems, n_paths: int, substeps: int, on_f
         else:
             out[f] = TransitionResult(-math.inf, cv_sum, diagnostics, True)
     return out
+
+
+class Lockstep:
+    """A lockstep group, psml.likelihood._Problem, whose runs take problems
+    as log_likelihood takes them, (theta, sampler, datasets, seed); each
+    distinct (datasets, seed) enters the group once, at its first run."""
+
+    def __init__(self, model, n_paths: int, substeps: int, kind: str):
+        self.group = _Problem(model, n_paths, substeps, kind)
+        self.fits = {}
+
+    def __call__(self, problems, on_failure: str) -> list:
+        runs = []
+        for theta, sampler, datasets, seed in problems:
+            key = (id(datasets), seed)
+            if key not in self.fits:
+                self.fits[key] = self.group.add(datasets, seed)
+            runs.append((self.fits[key], theta, sampler.rho))
+        return _likelihoods(self.group, runs, on_failure)
+
+
+def lockstep(model, problems, n_paths: int, substeps: int, on_failure: str) -> list:
+    """The problems (theta, sampler, datasets, seed) of one family in one
+    lockstep run of a fresh group."""
+    return Lockstep(model, n_paths, substeps, problems[0][1].kind)(problems, on_failure)
 
 
 def gauss_logpdf_solve(diff: np.ndarray, chol: np.ndarray) -> np.ndarray:

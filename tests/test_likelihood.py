@@ -27,7 +27,8 @@ from psml.likelihood import (
 from psml.models import CwdDirectModel, Lorenz63Model, OuModel, make_model, ou_exact_loglik
 from psml.optimize import maximize_psml
 from psml.samplers import SamplerSpec, _RowRho, _transition_ends, propose_transition
-from reference import effective_sample_size, gauss_logpdf_solve, importance_weight, weight_cv
+from reference import (Lockstep, effective_sample_size, gauss_logpdf_solve, importance_weight,
+                       lockstep, weight_cv)
 
 OU_THETA = np.array([0.0187, 0.2610, 0.0224])
 
@@ -322,13 +323,12 @@ def test_datasets_that_do_not_fit_the_model_are_rejected(monkeypatch, x0, observ
     model, theta = CwdDirectModel(), np.array([0.03, 0.2])
     with pytest.raises(DomainError, match=message):
         log_likelihood(model, theta, bad, 8, 4, SamplerSpec("mbb"), seed=0)
-    # in lockstep the bad problem fails alone
-    res = likelihood._likelihoods(
-        model, [(theta, SamplerSpec("mbb"), [good, bad], 0), (theta, SamplerSpec("mbb"), good, 0)],
-        8, 4, "neginf",
-    )
-    assert isinstance(res[0], DomainError) and message in str(res[0])
-    assert res[1].loglik == log_likelihood(model, theta, good, 8, 4, SamplerSpec("mbb"), seed=0).loglik
+    # a group refuses the fit where it enters, and its other fits run alone
+    group = likelihood._Problem(model, 8, 4, "mbb")
+    with pytest.raises(DomainError, match=message):
+        group.add([good, bad], 0)
+    [res] = likelihood._likelihoods(group, [(group.add(good, 0), theta, None)], "neginf")
+    assert res.loglik == log_likelihood(model, theta, good, 8, 4, SamplerSpec("mbb"), seed=0).loglik
     # a fit refuses the data before its first evaluation
     monkeypatch.setattr(optimize, "_likelihoods", None)
     cfg = PenaltyConfig(lam=0.0, n_paths=8, substeps=4, sampler=SamplerSpec("mbb"))
@@ -338,22 +338,18 @@ def test_datasets_that_do_not_fit_the_model_are_rejected(monkeypatch, x0, observ
         optimize._maximize_group(model, [([good], theta, None, 0), ([bad], theta, None, 1)], cfg)
 
 
-@pytest.mark.parametrize("t0, times", [(math.nan, None), (0.0, [0.25, math.nan, 0.75, 1.0])],
-                         ids=["t0", "times"])
+@pytest.mark.parametrize("t0, times", [
+    (math.nan, None), (0.0, [0.25, math.nan, 0.75, 1.0]),
+    (math.inf, None), (-math.inf, None), (0.0, [0.25, 0.5, 0.75, math.inf]),
+], ids=["t0", "times", "t0-inf", "t0-minus-inf", "times-inf"])
 def test_datasets_with_a_nan_time_are_rejected(t0, times):
-    # A NaN time passes Dataset's order check. The kernel trusts the
-    # interval lengths it gets, so the likelihood refuses such data, and in
-    # lockstep the bad problem fails alone.
+    # An order check is False for NaN, and an infinite time makes NaN
+    # substep times: Dataset refuses both where the data enters, so that
+    # every interval length that the kernel gets is positive and finite.
     good = cwd_dataset()
-    bad = Dataset(t0, good.x0, good.times if times is None else np.array(times), good.values,
-                  good.observed)
-    model, spec, theta = CwdDirectModel(), SamplerSpec("mbb"), np.array([0.03, 0.2])
     with pytest.raises(DomainError, match="dataset times must be finite"):
-        log_likelihood(model, theta, bad, 8, 4, spec, seed=0)
-    res = likelihood._likelihoods(model, [(theta, spec, bad, 0), (theta, spec, good, 0)], 8, 4,
-                                  "raise")
-    assert isinstance(res[0], DomainError)
-    assert res[1] == log_likelihood(model, theta, good, 8, 4, spec, seed=0)
+        Dataset(t0, good.x0, good.times if times is None else np.array(times), good.values,
+                good.observed)
 
 
 def test_failure_raise_records_position():
@@ -799,7 +795,7 @@ def test_lockstep_problems_equal_their_own_runs(on_failure, monkeypatch):
         return _transition_ends(*args)
 
     monkeypatch.setattr(likelihood, "_transition_ends", recorded)
-    group = likelihood._likelihoods(model, problems, 16, 6, on_failure)
+    group = lockstep(model, problems, 16, 6, on_failure)
     assert sizes == [11 + 6 + 11 + 5]  # one call: every transition of every valid problem
     for (theta, spec, data, seed), got in zip(problems, group):
         try:
@@ -826,7 +822,7 @@ def test_numerical_failure_reruns_only_its_fit(monkeypatch):
         return _transition_ends(*args)
 
     monkeypatch.setattr(likelihood, "_transition_ends", recorded)
-    group = likelihood._likelihoods(model, problems, 8, 1, "neginf")
+    group = lockstep(model, problems, 8, 1, "neginf")
     assert sizes == [11, 4, 3, 1, 1, 1, 4]
     assert group[1].failed and [d.index for d in group[1].diagnostics] == [0, 1]
     for (theta, _, data, seed), got in zip(problems, group):
@@ -843,7 +839,7 @@ def test_kernel_calls_split_at_the_byte_bound(name, monkeypatch):
     data = pin_data(model, theta, episodes)
     problems = [(np.array(theta) * s, SamplerSpec("aux-mbb", r), data, seed)
                 for s, r, seed in [(1.0, 0.8, 11), (1.05, 0.6, 12), (0.95, 0.9, 13)]]
-    whole = likelihood._likelihoods(model, problems, n_paths, substeps, "raise")
+    whole = lockstep(model, problems, n_paths, substeps, "raise")
     sizes = []
 
     def recorded(*args):
@@ -852,16 +848,16 @@ def test_kernel_calls_split_at_the_byte_bound(name, monkeypatch):
 
     monkeypatch.setattr(likelihood, "_transition_ends", recorded)
     monkeypatch.setattr(likelihood, "_CALL_BYTES", (substeps + 1) * n_paths * model.dim * 8)
-    split = likelihood._likelihoods(model, problems, n_paths, substeps, "raise")
+    split = lockstep(model, problems, n_paths, substeps, "raise")
     assert set(sizes) == {1} and len(sizes) == 3 * sum(ds.n for ds in data)
     assert [(r.loglik, r.diagnostics) for r in split] == [(r.loglik, r.diagnostics) for r in whole]
 
 
 def test_steady_lockstep_round_reuses_its_stacked_rows():
     # Two regularized Lorenz63 fits at the benchmark bootstrap's shapes
-    # (21 transitions each, J = 32, M = 10), run twice with a group's
-    # _Rows: the second round repeats the first one's call, so it stacks
-    # no rows and keeps no path states. It peaks at 0.53 MB by tracemalloc.
+    # (21 transitions each, J = 32, M = 10), run twice in one group: the
+    # second round repeats the first one's fits, so it stacks no rows and
+    # keeps no path states. It peaks at 0.53 MB by tracemalloc.
     # A round that stacked the draws afresh and kept every substep's states
     # and moves peaked at 1.65 MB, and each of the three alone adds more
     # than the 0.11 MB of headroom under the bound.
@@ -876,44 +872,43 @@ def test_steady_lockstep_round_reuses_its_stacked_rows():
     def problems(scale):
         return [(theta * scale, spec, data[0], 31), (theta / scale, spec, data[1], 32)]
 
-    rows = likelihood._Rows()
-    likelihood._likelihoods(model, problems(1.01), 32, 10, "neginf", rows)
+    run = Lockstep(model, 32, 10, spec.kind)
+    run(problems(1.01), "neginf")
     tracemalloc.start()
     try:
-        got = likelihood._likelihoods(model, problems(1.02), 32, 10, "neginf", rows)
+        got = run(problems(1.02), "neginf")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 640 << 10, peak
-    want = likelihood._likelihoods(model, problems(1.02), 32, 10, "neginf")
+    want = lockstep(model, problems(1.02), 32, 10, "neginf")
     assert [(r.loglik, r.diagnostics) for r in got] == [(r.loglik, r.diagnostics) for r in want]
 
 
 @pytest.mark.parametrize("name", ["lorenz63", "cwd-direct"])
 def test_group_rows_follow_their_fits_between_runs(name):
-    # A group's _Rows keys rows and stacks by fit, not by a problem's place
-    # in a run: runs that list the same fits in another order, or another
-    # fit of the same shape, read each fit's own rows.
+    # A group keeps rows and plans by fit, not by a problem's place in a
+    # run: runs that list the same fits in another order, or another fit
+    # of the same shape, read each fit's own rows.
     theta, episodes, n_paths, substeps = PIN_CASES[name]
     model = make_model(name)
     theta = np.array(theta)
     data = [pin_data(model, theta * s, episodes) for s in (1.0, 1.03, 0.97)]
     spec = SamplerSpec("aux-mbb", 0.8)
-    rows = likelihood._Rows()
+    run = Lockstep(model, n_paths, substeps, spec.kind)
     for order in [(0, 1), (1, 0), (2, 0), (2, 0), (0, 2, 1)]:
         problems = [(theta * (1.0 + 0.01 * i), spec, data[i], 40 + i) for i in order]
-        got = likelihood._likelihoods(model, problems, n_paths, substeps, "raise", rows)
-        want = likelihood._likelihoods(model, problems, n_paths, substeps, "raise")
+        got = run(problems, "raise")
+        want = lockstep(model, problems, n_paths, substeps, "raise")
         assert [(r.loglik, r.diagnostics) for r in got] == [(r.loglik, r.diagnostics) for r in want]
 
 
 @pytest.mark.parametrize("name", ["ou", "lorenz63", "cwd-direct"])
 def test_prepared_kernel_inputs_equal_propose_transition(name):
-    # A kernel call fed the inputs that a group's _Rows prepared once -- its
-    # layout and its start states with the observed coordinates set --
-    # equals propose_transition, which makes its own, bit for bit, for
-    # every family, with a theta and, where the family has one, a rho per
-    # row. A second call over the same blocks gets the same inputs.
+    # A kernel call fed the inputs that a group prepared -- its layout and
+    # its start states with the observed coordinates set -- equals
+    # propose_transition, which makes its own, bit for bit, for every
+    # family, with a theta and, where the family has one, a rho per row.
     theta, episodes, n_paths, substeps = PIN_CASES[name]
     model = make_model(name)
     theta = np.array(theta)
@@ -928,10 +923,12 @@ def test_prepared_kernel_inputs_equal_propose_transition(name):
              pin_data(model, theta * s, episodes), seed)
             for s, rho, seed in [(1.0, 0.8, 61), (1.03, 0.55, 62)]
         ]
-        rows = likelihood._Rows()
-        rows.begin(model, n_paths, substeps, [(data, likelihood._model_datasets(model, data), seed)
-                                              for *_, data, seed in problems])
-        (prev, y, t0, dt, u, *draws), g, prepared = rows.stack(blocks)
+        group = likelihood._Problem(model, n_paths, substeps, kind)
+        fits = [group.add(data, seed) for *_, data, seed in problems]
+        (u, *draws), g, prepared = group.inputs(fits, blocks)
+        prev, y, t0, dt = (np.concatenate([a[lo:hi] for a, (_, _, lo, hi) in zip(col, blocks)])
+                           for col in zip(*(group.fits[fits[p]][0][d][:4]
+                                            for p, d, _, _ in blocks)))
         want = np.repeat(prev[:, None, :], n_paths, axis=1)
         assert prepared[..., obs].tobytes() == want.tobytes()
         starts = prepared
@@ -945,26 +942,23 @@ def test_prepared_kernel_inputs_equal_propose_transition(name):
         assert ends.tobytes() == batch.endpoints.tobytes(), kind
         assert log_t.tobytes() == batch.log_target.tobytes(), kind
         assert log_p.tobytes() == batch.log_proposal.tobytes(), kind
-        again = rows.stack(blocks)
-        assert again[1] is g and again[2] is prepared
 
 
 def test_steady_ou_round_rebuilds_no_layout(monkeypatch):
     # An OU fit's evaluation is one kernel call over every transition, so a
     # group's second round repeats the first one's call and builds no
-    # layout; its result equals a run without the group's _Rows.
+    # layout; its result equals a fresh group's.
     built = []
     layout_of = samplers._Layout.of
     monkeypatch.setattr(samplers._Layout, "of", lambda *args: built.append(1) or layout_of(*args))
     data = [ou_dataset(20, seed=5)]
-    rows = likelihood._Rows()
-    likelihood._likelihoods(OuModel(), [(OU_THETA, SamplerSpec("aux-mbb", 0.8), data, 9)], 8, 8,
-                            "raise", rows)
+    run = Lockstep(OuModel(), 8, 8, "aux-mbb")
+    run([(OU_THETA, SamplerSpec("aux-mbb", 0.8), data, 9)], "raise")
     assert len(built) == 1
     problems = [(OU_THETA * 1.02, SamplerSpec("aux-mbb", 0.7), data, 9)]
-    [got] = likelihood._likelihoods(OuModel(), problems, 8, 8, "raise", rows)
+    [got] = run(problems, "raise")
     assert len(built) == 1
-    [want] = likelihood._likelihoods(OuModel(), problems, 8, 8, "raise")
+    [want] = lockstep(OuModel(), problems, 8, 8, "raise")
     assert len(built) == 2
     assert (got.loglik, got.diagnostics) == (want.loglik, want.diagnostics)
 
@@ -1035,3 +1029,113 @@ def test_bridge_rows_stay_finite_beside_an_overflowing_euler_mean():
                                   SamplerSpec("regularized", 0.0), (draws[0][:1], draws[1][:1]))
     assert np.all(np.isfinite(solo.states))
     assert both.states[:, 0].tobytes() == solo.states[:, 0].tobytes()
+
+
+@pytest.mark.parametrize("name", ["ou", "cwd-direct"])
+def test_a_group_prepares_each_fit_once(name, monkeypatch):
+    # Over a two-fit lockstep search the model is checked once, each fit's
+    # datasets once and its draws once per dataset, and a round that
+    # repeats the fits of the last round of distinct fits builds no layout:
+    # it runs the schedule and kernel inputs of that round as they are.
+    theta, episodes, n_paths, substeps = PIN_CASES[name]
+    model = make_model(name)
+    data = [pin_data(model, np.array(theta) * s, episodes) for s in (1.0, 1.02)]
+    counts = dict.fromkeys(["validate_model", "_model_datasets", "_dataset_draws", "layout"], 0)
+
+    def counted(attr, call):
+        def wrapper(*args):
+            counts[attr] += 1
+            return call(*args)
+        return wrapper
+
+    for attr in ("validate_model", "_model_datasets", "_dataset_draws"):
+        monkeypatch.setattr(likelihood, attr, counted(attr, getattr(likelihood, attr)))
+    monkeypatch.setattr(samplers._Layout, "of", counted("layout", samplers._Layout.of))
+    runs = []
+    likelihoods = optimize._likelihoods
+
+    def run(group, problems, *args):
+        before = counts["layout"]
+        out = likelihoods(group, problems, *args)
+        runs.append(([f for f, *_ in problems], counts["layout"] - before))
+        return out
+
+    monkeypatch.setattr(optimize, "_likelihoods", run)
+    cfg = PenaltyConfig(0.5, n_paths, substeps, SamplerSpec("aux-mbb", 0.8))
+    fits = optimize._maximize_group(model, [(d, theta, 0.8, 50 + i) for i, d in enumerate(data)],
+                                    cfg, optimize.OptimizerConfig(max_evals=20), True)
+    assert all(isinstance(fit, optimize.PsmlFit) for fit in fits)
+    assert counts["validate_model"] == 1
+    assert counts["_model_datasets"] == 2
+    assert counts["_dataset_draws"] == sum(len(d) for d in data)
+    last, repeats = None, 0
+    for fit_ids, built in runs:
+        if len(set(fit_ids)) == len(fit_ids):
+            if fit_ids == last:
+                assert built == 0
+                repeats += 1
+            last = fit_ids
+    assert repeats >= 10
+
+
+@pytest.mark.parametrize("name", ["ou", "cwd-direct"])
+def test_one_block_calls_read_the_draw_cache_as_views(name, monkeypatch):
+    # A one-dataset log_likelihood stacks nothing: each kernel call's draws
+    # are views of the cached draws.
+    theta, episodes, n_paths, substeps = PIN_CASES[name]
+    model = make_model(name)
+    [data] = pin_data(model, np.array(theta), episodes[:1])
+    seen = []
+
+    def recorded(*args):
+        seen.append(args[4])
+        return _transition_ends(*args)
+
+    monkeypatch.setattr(likelihood, "_transition_ends", recorded)
+    log_likelihood(model, theta, data, n_paths, substeps, SamplerSpec("aux-mbb", 0.8), seed=9)
+    _, z, z_end, z_dens = likelihood._dataset_draws(9, 0, data.n, n_paths, substeps, model.dim,
+                                                    len(model.unobserved))
+    assert len(seen) == (1 if name == "ou" else data.n)
+    for got in seen:
+        assert all(np.shares_memory(a, b) for a, b in zip(got, (z, z_end, z_dens)) if a.size)
+
+
+def test_a_solo_lorenz_call_peaks_under_300_kb():
+    # One dataset at the benchmark bootstrap's shapes (21 transitions,
+    # J = 32, M = 10), its draws cached by an earlier call. The call reads
+    # them as views and builds one layout; it peaks at 289 kB by
+    # tracemalloc, where stacking a copy of its rows peaked at 460 kB.
+    import tracemalloc
+
+    model, theta = Lorenz63Model(), np.array([10.0, 28.0, 8.0 / 3.0, 2.0])
+    grid = TimeGrid(0.0, 0.05 * np.arange(1, 22), 64)
+    data = simulate_dataset(model, theta, np.array([-10.0, -10.0, 30.0]), grid,
+                            rng_stream(0, 0, 0))
+    spec = SamplerSpec("regularized", 0.5)
+
+    def run():
+        return log_likelihood(model, theta, data, 32, 10, spec, seed=7, on_failure="neginf")
+
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 300_000, peak
+
+
+@pytest.mark.parametrize("kind, rho", [("aux-mbb", math.nan), ("aux-mbb", 0.0),
+                                       ("regularized", 1.5)])
+def test_a_rho_outside_its_family_fails_its_problem_alone(kind, rho):
+    # A search coordinate keeps rho inside (0, 1] unless it is NaN; the
+    # group still refuses a rho that its family refuses, as SamplerSpec
+    # does, and the other problems of the run are unaffected.
+    data = ou_dataset(6)
+    group = likelihood._Problem(OuModel(), 8, 4, kind)
+    fit = group.add(data, 3)
+    bad, good = likelihood._likelihoods(group, [(fit, OU_THETA, rho), (fit, OU_THETA, 0.5)],
+                                        "raise")
+    assert isinstance(bad, DomainError) and f"{kind} requires rho" in str(bad)
+    assert good == log_likelihood(OuModel(), OU_THETA, data, 8, 4, SamplerSpec(kind, 0.5), seed=3)

@@ -305,7 +305,7 @@ def counted_problems(monkeypatch) -> list:
     likelihoods = optimize._likelihoods
 
     def counted(model, problems, *args):
-        calls.extend(theta for theta, *_ in problems)
+        calls.extend(theta for _, theta, _ in problems)
         return likelihoods(model, problems, *args)
 
     monkeypatch.setattr(optimize, "_likelihoods", counted)

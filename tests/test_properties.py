@@ -17,7 +17,7 @@ from psml.samplers import (SamplerSpec, _Coords, _draw_logpdf, _Layout, _RowRho,
                            propose_transition)
 from psml.tune import prediction_error
 from reference import (chol_spd_lapack, cwd_drift_stacked, cwd_sigma_two_checks,
-                       gauss_logpdf_solve, likelihoods_by_transition, logdet_diagonal_sum,
+                       gauss_logpdf_solve, likelihoods_by_transition, lockstep, logdet_diagonal_sum,
                        lorenz_drift_stacked, observed_scalar_logpdf, simulate_paths_batch,
                        step_value_by_search)
 
@@ -155,7 +155,7 @@ def test_array_results_equal_the_transition_by_transition_oracle(
         (-theta, spec, data, seed + 2),
         (theta, spec, [data[1], far], seed + 3),
     ]
-    got = likelihood._likelihoods(model, problems, n_paths, m, on_failure)
+    got = lockstep(model, problems, n_paths, m, on_failure)
     want = likelihoods_by_transition(model, problems, n_paths, m, on_failure)
     # the far observation stops its fit
     assert isinstance(want[3], TransitionFailure) if on_failure == "raise" else want[3].failed
@@ -192,7 +192,7 @@ def test_endpoint_run_equals_propose_transition(name, seed, n, n_paths, m, kind)
     draws = (z, rng.standard_normal((n, n_paths, len(model.unobserved))), _draw_logpdf(z))
     spec = SamplerSpec(kind) if rhos is None else _RowRho(kind, rhos)
     args = (model, thetas.T[:, :, None], starts, y_obs, t0, dt, m, spec, draws)
-    g = _Layout.of(t0, dt / m, y_obs, n_paths, k, m, _Coords.of(model))
+    g = _Layout.of(t0, dt / m, y_obs, z, _Coords.of(model))
     with np.errstate(all="ignore"):
         ends, log_t, log_p = _transition_ends(model, thetas.T[:, :, None], starts, spec, draws, g)
         batch = propose_transition(*args)

@@ -31,10 +31,10 @@ def proposal_kernel(model, theta, x, y_obs, t, m, substeps, delta, spec):
     """Proposal mean (1, k) and covariance (1, k, k) of substep m from one state x."""
     x = np.asarray(x, dtype=float)[None, None]
     c = _Coords.of(model)
-    g = _Layout.of(np.array([t]), np.array([delta]), np.asarray(y_obs, dtype=float)[None], 1,
-                   model.dim, substeps, c)
+    g = _Layout.of(np.array([t]), np.array([delta]), np.asarray(y_obs, dtype=float)[None],
+                   np.zeros((1, substeps - 1, 1, model.dim)), c)
     _, mean, _, chol = _kernel(model, theta, x, np.full((1, 1), t), m, substeps, spec, c, g, True,
-                               _factor_ratios(spec, substeps))[:4]
+                               _factor_ratios(spec, g))[:4]
     return mean[0], chol[0] @ np.swapaxes(chol[0], -1, -2)
 
 

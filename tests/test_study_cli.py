@@ -1,6 +1,7 @@
 """Replicated studies and the command-line front end."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -9,7 +10,10 @@ import pytest
 
 from psml.cli import main
 from psml.core import DomainError, load_dataset, save_dataset
+from psml.likelihood import PenaltyConfig
 from psml.models import ou_exact_loglik, ou_exact_mle
+from psml.optimize import OptimizerConfig
+from psml.samplers import SamplerSpec
 from psml.study import (
     STUDY_PRESETS,
     EpisodeSpec,
@@ -584,6 +588,45 @@ def test_counts_read_from_files_must_be_whole_numbers(tmp_path, capsys, ou_fit, 
     if not whole:
         assert f"{key} must be a whole number, got {value!r}" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("build, message, edit", [
+    pytest.param(lambda: PenaltyConfig(0.0, 8.5, 4, SamplerSpec("mbb")),
+                 "n_paths must be a whole number, got 8.5", None, id="penalty-n-paths"),
+    pytest.param(lambda: PenaltyConfig(0.0, 8, "4", SamplerSpec("mbb")),
+                 "substeps must be a whole number, got '4'", None, id="penalty-substeps"),
+    pytest.param(lambda: PenaltyConfig(math.inf, 8, 4, SamplerSpec("mbb")),
+                 "lambda must be finite", None, id="penalty-lam"),
+    pytest.param(lambda: OptimizerConfig(max_evals=30.5),
+                 "max_evals must be a whole number, got 30.5", None, id="max-evals"),
+    pytest.param(lambda: MethodSpec("mbb", "mbb", lam=math.inf), "lam must be finite",
+                 lambda m: m.update(lam=math.inf), id="method-lam"),
+    pytest.param(lambda: MethodSpec(7, "mbb"), "method name must be a string, got 7",
+                 lambda m: m.update(name=7), id="method-name"),
+])
+def test_counts_lambdas_and_names_fail_where_they_enter(tmp_path, capsys, build, message, edit):
+    # Each used to pass its constructor and fail late: a float count as a
+    # TypeError at the first evaluation, an infinite lambda as a report
+    # holding a non-JSON Infinity (exit 0), a numeric method name as a
+    # TypeError when the report sorted its method names (exit 1).
+    with pytest.raises(DomainError, match=message):
+        build()
+    if edit is None:
+        return
+    payload = tiny_study(n_replicates=1).to_dict()
+    edit(payload["methods"][-1])
+    path, out = tmp_path / "in.json", tmp_path / "out"
+    path.write_text(json.dumps(payload))
+    assert run_cli("study", "--config", path, "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_whole_float_counts_are_taken_as_ints():
+    cfg = PenaltyConfig(0.0, 8.0, 4.0, SamplerSpec("mbb"))
+    assert (type(cfg.n_paths), type(cfg.substeps)) == (int, int)
+    assert type(OptimizerConfig(max_evals=np.int64(30)).max_evals) is int
+    assert type(MethodSpec("mbb", "mbb", n_paths=4.0).n_paths) is int
 
 
 @pytest.mark.parametrize("command, edit, message", [
