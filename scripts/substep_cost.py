@@ -11,10 +11,11 @@ time so that time spent descheduled on a shared machine is left out:
 - the per-evaluation budget of one unit of work (a capped fit, or a
   bootstrap's refits on one worker) by layer: the kernel
   (_transition_ends), the weight statistics (_weight_stats), the
-  likelihood's plumbing around them (the rest of _likelihoods) and the
-  optimizer's (the rest of the unit), from the best of --repeat units;
-  the timers around each kernel call add about a microsecond to the
-  plumbing;
+  likelihood's plumbing around them (the rest of _likelihoods), the
+  optimizer's (the rest of optimize._maximize_group) and, for a
+  bootstrap, its replicate data and chunking (the rest of the unit),
+  from the best of --repeat units; the timers around each kernel call
+  add about a microsecond to the plumbing;
 - log_likelihood: one evaluation at the fit's start point, in rounds of
   a tenth as many calls;
 - kernel call: one _transition_ends call on the inputs of the
@@ -130,8 +131,10 @@ def first_call(inputs, substeps: int):
 
 def layer_budget(inputs, repeat: int):
     """(evaluations, then per evaluation in us: total, kernel, weight
-    statistics, likelihood plumbing, optimizer) of one unit of work on
-    one worker, from the best of repeat units by total CPU time."""
+    statistics, likelihood plumbing, optimizer, bootstrap data and
+    chunking) of one unit of work on one worker, from the best of repeat
+    units by total CPU time. A fit reaches _maximize_group through
+    optimize and a bootstrap through tune, so both are timed."""
     spent = {}
 
     def timed(name, fn):
@@ -144,7 +147,8 @@ def layer_budget(inputs, repeat: int):
         return wrapper
 
     targets = [(optimize, "_likelihoods"), (likelihood, "_transition_ends"),
-               (likelihood, "_weight_stats")]
+               (likelihood, "_weight_stats"), (optimize, "_maximize_group"),
+               (tune, "_maximize_group")]
     saved = [(module, name, getattr(module, name)) for module, name in targets]
     inputs.run(workers=1)
     best = None
@@ -162,8 +166,9 @@ def layer_budget(inputs, repeat: int):
         for module, name, fn in saved:
             setattr(module, name, fn)
     total, spent, evals = best
-    lik, kernel, stats = (spent.get(name, 0.0) for _, name in targets)
-    us = [1e6 * v / evals for v in (total, kernel, stats, lik - kernel - stats, total - lik)]
+    lik, kernel, stats, group = (spent.get(name, 0.0) for _, name in targets[:4])
+    us = [1e6 * v / evals
+          for v in (total, kernel, stats, lik - kernel - stats, group - lik, total - group)]
     return [evals] + us
 
 
@@ -259,7 +264,8 @@ def report(name: str, repeat: int, number: int, seed: int) -> None:
     evals, *budget = layer_budget(inputs, repeat)
     print(f"  budget per evaluation over a unit of {evals}: " + ", ".join(
         f"{label} {us:.1f}" for label, us in zip(
-            ("total", "kernel", "weight statistics", "likelihood plumbing", "optimizer"), budget)))
+            ("total", "kernel", "weight statistics", "likelihood plumbing", "optimizer",
+             "bootstrap data and chunking"), budget)))
     [lik] = best_us([evaluation], repeat, max(number // 10, 1))
     calls = rounds_us([lambda: samplers._transition_ends(*one),
                        lambda: samplers._transition_ends(*two)], repeat, number)

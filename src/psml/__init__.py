@@ -8,13 +8,11 @@ from .core import (
     TimeGrid,
     derive_seed,
     load_dataset,
-    matrix_sqrt,
     rng_stream,
     save_dataset,
     simulate_dataset,
 )
 from .likelihood import (
-    ParticleCloud,
     PenaltyConfig,
     TransitionFailure,
     log_likelihood,
@@ -25,8 +23,6 @@ from .models import (
     Lorenz63Model,
     MODEL_NAMES,
     OuModel,
-    StepFunction,
-    cwd_sigma,
     make_model,
     ou_exact_mle,
     r0_estimate,
@@ -36,9 +32,6 @@ from .optimize import (
     OptimizerConfig,
     PsmlFit,
     maximize_psml,
-    nelder_mead,
-    transform,
-    untransform,
 )
 from .samplers import SamplerSpec, propose_transition
 from .study import (
@@ -73,27 +66,22 @@ __all__ = [
     "NumericalError",
     "OptimizerConfig",
     "OuModel",
-    "ParticleCloud",
     "PenaltyConfig",
     "PsmlFit",
     "STUDY_PRESETS",
     "SamplerSpec",
     "SdeModel",
-    "StepFunction",
     "StudyConfig",
     "TUNE_PRESETS",
     "TimeGrid",
     "TransitionFailure",
     "TuneConfig",
     "TuneResult",
-    "cwd_sigma",
     "derive_seed",
     "load_dataset",
     "log_likelihood",
     "make_model",
-    "matrix_sqrt",
     "maximize_psml",
-    "nelder_mead",
     "ou_exact_mle",
     "parametric_bootstrap",
     "penalized_log_likelihood",
@@ -104,7 +92,5 @@ __all__ = [
     "run_study",
     "save_dataset",
     "simulate_dataset",
-    "transform",
     "tune_lambda",
-    "untransform",
 ]

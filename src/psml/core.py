@@ -42,6 +42,14 @@ def _whole(value, name: str) -> int:
     raise DomainError(f"{name} must be a whole number, got {value!r}")
 
 
+def _real(value, name: str) -> float:
+    """A real number read from a config, as a float; anything else (true,
+    "x", null) is a DomainError naming the field."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return float(value)
+    raise DomainError(f"{name} must be a number, got {value!r}")
+
+
 class NumericalError(RuntimeError):
     """A linear-algebra kernel failed beyond jitter repair."""
 
@@ -371,6 +379,16 @@ def _logdet(chol: np.ndarray) -> np.ndarray:
     return np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
+def _log_density(q, k: int, logdet):
+    """-(k log 2 pi + q) / 2 - logdet: the log-density of a k-dimensional
+    N(0, L L^T) from the squared norm q of its whitened residual and
+    logdet = log|L|, computed in place in q, which must be fresh."""
+    q += k * _LOG_2PI
+    q *= -0.5
+    q -= logdet
+    return q
+
+
 def _factor_logpdf(diff: np.ndarray, chol: np.ndarray, logdet) -> np.ndarray:
     """Log-density of N(0, L L^T) at diff, given the factor L and log|L|.
 
@@ -391,7 +409,7 @@ def _factor_logpdf(diff: np.ndarray, chol: np.ndarray, logdet) -> np.ndarray:
         row /= chol[..., i, i]
         quad += row * row
         v.append(row)
-    return -0.5 * (k * _LOG_2PI + quad) - logdet
+    return _log_density(quad, k, logdet)
 
 
 def gauss_logpdf(diff: np.ndarray, chol: np.ndarray) -> np.ndarray:

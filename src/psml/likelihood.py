@@ -43,41 +43,12 @@ class TransitionFailure(NumericalError):
         self.index = index
 
 
-@dataclass(frozen=True)
-class ParticleCloud:
-    """Weighted values of the unobserved coordinates at one observation time."""
-
-    particles: np.ndarray  # (n_particles, n_unobserved)
-    weights: np.ndarray
-
-    def __post_init__(self):
-        particles = np.asarray(self.particles, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if particles.ndim != 2 or weights.shape != (particles.shape[0],):
-            raise DomainError("cloud needs (n, d) particles and (n,) weights")
-        if particles.shape[0] < 1:
-            raise DomainError("cloud must hold at least one particle")
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise DomainError("weights must be non-negative and sum to one")
-        object.__setattr__(self, "particles", particles)
-        object.__setattr__(self, "weights", weights)
-
-    @classmethod
-    def point_mass(cls, values) -> "ParticleCloud":
-        values = np.atleast_1d(np.asarray(values, dtype=float))
-        return cls(values[None, :], np.array([1.0]))
-
-    def resample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n multinomial draws from the cloud; skips rng use when empty-width."""
-        if self.particles.shape[1] == 0:
-            return np.empty((n, 0))
-        return self._pick(rng.random(n))
-
-    def _pick(self, u: np.ndarray) -> np.ndarray:
-        """Particles at the uniforms u under the inverse weight CDF."""
-        idx = np.searchsorted(np.cumsum(self.weights), u, side="right")
-        idx = np.minimum(idx, self.particles.shape[0] - 1)
-        return self.particles[idx]
+def _pick(particles: np.ndarray, weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The particles of the cloud (particles, weights) at the uniforms u,
+    under the inverse weight CDF."""
+    idx = np.searchsorted(np.cumsum(weights), u, side="right")
+    idx = np.minimum(idx, particles.shape[0] - 1)
+    return particles[idx]
 
 
 class TransitionDiag(NamedTuple):
@@ -317,10 +288,10 @@ class _Problem:
     evaluation seed: it checks the datasets against the model, once, and
     keeps per dataset the fit's rows, one per transition (previous
     observation, observation, start time, length, then the cached draws),
-    and, with unobserved coordinates, the point-mass particle clouds at
-    the start states; with every coordinate observed, the inputs of each
-    dataset's call alone. A run of _likelihoods then names per problem
-    only a fit, a theta and a rho.
+    and, with unobserved coordinates, point-mass clouds (particles,
+    weights) at the start states; with every coordinate observed, the
+    inputs of each dataset's call alone. A run of _likelihoods then names
+    per problem only a fit, a theta and a rho.
 
     A run's plan is its schedule: its steps (the blocks (problem, dataset,
     first, stop) of each) and each step's kernel calls as _calls cuts
@@ -361,7 +332,7 @@ class _Problem:
             prev_obs = np.concatenate((ds.x0[obs][None], ds.values[:-1]))
             draws = _dataset_draws(seed, d, ds.n, self.n_paths, self.substeps, model.dim, n_uno)
             rows.append((prev_obs, ds.values, t_start, ds.times - t_start) + draws)
-        clouds = [ParticleCloud.point_mass(ds.x0[self.uno]) for ds in data] if n_uno else []
+        clouds = [(ds.x0[self.uno][None], np.ones(1)) for ds in data] if n_uno else []
         whole = [] if n_uno else [self._build(r) for r in rows]
         self.fits.append((rows, clouds, whole))
         return len(self.fits) - 1
@@ -449,10 +420,10 @@ def _propose(group: _Problem, fits, params, clouds, blocks, inputs=None):
     """One kernel call over the blocks (problem, dataset, first, stop) of a step.
 
     group is the run's prepared problem, fits[p] the fit of problem p and
-    params[p] its (theta, sampler), clouds the run's particle clouds per
-    (problem, dataset), and inputs the call's inputs where its plan keeps
-    them (_Problem.inputs builds them otherwise). The kernel keeps only
-    the current substep and hands back endpoints and log-densities.
+    params[p] its (theta, sampler), clouds the run's (particles, weights)
+    per (problem, dataset), and inputs the call's inputs where its plan
+    keeps them (_Problem.inputs builds them otherwise). The kernel keeps
+    only the current substep and hands back endpoints and log-densities.
     Returns, per block, (block, outcome): the error that stopped it, or
     the arrays (log_phat, cv, ess, endpoints, weights) of its rows, where
     a row whose weights all vanished has a NaN log_phat. A call that
@@ -467,7 +438,7 @@ def _propose(group: _Problem, fits, params, clouds, blocks, inputs=None):
         starts = starts.copy()
         u = draws[0]
         for r, (p, d, _, _) in enumerate(blocks):
-            starts[r][:, uno] = clouds[p, d]._pick(u[r])
+            starts[r][:, uno] = _pick(*clouds[p, d], u[r])
     problems = list(dict.fromkeys(p for p, *_ in blocks))
     theta, sampler = _row_params(params, blocks) if len(problems) > 1 else params[problems[0]]
     try:
@@ -566,7 +537,7 @@ def _likelihoods(group: _Problem, problems, on_failure: str) -> list:
                         cut.add(p)
                         log_phat, cv, ess = log_phat[:stop], cv[:stop], ess[:stop]
                     elif group.uno:
-                        clouds[p, d] = ParticleCloud(ends[0][:, group.uno], w[0] / w[0].sum())
+                        clouds[p, d] = (ends[0][:, group.uno], w[0] / w[0].sum())
                     segments[p][d].append(_Segment(d, lo, log_phat, cv, ess))
             any_failed = any_failed or bool(cut)
     for j, fail, sg in zip(index, failed, segments):

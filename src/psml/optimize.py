@@ -232,7 +232,8 @@ class _Fit:
     kept, as the simplex keeps it; should the simplex still end on
     another point, that point is evaluated again. A fixed rho that the
     family refuses is refused once, here: every point of the fit then
-    reads as its DomainError (refused), as the first one ends the search.
+    reads as its DomainError (refused), as the first one ends the search,
+    and the fit's EstimationError names it as its cause.
     """
 
     def __init__(self, model, datasets, config, theta_init, rho_init, optimizer, seed,
@@ -379,7 +380,8 @@ def _maximize_group(model, fits, config: PenaltyConfig,
                 out[i] = fits[i].result(done.value)
                 del asks[i]
             except DomainError as exc:
-                out[i] = EstimationError(f"objective not usable at the initial point: {exc}")
-                out[i].__cause__ = exc
+                cause = exc if fits[i].refused is None else fits[i].refused
+                out[i] = EstimationError(f"objective not usable at the initial point: {cause}")
+                out[i].__cause__ = cause
                 del asks[i]
     return out

@@ -67,11 +67,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    _LOG_2PI,
     _coord_index,
     DomainError,
     SdeModel,
     _factor_logpdf,
+    _log_density,
     _logdet,
     chol_mul,
     chol_spd,
@@ -225,12 +225,12 @@ def _sq_norm(v: np.ndarray) -> np.ndarray:
 def _draw_logpdf(z: np.ndarray) -> np.ndarray:
     """Standard-normal log-density of draws z (..., k), -(k log 2 pi + z'z) / 2:
     the part of a proposal density that theta does not touch."""
-    return -0.5 * (z.shape[-1] * _LOG_2PI + _sq_norm(z))
+    return _log_density(_sq_norm(z), z.shape[-1], 0.0)
 
 
 def _white_logpdf(v: np.ndarray, logdet) -> np.ndarray:
     """Log-density of N(0, L L^T) at L v, given v and log|L|."""
-    return _draw_logpdf(v) - logdet
+    return _log_density(_sq_norm(v), v.shape[-1], logdet)
 
 
 class _Coords(NamedTuple):
@@ -548,13 +548,9 @@ def _transition_ends(model: SdeModel, theta, starts: np.ndarray, spec: SamplerSp
             inv_t = np.swapaxes(np.linalg.inv(chol_e)[:, 0], -1, -2)
 
     def shared_log_target(diff):
-        # _white_logpdf(diff L_e^-T, logdet_e), in place; the sign of a zero
-        # product does not reach the square
-        out = _sq_norm(diff * inv_t if k == 1 else diff @ inv_t)
-        out += k * _LOG_2PI
-        out *= -0.5
-        out -= logdet_e
-        return out
+        # _white_logpdf(diff L_e^-T, logdet_e); the sign of a zero product
+        # does not reach the square
+        return _log_density(_sq_norm(diff * inv_t if k == 1 else diff @ inv_t), k, logdet_e)
 
     pedersen = spec.kind == "pedersen"
     log_t = np.zeros((n, n_paths))
@@ -591,10 +587,7 @@ def _transition_ends(model: SdeModel, theta, starts: np.ndarray, spec: SamplerSp
             log_t = log_p.copy()
         elif k == 1:
             sq = moves[..., 0] * moves[..., 0]
-            sq += _LOG_2PI
-            sq *= -0.5
-            sq -= logdet_e
-            log_t = np.add.reduce(sq, axis=0)
+            log_t = np.add.reduce(_log_density(sq, 1, logdet_e), axis=0)
     # endpoint substep: pin observed coordinates, draw the unobserved rest
     _, mean_e, _, cov_e = _euler(model, theta, x, times[-1, :, None], g.dl, not shared)
     end = np.empty_like(x)

@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (_SHAPE_ERRORS, DomainError, NumericalError, TimeGrid, _shape_error, _whole,
-                   derive_seed, rng_stream, simulate_dataset)
+from .core import (_SHAPE_ERRORS, DomainError, NumericalError, TimeGrid, _real, _shape_error,
+                   _whole, derive_seed, rng_stream, simulate_dataset)
 from .likelihood import PenaltyConfig, TransitionFailure
 from .models import make_model, ou_exact_mle
 from .optimize import EstimationError, OptimizerConfig, maximize_psml
@@ -46,7 +46,9 @@ class EpisodeSpec:
     dt: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
+        object.__setattr__(self, "x0", tuple(_real(v, "episode x0") for v in self.x0))
+        object.__setattr__(self, "n", _whole(self.n, "episode n"))
+        object.__setattr__(self, "dt", _real(self.dt, "episode dt"))
         if self.n < 1 or self.dt <= 0:
             raise DomainError("episode needs n >= 1 and dt > 0")
 
@@ -59,7 +61,7 @@ class EpisodeSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EpisodeSpec":
-        return cls(tuple(payload["x0"]), _whole(payload["n"], "episode n"), float(payload["dt"]))
+        return cls(tuple(payload["x0"]), payload["n"], payload["dt"])
 
 
 @dataclass(frozen=True)
@@ -97,12 +99,16 @@ class MethodSpec:
             raise DomainError("substeps must be >= 1")
         if isinstance(self.lam, str) and self.lam != _TUNE:
             raise DomainError(f"lam must be a number or {_TUNE!r}")
-        if not isinstance(self.lam, str) and not self.lam >= 0:
+        if not isinstance(self.lam, str) and not _real(self.lam, "lam") >= 0:
             raise DomainError("lam must be >= 0")
         if not isinstance(self.lam, str) and not math.isfinite(self.lam):
             raise DomainError("lam must be finite")
         if isinstance(self.rho, str) and self.rho != _EST:
             raise DomainError(f"rho must be a number, {_EST!r}, or None")
+        if self.rho not in (None, _EST):
+            _real(self.rho, "rho")
+        if self.rho_init is not None:
+            _real(self.rho_init, "rho_init")
         if self.estimates_rho and self.kind not in _RHO_KINDS:
             raise DomainError(f"sampler {self.kind!r} has no rho to estimate")
         if self.rho_init is not None and not self.estimates_rho:
@@ -155,8 +161,8 @@ class StudyConfig:
     model_kwargs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "theta0", tuple(float(v) for v in self.theta0))
-        object.__setattr__(self, "theta_init", tuple(float(v) for v in self.theta_init))
+        for key in ("theta0", "theta_init"):
+            object.__setattr__(self, key, tuple(_real(v, key) for v in getattr(self, key)))
         object.__setattr__(self, "episodes", tuple(self.episodes))
         object.__setattr__(self, "methods", tuple(self.methods))
         if self.n_replicates < 1:

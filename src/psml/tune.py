@@ -21,6 +21,7 @@ from .core import (
     NumericalError,
     _euler,
     _simulate_datasets,
+    _whole,
     derive_seed,
     rng_stream,
     simulate_dataset,
@@ -58,6 +59,8 @@ class TuneConfig:
     max_steps: int = 200
 
     def __post_init__(self):
+        for key in ("n_sims", "max_steps"):
+            object.__setattr__(self, key, _whole(getattr(self, key), key))
         if self.eps0 <= 0 or self.delta_eps <= 0:
             raise DomainError("eps0 and delta_eps must be positive")
         if self.lambda0 < 0 or self.delta_lambda <= 0:

@@ -6,7 +6,8 @@ transition law, one Euler-Maruyama substep and a path of them, per-path
 importance weights, the weight coefficient of variation and the
 effective sample size, a fit whose simplex evaluates its points one at
 a time, and a lockstep likelihood run whose results are taken
-transition by transition, beside an adapter (Lockstep) that runs
+transition by transition, with its clouds as (particles, weights)
+pairs that the library's _pick resamples, beside an adapter (Lockstep) that runs
 lockstep problems given as log_likelihood takes them. The last few are earlier forms of library
 code kept as oracles: replicate paths stepped one euler_step per
 substep, the Gaussian density through an LU solve with the factor, the
@@ -27,9 +28,9 @@ import numpy as np
 
 from psml.core import (DomainError, NumericalError, SdeModel, TimeGrid, _check_drift, _sym_check,
                        chol_spd, gauss_logpdf, validate_model)
-from psml.likelihood import (_CALL_BYTES, PenaltyConfig, ParticleCloud, TransitionDiag,
-                             TransitionFailure, _calls, _dataset_draws, _likelihoods,
-                             _model_datasets, _Problem, _row_params, penalized_log_likelihood)
+from psml.likelihood import (_CALL_BYTES, PenaltyConfig, TransitionDiag, TransitionFailure,
+                             _calls, _dataset_draws, _likelihoods, _model_datasets, _pick,
+                             _Problem, _row_params, penalized_log_likelihood)
 from psml.samplers import propose_transition
 from psml.optimize import EstimationError, OptimizerConfig, PsmlFit, _Fit, nelder_mead
 from psml.samplers import SubPathBatch
@@ -278,7 +279,7 @@ def _propose_rows(model, problems, n_paths, substeps, inputs, clouds, blocks):
     starts[..., obs] = prev[:, None, :]
     if uno:
         for r, (f, d, _, _) in enumerate(blocks):
-            starts[r][:, uno] = clouds[f, d]._pick(u[r])
+            starts[r][:, uno] = _pick(*clouds[f, d], u[r])
     fits = list(dict.fromkeys(f for f, *_ in blocks))
     theta, sampler = _row_params(problems, blocks) if len(fits) > 1 else problems[fits[0]][:2]
     try:
@@ -327,7 +328,7 @@ def likelihoods_by_transition(model, problems, n_paths: int, substeps: int, on_f
             draws = _dataset_draws(seed, d, ds.n, n_paths, substeps, model.dim, len(uno))[:3]
             inputs[f, d] = (prev_obs, ds.values, t_start, ds.times - t_start) + draws
             if uno:
-                clouds[f, d] = ParticleCloud.point_mass(ds.x0[uno])
+                clouds[f, d] = (ds.x0[uno][None], np.ones(1))
     if uno:
         steps = [
             [(f, d, i, i + 1) for f, p in enumerate(problems) for d, ds in enumerate(p[2]) if i < ds.n]
@@ -359,7 +360,7 @@ def likelihoods_by_transition(model, problems, n_paths: int, substeps: int, on_f
             log_phat, cv, ess, r, ends, w = res
             diags[f][d].append(TransitionDiag(d, i, log_phat, cv, ess))
             if uno:
-                clouds[f, d] = ParticleCloud(ends[r][:, uno], w[r] / w[r].sum())
+                clouds[f, d] = (ends[r][:, uno], w[r] / w[r].sum())
     for f, fail, dg in zip(index, failed, diags):
         kept = dg if fail is None else dg[: fail[0] + 1]
         diagnostics = [g for d in kept for g in d]

@@ -18,7 +18,6 @@ from psml.core import (
 )
 from psml import likelihood, optimize, samplers
 from psml.likelihood import (
-    ParticleCloud,
     PenaltyConfig,
     TransitionFailure,
     log_likelihood,
@@ -28,7 +27,7 @@ from psml.models import CwdDirectModel, Lorenz63Model, OuModel, make_model, ou_e
 from psml.optimize import maximize_psml
 from psml.samplers import SamplerSpec, _RowRho, _transition_ends, propose_transition
 from reference import (Lockstep, effective_sample_size, gauss_logpdf_solve, importance_weight,
-                       lockstep, weight_cv)
+                       lockstep, maximize_one_at_a_time, weight_cv)
 
 OU_THETA = np.array([0.0187, 0.2610, 0.0224])
 
@@ -51,37 +50,15 @@ def cwd_dataset(n=4, seed=2):
 
 
 def test_point_mass_cloud():
-    cloud = ParticleCloud.point_mass([3.0, 4.0])
-    assert cloud.particles.shape == (1, 2)
-    assert cloud.weights[0] == 1.0
-    res = cloud.resample(7, rng_stream(0))
+    particles, weights = np.array([[3.0, 4.0]]), np.ones(1)
+    res = likelihood._pick(particles, weights, rng_stream(0).random(7))
     np.testing.assert_array_equal(res, np.tile([3.0, 4.0], (7, 1)))
 
 
-def test_cloud_validation():
-    with pytest.raises(DomainError):
-        ParticleCloud(np.zeros((2, 1)), np.array([0.5, 0.6]))
-    with pytest.raises(DomainError):
-        ParticleCloud(np.zeros((2, 1)), np.array([1.1, -0.1]))
-    with pytest.raises(DomainError):
-        ParticleCloud(np.zeros((0, 1)), np.zeros(0))
-    with pytest.raises(DomainError):
-        ParticleCloud(np.zeros(3), np.ones(3) / 3)
-
-
 def test_cloud_resample_follows_weights():
-    cloud = ParticleCloud(np.array([[0.0], [1.0]]), np.array([0.25, 0.75]))
-    draws = cloud.resample(20000, rng_stream(1))
+    particles, weights = np.array([[0.0], [1.0]]), np.array([0.25, 0.75])
+    draws = likelihood._pick(particles, weights, rng_stream(1).random(20000))
     assert abs(draws.mean() - 0.75) < 0.01
-
-
-def test_zero_width_cloud_skips_rng():
-    cloud = ParticleCloud(np.empty((3, 0)), np.full(3, 1.0 / 3.0))
-    rng = rng_stream(5)
-    before = rng.bit_generator.state["state"]["state"]
-    out = cloud.resample(10, rng)
-    assert out.shape == (10, 0)
-    assert rng.bit_generator.state["state"]["state"] == before
 
 
 # ---------------------------------------------------------------------------
@@ -146,20 +123,19 @@ def test_chained_transitions_advance_the_cloud():
     model, theta, spec = CwdDirectModel(), np.array([0.03, 0.2]), SamplerSpec("mbb")
     ds = cwd_dataset()
     res = log_likelihood(model, theta, ds, 64, 6, spec, seed=3)
-    cloud = ParticleCloud.point_mass(ds.x0[:2])
+    particles, weights = ds.x0[None, :2], np.ones(1)
     prev, t_start = ds.x0[2:], ds.t0
     for i, diag in enumerate(res.diagnostics):
         rng = rng_stream(derive_seed(3, 0), i)
-        starts = np.column_stack([cloud.resample(64, rng), np.full(64, prev[0])])
+        starts = np.column_stack([likelihood._pick(particles, weights, rng.random(64)),
+                                  np.full(64, prev[0])])
         batch = propose_transition(model, theta, starts, ds.values[i], t_start,
                                    ds.times[i] - t_start, 6, spec, rng)
         _, lw = importance_weight(batch)
         w = np.exp(lw - lw.max())
         assert diag.log_phat == pytest.approx(lw.max() + math.log(w.mean()), rel=1e-12)
         assert diag.cv == pytest.approx(weight_cv(lw), rel=1e-12)
-        cloud = ParticleCloud(batch.endpoints[:, :2], w / w.sum())
-        assert cloud.particles.shape == (64, 2)
-        assert np.all(cloud.weights >= 0)
+        particles, weights = batch.endpoints[:, :2], w / w.sum()
         prev, t_start = ds.values[i], ds.times[i]
     assert len(res.diagnostics) == ds.n
 
@@ -1139,3 +1115,114 @@ def test_a_rho_outside_its_family_fails_its_problem_alone(kind, rho):
                                         "raise")
     assert isinstance(bad, DomainError) and f"{kind} requires rho" in str(bad)
     assert good == log_likelihood(OuModel(), OU_THETA, data, 8, 4, SamplerSpec(kind, 0.5), seed=3)
+
+
+def late_failing(model_class, mark, late):
+    """A model_class whose drift raises DomainError once theta[0] is above
+    mark and the time past late; elsewhere it is model_class's drift."""
+
+    class LateFailing(model_class):
+        def drift(self, x, theta, t):
+            if np.any(np.asarray(theta[0]) > mark) and np.any(np.asarray(t) > late):
+                raise DomainError("drift undefined past the late time")
+            return super().drift(x, theta, t)
+
+    return LateFailing()
+
+
+@pytest.mark.parametrize("name", ["ou", "cwd-direct"])
+def test_a_drift_domain_error_mid_run_fails_its_problem_alone(name):
+    # The bad problem's drift raises in a later transition (cwd-direct: its
+    # third step; ou: the one call that holds every transition). The call
+    # is run again problem by problem, the bad problem ends with the
+    # drift's DomainError, and the good one equals its solo run.
+    if name == "ou":
+        model, data, good, spec = late_failing(OuModel, 0.5, 3.5), ou_dataset(6), OU_THETA, "mbb"
+        bad = np.array([0.6, 0.261, 0.0224])
+    else:
+        model, data, spec = late_failing(CwdDirectModel, 0.05, 0.5), cwd_dataset(), "aux-mbb"
+        good, bad = np.array([0.03, 0.2]), np.array([0.06, 0.2])
+    sampler = SamplerSpec(spec, 0.8 if spec == "aux-mbb" else None)
+    group = likelihood._Problem(model, 8, 4, sampler.kind)
+    fit = group.add(data, 3)
+    problems = [(fit, bad, sampler.rho), (fit, good, sampler.rho)]
+    first, second = likelihood._likelihoods(group, problems, "neginf")
+    assert isinstance(first, DomainError) and "past the late time" in str(first)
+    solo = log_likelihood(model, good, data, 8, 4, sampler, seed=3)
+    assert (second.loglik, second.cv_sum, second.diagnostics) == (
+        solo.loglik, solo.cv_sum, solo.diagnostics)
+    with pytest.raises(DomainError, match="past the late time"):
+        log_likelihood(model, bad, data, 8, 4, sampler, seed=3)
+
+
+def test_a_drift_domain_error_repels_only_its_own_fit(monkeypatch):
+    # The long fit's drift fails past t = 3.5 wherever theta[0] > 0.052:
+    # at its start vertex along theta[0] and wherever the search goes
+    # there. Those points read as -inf in the group as in a search of one
+    # point at a time, and the short fit, whose data end at t = 3, never
+    # sees the failure.
+    model = late_failing(OuModel, 0.052, 3.5)
+    config = PenaltyConfig(0.5, 8, 4, SamplerSpec("mbb"))
+    optimizer = optimize.OptimizerConfig(max_evals=24)
+    start = (0.05, 0.5, 0.05)
+    fits = [(ou_dataset(3), start, None, 5), (ou_dataset(8, seed=1), start, None, 6)]
+    refused = []
+    evaluate = optimize._evaluate
+
+    def recorded(*args):
+        out = evaluate(*args)
+        refused.extend(isinstance(o, DomainError) for o in out)
+        return out
+
+    monkeypatch.setattr(optimize, "_evaluate", recorded)
+    group = optimize._maximize_group(model, fits, config, optimizer)
+    assert any(refused)
+
+    def summary(fit):
+        return (fit.theta.tolist(), fit.rho, fit.objective, fit.loglik, fit.evals, fit.converged,
+                fit.diagnostics)
+
+    for got, (data, theta, rho, seed) in zip(group, fits):
+        want = summary(maximize_one_at_a_time(model, data, config, theta, rho, optimizer, seed))
+        assert summary(got) == want
+        assert summary(maximize_psml(model, data, config, theta, rho, optimizer, seed)) == want
+
+
+def test_every_coordinate_observed_out_of_state_order_equals_state_order():
+    # Lorenz63 observed as (x3, x1, x2) on the same data, permuted: every
+    # family gives the ordered model's loglik and cv_sum bit for bit.
+    class Permuted(Lorenz63Model):
+        observed = (2, 0, 1)
+
+    model, theta = Lorenz63Model(), np.array([10.0, 28.0, 8.0 / 3.0, 2.0])
+    data = simulate_dataset(model, theta, np.array([-10.0, -10.0, 30.0]),
+                            TimeGrid(0.0, 0.05 * np.arange(1, 7), 16), rng_stream(4))
+    permuted = Dataset(data.t0, data.x0, data.times, data.values[:, [2, 0, 1]], (2, 0, 1))
+    for spec in (SamplerSpec("pedersen"), SamplerSpec("mbb"), SamplerSpec("regularized", 0.5),
+                 SamplerSpec("aux-mbb", 0.8)):
+        want = log_likelihood(model, theta, data, 8, 5, spec, seed=2)
+        got = log_likelihood(Permuted(), theta, permuted, 8, 5, spec, seed=2)
+        assert (got.loglik, got.cv_sum) == (want.loglik, want.cv_sum), spec
+
+
+def test_calls_cut_blocks_into_near_equal_calls():
+    # 5 rows at most 2 a call: 3 calls of 2, 2 and 1 rows, the last one
+    # partial, and a block that straddles two calls is cut in two.
+    assert list(likelihood._calls([(0, 0, 0, 5)], 2)) == [
+        [(0, 0, 0, 2)], [(0, 0, 2, 4)], [(0, 0, 4, 5)]]
+    assert list(likelihood._calls([(0, 0, 0, 3), (1, 0, 0, 2)], 2)) == [
+        [(0, 0, 0, 2)], [(0, 0, 2, 3), (1, 0, 0, 1)], [(1, 0, 1, 2)]]
+    assert list(likelihood._calls([(0, 0, 0, 3), (1, 1, 4, 6)], 10)) == [
+        [(0, 0, 0, 3), (1, 1, 4, 6)]]
+
+
+def test_a_plan_that_is_not_kept_runs_each_large_block_alone():
+    # Unless the plan is kept (stack), a block of _SOLO_ROWS rows or more
+    # is a call of its own, and the small blocks before it go first as
+    # one call; a kept plan stacks every block into one call.
+    group = likelihood._Problem(OuModel(), 8, 8, "mbb")
+    big = likelihood._SOLO_ROWS
+    blocks = [(0, 0, 0, 3), (1, 0, 0, 2), (2, 0, 0, big), (3, 0, 0, 4)]
+    assert [c.blocks for c in group.calls(blocks, stack=False)] == [
+        [(0, 0, 0, 3), (1, 0, 0, 2)], [(2, 0, 0, big)], [(3, 0, 0, 4)]]
+    assert [c.blocks for c in group.calls(blocks)] == [blocks]

@@ -466,6 +466,25 @@ def test_group_fits_equal_solo_fits(name, count):
     assert [fit_summary(f) for f in group] == one_at_a_time
 
 
+def test_a_fixed_rho_that_its_family_refuses_is_the_cause_of_its_fit_error():
+    # The group refuses the fixed rho once, where the fit enters; its
+    # EstimationError names that reason, not only the simplex's "not
+    # finite" that follows from it, and the other fit is its solo fit.
+    model, cfg, fits = replicate_fits("ou", 2)
+    optimizer = OptimizerConfig(max_evals=20)
+    data, theta, _, seed = fits[0]
+    fits[0] = (data, theta, 0.0, seed)
+    group = optimize._maximize_group(model, fits, cfg, optimizer, estimate_rho=False)
+    reason = "aux-mbb requires rho in (0, 1]"
+    assert isinstance(group[0], EstimationError) and reason in str(group[0])
+    assert isinstance(group[0].__cause__, DomainError) and str(group[0].__cause__) == reason
+    with pytest.raises(EstimationError, match=r"aux-mbb requires rho in \(0, 1\]"):
+        maximize_psml(model, data, cfg, theta, 0.0, optimizer, seed=seed, estimate_rho=False)
+    data, theta, rho, seed = fits[1]
+    solo = maximize_psml(model, data, cfg, theta, rho, optimizer, seed=seed, estimate_rho=False)
+    assert fit_summary(group[1]) == fit_summary(solo)
+
+
 def test_group_fit_with_an_unusable_start_fails_alone():
     model, cfg, fits = replicate_fits("ou", 3)
     data, theta, rho, seed = fits[1]

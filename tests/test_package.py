@@ -10,14 +10,12 @@ import psml
 PUBLIC_NAMES = [
     "BootstrapResult", "CwdDirectModel", "Dataset", "DomainError", "EpisodeSpec",
     "EstimationError", "Lorenz63Model", "MODEL_NAMES", "MethodSpec", "NumericalError",
-    "OptimizerConfig", "OuModel", "ParticleCloud", "PenaltyConfig", "PsmlFit",
-    "STUDY_PRESETS", "SamplerSpec", "SdeModel", "StepFunction", "StudyConfig",
-    "TUNE_PRESETS", "TimeGrid", "TransitionFailure", "TuneConfig", "TuneResult",
-    "cwd_sigma", "derive_seed", "load_dataset", "log_likelihood",
-    "make_model", "matrix_sqrt", "maximize_psml", "nelder_mead", "ou_exact_mle",
-    "parametric_bootstrap", "penalized_log_likelihood", "prediction_error",
-    "propose_transition", "r0_estimate", "rng_stream", "run_study", "save_dataset",
-    "simulate_dataset", "transform", "tune_lambda", "untransform",
+    "OptimizerConfig", "OuModel", "PenaltyConfig", "PsmlFit", "STUDY_PRESETS",
+    "SamplerSpec", "SdeModel", "StudyConfig", "TUNE_PRESETS", "TimeGrid",
+    "TransitionFailure", "TuneConfig", "TuneResult", "derive_seed", "load_dataset",
+    "log_likelihood", "make_model", "maximize_psml", "ou_exact_mle", "parametric_bootstrap",
+    "penalized_log_likelihood", "prediction_error", "propose_transition", "r0_estimate",
+    "rng_stream", "run_study", "save_dataset", "simulate_dataset", "tune_lambda",
 ]
 
 

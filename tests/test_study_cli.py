@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psml.cli import main
 from psml.core import DomainError, load_dataset, save_dataset
@@ -27,6 +29,7 @@ from psml.study import (
     run_study,
     summarize,
 )
+from psml.tune import TuneConfig
 
 OU_THETA0 = (0.0187, 0.2610, 0.0224)
 
@@ -600,21 +603,38 @@ def test_counts_read_from_files_must_be_whole_numbers(tmp_path, capsys, ou_fit, 
     pytest.param(lambda: OptimizerConfig(max_evals=30.5),
                  "max_evals must be a whole number, got 30.5", None, id="max-evals"),
     pytest.param(lambda: MethodSpec("mbb", "mbb", lam=math.inf), "lam must be finite",
-                 lambda m: m.update(lam=math.inf), id="method-lam"),
+                 lambda p: p["methods"][-1].update(lam=math.inf), id="method-lam"),
     pytest.param(lambda: MethodSpec(7, "mbb"), "method name must be a string, got 7",
-                 lambda m: m.update(name=7), id="method-name"),
+                 lambda p: p["methods"][-1].update(name=7), id="method-name"),
+    pytest.param(lambda: EpisodeSpec((1.0,), 2.5, 1.0), "episode n must be a whole number, got 2.5",
+                 None, id="episode-n"),
+    pytest.param(lambda: TuneConfig(0.04, 0.001, n_sims=2.5),
+                 "n_sims must be a whole number, got 2.5", None, id="tune-n-sims"),
+    pytest.param(lambda: MethodSpec("mbb", "mbb", lam=True), "lam must be a number, got True",
+                 lambda p: p["methods"][-1].update(lam=True), id="method-lam-bool"),
+    pytest.param(lambda: MethodSpec("aux", "aux-mbb", rho="est", rho_init=True),
+                 "rho_init must be a number, got True",
+                 lambda p: p["methods"].append(
+                     {"name": "aux", "kind": "aux-mbb", "rho": "est", "rho_init": True}),
+                 id="method-rho-init-bool"),
+    pytest.param(lambda: EpisodeSpec((1.0,), 6, True), "episode dt must be a number, got True",
+                 lambda p: p["episodes"][0].update(dt=True), id="episode-dt-bool"),
+    pytest.param(lambda: EpisodeSpec(("1.0",), 6, 1.0), "episode x0 must be a number, got '1.0'",
+                 lambda p: p["episodes"][0].update(x0=["1.0"]), id="episode-x0-string"),
 ])
 def test_counts_lambdas_and_names_fail_where_they_enter(tmp_path, capsys, build, message, edit):
-    # Each used to pass its constructor and fail late: a float count as a
-    # TypeError at the first evaluation, an infinite lambda as a report
-    # holding a non-JSON Infinity (exit 0), a numeric method name as a
-    # TypeError when the report sorted its method names (exit 1).
+    # Each used to pass its constructor and fail late or not at all: a
+    # float count as a TypeError at the first evaluation (or, in an
+    # episode or a ladder setting, cut to an int), an infinite lambda as a
+    # report holding a non-JSON Infinity (exit 0), a numeric method name
+    # as a TypeError when the report sorted its method names (exit 1), and
+    # true, or a number given as a string, read as a number (exit 0).
     with pytest.raises(DomainError, match=message):
         build()
     if edit is None:
         return
     payload = tiny_study(n_replicates=1).to_dict()
-    edit(payload["methods"][-1])
+    edit(payload)
     path, out = tmp_path / "in.json", tmp_path / "out"
     path.write_text(json.dumps(payload))
     assert run_cli("study", "--config", path, "--out", out) == 2
@@ -627,6 +647,44 @@ def test_whole_float_counts_are_taken_as_ints():
     assert (type(cfg.n_paths), type(cfg.substeps)) == (int, int)
     assert type(OptimizerConfig(max_evals=np.int64(30)).max_evals) is int
     assert type(MethodSpec("mbb", "mbb", n_paths=4.0).n_paths) is int
+
+
+def _field_paths(node, prefix=()):
+    """The key path of every field, list entry and nested object of a JSON payload."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+FUZZ_STUDY = tiny_study(n_replicates=1, methods=(
+    MethodSpec("exact", "exact-mle"),
+    MethodSpec("mbb", "mbb", n_paths=4, substeps=2),
+    MethodSpec("aux", "aux-mbb", n_paths=4, substeps=2, lam=0.1, rho="est", rho_init=0.8),
+)).to_dict()
+
+
+@settings(max_examples=40, deadline=None)
+@given(path=st.sampled_from(list(_field_paths(FUZZ_STUDY))),
+       value=st.sampled_from([math.nan, math.inf, -math.inf, -1, 0, 2.5, "x", None, [], True]))
+def test_a_study_config_with_one_bad_field_ends_in_a_known_exit_code(tmp_path_factory, path, value):
+    # Malformed input exits 2 and an estimator failure 3; a mutation that
+    # leaves the config valid runs (exit 0). Nothing may escape as an
+    # uncaught exception (exit 1).
+    payload = json.loads(json.dumps(FUZZ_STUDY))
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    where = tmp_path_factory.mktemp("fuzz")
+    config = where / "config.json"
+    config.write_text(json.dumps(payload))
+    assert run_cli("study", "--config", config, "--out", where / "out") in (0, 2, 3)
 
 
 @pytest.mark.parametrize("command, edit, message", [
