@@ -22,7 +22,6 @@ from .core import (
     DomainError,
     NumericalError,
     _shape_error,
-    _whole,
     dataset_from_dict,
     dataset_to_dict,
     load_dataset,
@@ -131,8 +130,6 @@ def cmd_estimate(args) -> int:
     theta_init = args.theta_init or STUDY_PRESETS[args.model]().theta_init
 
     rho, rho_init = _number_or(args.rho, "est", "--rho"), args.rho_init
-    if args.sampler in _RHO_INIT and rho is None:
-        raise DomainError(f"sampler {args.sampler!r} needs --rho (a number or 'est')")
     if args.sampler == "mbb" and rho == 1.0:
         # The plain bridge is the rho = 1 member of the scaled family, so
         # accept that one value as an explicit no-op.
@@ -152,7 +149,7 @@ def cmd_estimate(args) -> int:
         "dataset_paths": [str(p) for p in args.data],
         "datasets": [dataset_to_dict(ds) for ds in datasets],
         "config": {
-            "sampler": {"kind": method.kind, "rho": method.sampler().rho},
+            "sampler": {"kind": method.kind, "rho": method.penalty.sampler.rho},
             "n_paths": method.n_paths,
             "substeps": method.substeps,
             "lam": method.lam,
@@ -214,17 +211,17 @@ def cmd_bootstrap(args) -> int:
         estimate = fit["estimate"]
         sampler_kind = cfg["sampler"]["kind"]
         theta = model.validate_theta(estimate["theta"])
-        rho = estimate["rho"]
-        lam = float(estimate["lam"])
-        n_paths, substeps = _whole(cfg["n_paths"], "n_paths"), _whole(cfg["substeps"], "substeps")
-        max_evals = _whole(cfg.get("max_evals", 1500), "max_evals")
-        estimate_rho = bool(cfg.get("estimate_rho", False))
+        rho, lam = estimate["rho"], estimate["lam"]
+        n_paths, substeps = cfg["n_paths"], cfg["substeps"]
+        max_evals = cfg.get("max_evals", 1500)
+        estimate_rho = cfg.get("estimate_rho", False)
     except _SHAPE_ERRORS as exc:
         raise _shape_error("fit file", exc) from exc
+    if not isinstance(estimate_rho, bool):
+        raise DomainError(f"estimate_rho must be true or false, got {estimate_rho!r}")
 
-    sampler = SamplerSpec(sampler_kind, rho)
     result = parametric_bootstrap(
-        model, theta, rho, lam, templates, sampler,
+        model, theta, rho, lam, templates, SamplerSpec(sampler_kind, rho),
         n_paths=n_paths, substeps=substeps,
         n_replicates=args.replicates, alpha=args.alpha,
         optimizer=OptimizerConfig(max_evals=max_evals),
@@ -365,7 +362,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError, NotADirectoryError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, FileNotFoundError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (EstimationError, NumericalError) as exc:

@@ -161,6 +161,8 @@ class SdeModel:
         return out
 
     def validate_theta(self, theta) -> np.ndarray:
+        if not isinstance(theta, np.ndarray) and np.ndim(theta) == 1:
+            theta = [_real(v, "theta entry") for v in theta]  # as read from a file
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.n_params,):
             raise DomainError(
@@ -592,15 +594,15 @@ def dataset_to_dict(ds: Dataset) -> dict:
 def dataset_from_dict(payload: dict) -> Dataset:
     try:
         return Dataset(
-            t0=float(payload["t0"]),
-            x0=np.asarray(payload["x0"], dtype=float),
-            times=np.asarray(payload["times"], dtype=float),
-            values=np.asarray(payload["values"], dtype=float),
-            observed=tuple(int(i) for i in payload["observed"]),
+            t0=_real(payload["t0"], "dataset t0"),
+            x0=[_real(v, "dataset x0") for v in payload["x0"]],
+            times=[_real(t, "dataset times") for t in payload["times"]],
+            values=[[_real(v, "dataset values") for v in row] for row in payload["values"]],
+            observed=tuple(_whole(i, "dataset observed") for i in payload["observed"]),
             names=tuple(payload["names"]) if payload.get("names") else None,
         )
-    except KeyError as exc:
-        raise DomainError(f"dataset record missing key {exc.args[0]!r}") from exc
+    except _SHAPE_ERRORS as exc:
+        raise _shape_error("dataset record", exc) from exc
 
 
 def load_dataset(csv_path: Path | str) -> Dataset:
@@ -621,11 +623,14 @@ def load_dataset(csv_path: Path | str) -> Dataset:
     if not side_file.exists():
         raise DomainError(f"missing sidecar {side_file}")
     side = json.loads(side_file.read_text())
-    return Dataset(
-        t0=float(side["t0"]),
-        x0=np.asarray(side["x0"], dtype=float),
-        times=arr[:, 0],
-        values=arr[:, 1:],
-        observed=tuple(int(i) for i in side["observed"]),
-        names=names,
-    )
+    try:
+        return Dataset(
+            t0=_real(side["t0"], "sidecar t0"),
+            x0=[_real(v, "sidecar x0") for v in side["x0"]],
+            times=arr[:, 0],
+            values=arr[:, 1:],
+            observed=tuple(_whole(i, "sidecar observed") for i in side["observed"]),
+            names=names,
+        )
+    except _SHAPE_ERRORS as exc:
+        raise _shape_error(f"sidecar {side_file}", exc) from exc

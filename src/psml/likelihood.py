@@ -22,6 +22,7 @@ from .core import (
     DomainError,
     NumericalError,
     SdeModel,
+    _real,
     _whole,
     derive_seed,
     rng_stream,
@@ -122,6 +123,7 @@ class PenaltyConfig:
     sampler: SamplerSpec
 
     def __post_init__(self):
+        object.__setattr__(self, "lam", _real(self.lam, "lam"))
         if not self.lam >= 0.0:
             raise DomainError("lambda must be >= 0")
         if not math.isfinite(self.lam):

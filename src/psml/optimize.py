@@ -23,6 +23,7 @@ from .core import (
     UNIT_INTERVAL,
     DomainError,
     SdeModel,
+    _real,
     _whole,
 )
 from .likelihood import PenaltyConfig, _likelihoods, _objective, _Problem
@@ -246,12 +247,9 @@ class _Fit:
             estimate_rho = has_rho
         if estimate_rho and not has_rho:
             raise DomainError(f"sampler {config.sampler.kind!r} has no rho to estimate")
+        rho0 = None
         if has_rho:
-            rho0 = config.sampler.rho if rho_init is None else float(rho_init)
-            if rho0 is None:
-                raise DomainError("rho_init required for a rho-bearing sampler")
-        else:
-            rho0 = None
+            rho0 = config.sampler.rho if rho_init is None else _real(rho_init, "rho_init")
         self.refused = None
         x0 = theta_init
         if estimate_rho:

@@ -73,6 +73,7 @@ from .core import (
     _factor_logpdf,
     _log_density,
     _logdet,
+    _real,
     chol_mul,
     chol_spd,
     gauss_logpdf,
@@ -103,7 +104,7 @@ class SamplerSpec:
         if self.kind in _RHO_KINDS:
             if self.rho is None:
                 raise DomainError(f"sampler {self.kind!r} requires rho")
-            rho = float(self.rho)
+            rho = _real(self.rho, "rho")
             if self.kind == "aux-mbb" and not 0.0 < rho <= 1.0:
                 raise DomainError("aux-mbb requires rho in (0, 1]")
             if self.kind == "regularized" and not 0.0 <= rho <= 1.0:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -23,10 +22,10 @@ import numpy as np
 
 from .core import (_SHAPE_ERRORS, DomainError, NumericalError, TimeGrid, _real, _shape_error,
                    _whole, derive_seed, rng_stream, simulate_dataset)
-from .likelihood import PenaltyConfig, TransitionFailure
+from .likelihood import PenaltyConfig
 from .models import make_model, ou_exact_mle
 from .optimize import EstimationError, OptimizerConfig, maximize_psml
-from .samplers import _RHO_KINDS, KINDS, SamplerSpec
+from .samplers import _RHO_KINDS, SamplerSpec
 from .tune import TUNE_PRESETS, _map, tune_lambda
 
 # Seed tags separating data generation from estimation.
@@ -71,7 +70,9 @@ class MethodSpec:
     lam is a fixed penalty weight or the string "tune"; rho is a fixed
     value, the string "est" (estimated jointly, started at rho_init, which
     only an estimated rho takes), or None for families without the
-    parameter.
+    parameter. A sampler method's PenaltyConfig, built once here with
+    lambda 0 standing in for "tune", checks its counts, lambda and
+    sampler; exact-mle has none.
     """
 
     name: str
@@ -81,47 +82,32 @@ class MethodSpec:
     lam: float | str = 0.0
     rho: float | str | None = None
     rho_init: float | None = None
+    penalty: PenaltyConfig | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise DomainError(f"method name must be a string, got {self.name!r}")
-        for key in ("n_paths", "substeps"):
-            object.__setattr__(self, key, _whole(getattr(self, key), key))
         if self.kind == "exact-mle":
-            if (self.rho, self.rho_init) != (None, None) or self.lam not in (0.0, 0):
+            options = (self.n_paths, self.substeps, self.lam, self.rho, self.rho_init)
+            if options != (8, 8, 0, None, None):
                 raise DomainError("exact-mle takes no sampler options")
             return
-        if self.kind not in KINDS:
-            raise DomainError(f"unknown method kind {self.kind!r}")
-        if self.n_paths < 2:
-            raise DomainError("need n_paths >= 2")
-        if self.substeps < 1:
-            raise DomainError("substeps must be >= 1")
         if isinstance(self.lam, str) and self.lam != _TUNE:
             raise DomainError(f"lam must be a number or {_TUNE!r}")
-        if not isinstance(self.lam, str) and not _real(self.lam, "lam") >= 0:
-            raise DomainError("lam must be >= 0")
-        if not isinstance(self.lam, str) and not math.isfinite(self.lam):
-            raise DomainError("lam must be finite")
         if isinstance(self.rho, str) and self.rho != _EST:
             raise DomainError(f"rho must be a number, {_EST!r}, or None")
-        if self.rho not in (None, _EST):
-            _real(self.rho, "rho")
-        if self.rho_init is not None:
-            _real(self.rho_init, "rho_init")
         if self.estimates_rho and self.kind not in _RHO_KINDS:
             raise DomainError(f"sampler {self.kind!r} has no rho to estimate")
         if self.rho_init is not None and not self.estimates_rho:
             raise DomainError(f"method {self.name!r} has a rho_init but does not estimate rho")
-        # Build once to let the sampler family validate its parameter.
-        self.sampler()
-
-    def sampler(self) -> SamplerSpec:
-        if self.rho == _EST:
-            if self.rho_init is None:
-                raise DomainError(f"method {self.name!r} estimates rho but has no rho_init")
-            return SamplerSpec(self.kind, self.rho_init)
-        return SamplerSpec(self.kind, self.rho)
+        if self.estimates_rho and self.rho_init is None:
+            raise DomainError(f"method {self.name!r} estimates rho but has no rho_init")
+        sampler = SamplerSpec(self.kind, self.rho_init if self.estimates_rho else self.rho)
+        penalty = PenaltyConfig(0.0 if self.lam == _TUNE else self.lam, self.n_paths,
+                                self.substeps, sampler)
+        object.__setattr__(self, "penalty", penalty)
+        object.__setattr__(self, "n_paths", penalty.n_paths)
+        object.__setattr__(self, "substeps", penalty.substeps)
 
     @property
     def estimates_rho(self) -> bool:
@@ -161,8 +147,8 @@ class StudyConfig:
     model_kwargs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for key in ("theta0", "theta_init"):
-            object.__setattr__(self, key, tuple(_real(v, key) for v in getattr(self, key)))
+        for key in ("n_replicates", "data_substeps", "seed"):
+            object.__setattr__(self, key, _whole(getattr(self, key), key))
         object.__setattr__(self, "episodes", tuple(self.episodes))
         object.__setattr__(self, "methods", tuple(self.methods))
         if self.n_replicates < 1:
@@ -177,9 +163,10 @@ class StudyConfig:
         model = self.build_model()
         for name in ("theta0", "theta_init"):
             try:
-                model.validate_theta(getattr(self, name))
+                theta = model.validate_theta(getattr(self, name))
             except DomainError as exc:
                 raise DomainError(f"{name}: {exc}") from exc
+            object.__setattr__(self, name, tuple(theta.tolist()))
         for e, ep in enumerate(self.episodes):
             if len(ep.x0) != model.dim:
                 raise DomainError(f"episode {e} x0 must have {model.dim} coordinates")
@@ -223,9 +210,9 @@ class StudyConfig:
                 theta_init=tuple(payload["theta_init"]),
                 episodes=tuple(EpisodeSpec.from_dict(e) for e in payload["episodes"]),
                 methods=tuple(MethodSpec.from_dict(m) for m in payload["methods"]),
-                n_replicates=_whole(payload["n_replicates"], "n_replicates"),
-                data_substeps=_whole(payload["data_substeps"], "data_substeps"),
-                seed=_whole(payload.get("seed", 0), "seed"),
+                n_replicates=payload["n_replicates"],
+                data_substeps=payload["data_substeps"],
+                seed=payload.get("seed", 0),
                 model_kwargs=dict(payload.get("model_kwargs", {})),
             )
         except _SHAPE_ERRORS as exc:
@@ -239,7 +226,7 @@ class StudyConfig:
         return cls.from_dict(payload)
 
 
-_FAILURES = (EstimationError, NumericalError, TransitionFailure, DomainError)
+_FAILURES = (EstimationError, NumericalError, DomainError)
 
 
 def replicate_data(model, theta, episodes, data_substeps: int, seed: int, r: int) -> list:
@@ -257,19 +244,12 @@ def fit_method(model_name: str, model, datasets, method: MethodSpec, theta_init,
     """The PsmlFit of a sampler method: at its fixed lambda, or at the
     lambda that the prediction-error ladder of the model's tuning preset
     accepts, with the ladder's trace in fit.tune_trace."""
-    tune = method.lam == _TUNE
-    penalty = PenaltyConfig(
-        lam=0.0 if tune else float(method.lam),
-        n_paths=method.n_paths,
-        substeps=method.substeps,
-        sampler=method.sampler(),
-    )
-    if tune:
+    if method.lam == _TUNE:
         return tune_lambda(
-            model, datasets, TUNE_PRESETS[model_name], penalty, theta_init, method.rho_init,
-            optimizer, seed=seed, estimate_rho=method.estimates_rho,
+            model, datasets, TUNE_PRESETS[model_name], method.penalty, theta_init,
+            method.rho_init, optimizer, seed=seed, estimate_rho=method.estimates_rho,
         ).fit
-    return maximize_psml(model, datasets, penalty, theta_init, method.rho_init, optimizer,
+    return maximize_psml(model, datasets, method.penalty, theta_init, method.rho_init, optimizer,
                          seed=seed, estimate_rho=method.estimates_rho)
 
 

@@ -26,7 +26,8 @@ from .core import (
     rng_stream,
     simulate_dataset,
 )
-from .likelihood import _DRAW_CACHE_BYTES, PenaltyConfig, _as_datasets, _draw_nbytes
+from .likelihood import (_DRAW_CACHE_BYTES, PenaltyConfig, _as_datasets, _draw_nbytes,
+                         _model_datasets)
 from .optimize import (
     EstimationError,
     OptimizerConfig,
@@ -225,8 +226,8 @@ def _bootstrap_one(payload):
     per replicate (theta, rho), or None where the replicate failed
     numerically, which never reaches another replicate of the chunk.
     """
-    (model, theta, rho, lam, templates, sampler, n_paths, substeps,
-     optimizer, seed, chunk, estimate_rho, data_substeps, estimate) = payload
+    (model, theta, rho, penalty, templates, optimizer, seed, chunk, estimate_rho, data_substeps,
+     estimate) = payload
     out = dict.fromkeys(chunk)
     try:
         per_template = [
@@ -257,11 +258,10 @@ def _bootstrap_one(payload):
         except (EstimationError, NumericalError):
             pass
     if data:
-        cfg = PenaltyConfig(lam=lam, n_paths=n_paths, substeps=substeps, sampler=sampler)
         fits = _maximize_group(
             model,
             [(sims, theta, rho, derive_seed(seed, _TAG_BOOT_FIT, b)) for b, sims in data.items()],
-            cfg, optimizer, estimate_rho,
+            penalty, optimizer, estimate_rho,
         )
         for b, fit in zip(data, fits):
             if not isinstance(fit, EstimationError):
@@ -317,20 +317,22 @@ def parametric_bootstrap(
         raise DomainError("need at least 2 bootstrap replicates")
     if workers < 1:
         raise DomainError("workers must be >= 1")
-    templates = _as_datasets(templates)
-    data_substeps = substeps if data_substeps is None else data_substeps
+    penalty = PenaltyConfig(lam, n_paths, substeps, sampler)
+    templates = _model_datasets(model, templates)
+    data_substeps = penalty.substeps if data_substeps is None else data_substeps
 
     # A hook may close over this process's state, so it never leaves it.
     workers = 1 if estimate is not None else workers
     # A group's prepared problem (likelihood._Problem) holds its fits' draws,
     # so the draw cache's byte bound caps a group's draw memory.
     per_fit = sum(
-        _draw_nbytes(t.n, n_paths, substeps, model.dim, len(model.unobserved)) for t in templates
+        _draw_nbytes(t.n, penalty.n_paths, penalty.substeps, model.dim, len(model.unobserved))
+        for t in templates
     )
     group = max(1, min(_GROUP_FITS, _DRAW_CACHE_BYTES // max(per_fit, 1)))
     payloads = [
-        (model, theta, rho, float(lam), templates, sampler,
-         n_paths, substeps, optimizer, seed, chunk, estimate_rho, data_substeps, estimate)
+        (model, theta, rho, penalty, templates, optimizer, seed, chunk, estimate_rho,
+         data_substeps, estimate)
         for chunk in _chunks(n_replicates, workers, group)
     ]
     outcomes = [out for chunk in _map(_bootstrap_one, payloads, workers) for out in chunk]

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,12 +96,17 @@ def test_method_spec_validation():
             MethodSpec("x", kind, rho=rho, rho_init=0.3)
     with pytest.raises(DomainError):
         MethodSpec("x", "exact-mle", rho_init=0.3)
+    with pytest.raises(DomainError, match="exact-mle takes no sampler options"):
+        MethodSpec("x", "exact-mle", n_paths=16)
     spec = MethodSpec("x", "aux-mbb", rho="est", rho_init=0.8)
     assert spec.estimates_rho
-    assert spec.sampler().rho == 0.8
+    assert spec.penalty.sampler.rho == 0.8
+    # the one PenaltyConfig that fit_method uses, lambda 0 standing in for "tune"
+    tuned = MethodSpec("x", "aux-mbb", n_paths=4.0, substeps=2, lam="tune", rho="est", rho_init=0.8)
+    assert tuned.penalty == PenaltyConfig(0.0, 4, 2, SamplerSpec("aux-mbb", 0.8))
     fixed = MethodSpec("x", "regularized", rho=0.3)
     assert not fixed.estimates_rho
-    assert fixed.sampler().rho == 0.3
+    assert fixed.penalty.sampler.rho == 0.3
 
 
 def test_method_spec_dict_round_trip():
@@ -602,7 +608,7 @@ def test_counts_read_from_files_must_be_whole_numbers(tmp_path, capsys, ou_fit, 
                  "lambda must be finite", None, id="penalty-lam"),
     pytest.param(lambda: OptimizerConfig(max_evals=30.5),
                  "max_evals must be a whole number, got 30.5", None, id="max-evals"),
-    pytest.param(lambda: MethodSpec("mbb", "mbb", lam=math.inf), "lam must be finite",
+    pytest.param(lambda: MethodSpec("mbb", "mbb", lam=math.inf), "lambda must be finite",
                  lambda p: p["methods"][-1].update(lam=math.inf), id="method-lam"),
     pytest.param(lambda: MethodSpec(7, "mbb"), "method name must be a string, got 7",
                  lambda p: p["methods"][-1].update(name=7), id="method-name"),
@@ -613,7 +619,7 @@ def test_counts_read_from_files_must_be_whole_numbers(tmp_path, capsys, ou_fit, 
     pytest.param(lambda: MethodSpec("mbb", "mbb", lam=True), "lam must be a number, got True",
                  lambda p: p["methods"][-1].update(lam=True), id="method-lam-bool"),
     pytest.param(lambda: MethodSpec("aux", "aux-mbb", rho="est", rho_init=True),
-                 "rho_init must be a number, got True",
+                 "rho must be a number, got True",
                  lambda p: p["methods"].append(
                      {"name": "aux", "kind": "aux-mbb", "rho": "est", "rho_init": True}),
                  id="method-rho-init-bool"),
@@ -621,6 +627,14 @@ def test_counts_read_from_files_must_be_whole_numbers(tmp_path, capsys, ou_fit, 
                  lambda p: p["episodes"][0].update(dt=True), id="episode-dt-bool"),
     pytest.param(lambda: EpisodeSpec(("1.0",), 6, 1.0), "episode x0 must be a number, got '1.0'",
                  lambda p: p["episodes"][0].update(x0=["1.0"]), id="episode-x0-string"),
+    pytest.param(lambda: replace(tiny_study(), n_replicates=2.5),
+                 "n_replicates must be a whole number, got 2.5", None, id="study-replicates"),
+    pytest.param(lambda: replace(tiny_study(), n_replicates=True),
+                 "n_replicates must be a whole number, got True", None, id="study-replicates-bool"),
+    pytest.param(lambda: replace(tiny_study(), data_substeps=16.5),
+                 "data_substeps must be a whole number, got 16.5", None, id="study-data-substeps"),
+    pytest.param(lambda: replace(tiny_study(), seed=1.5),
+                 "seed must be a whole number, got 1.5", None, id="study-seed"),
 ])
 def test_counts_lambdas_and_names_fail_where_they_enter(tmp_path, capsys, build, message, edit):
     # Each used to pass its constructor and fail late or not at all: a
@@ -647,6 +661,7 @@ def test_whole_float_counts_are_taken_as_ints():
     assert (type(cfg.n_paths), type(cfg.substeps)) == (int, int)
     assert type(OptimizerConfig(max_evals=np.int64(30)).max_evals) is int
     assert type(MethodSpec("mbb", "mbb", n_paths=4.0).n_paths) is int
+    assert type(replace(tiny_study(), seed=3.0).seed) is int
 
 
 def _field_paths(node, prefix=()):
@@ -662,6 +677,17 @@ def _field_paths(node, prefix=()):
         yield from _field_paths(value, prefix + (key,))
 
 
+def _put(payload, path, value):
+    """A copy of a JSON payload with the field at key path set to value."""
+    payload = json.loads(json.dumps(payload))
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return payload
+
+
+FUZZ_VALUES = [math.nan, math.inf, -math.inf, -1, 0, 2.5, "x", None, [], True]
 FUZZ_STUDY = tiny_study(n_replicates=1, methods=(
     MethodSpec("exact", "exact-mle"),
     MethodSpec("mbb", "mbb", n_paths=4, substeps=2),
@@ -671,26 +697,83 @@ FUZZ_STUDY = tiny_study(n_replicates=1, methods=(
 
 @settings(max_examples=40, deadline=None)
 @given(path=st.sampled_from(list(_field_paths(FUZZ_STUDY))),
-       value=st.sampled_from([math.nan, math.inf, -math.inf, -1, 0, 2.5, "x", None, [], True]))
+       value=st.sampled_from(FUZZ_VALUES))
 def test_a_study_config_with_one_bad_field_ends_in_a_known_exit_code(tmp_path_factory, path, value):
     # Malformed input exits 2 and an estimator failure 3; a mutation that
     # leaves the config valid runs (exit 0). Nothing may escape as an
     # uncaught exception (exit 1).
-    payload = json.loads(json.dumps(FUZZ_STUDY))
-    node = payload
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    payload = _put(FUZZ_STUDY, path, value)
     where = tmp_path_factory.mktemp("fuzz")
     config = where / "config.json"
     config.write_text(json.dumps(payload))
     assert run_cli("study", "--config", config, "--out", where / "out") in (0, 2, 3)
 
 
+@pytest.fixture(scope="module")
+def ou_aux_fit(tmp_path_factory, ou_data):
+    """A small fit with rho estimated, so that a bootstrap reads every field it has."""
+    path = tmp_path_factory.mktemp("fits") / "aux.json"
+    assert run_cli("estimate", ou_data, "--model", "ou", "--sampler", "aux-mbb", "--rho", "est",
+                   "-J", "4", "-M", "2", "--max-evals", "20", "--out", path) == 0
+    return path
+
+
+@pytest.mark.parametrize("path, value, message", [
+    pytest.param(("estimate", "lam"), True, "lam must be a number, got True",
+                 id="lam"),
+    pytest.param(("estimate", "rho"), True, "rho must be a number, got True",
+                 id="rho"),
+    pytest.param(("estimate", "theta", 0), True, "theta entry must be a number, got True",
+                 id="theta-bool"),
+    pytest.param(("estimate", "theta", 1), "0.4", "theta entry must be a number, got '0.4'",
+                 id="theta-string"),
+    pytest.param(("config", "estimate_rho"), "no", "estimate_rho must be true or false, got 'no'",
+                 id="estimate-rho"),
+    pytest.param(("datasets", 0, "x0"), [True], "dataset x0 must be a number, got True",
+                 id="x0"),
+    pytest.param(("datasets", 0, "times", 0), "1.0", "dataset times must be a number, got '1.0'",
+                 id="times"),
+    pytest.param(("datasets", 0, "values", 0, 0), True, "dataset values must be a number, got True",
+                 id="values"),
+    pytest.param(("datasets", 0, "observed"), [False],
+                 "dataset observed must be a whole number, got False", id="observed-bool"),
+    pytest.param(("datasets", 0, "observed"), [5],
+                 "dataset observed coordinates do not match the model", id="observed-model"),
+])
+def test_a_fit_file_field_that_is_not_what_it_should_be_is_refused(
+        tmp_path, capsys, ou_aux_fit, path, value, message):
+    # Each was read with float(), int() or bool(), and the bootstrap ran
+    # (exit 0): true as 1, "0.4" as 0.4, false as 0, "no" as true; and the
+    # templates were never checked against the model.
+    bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+    bad.write_text(json.dumps(_put(json.loads(ou_aux_fit.read_text()), path, value)))
+    assert run_cli("bootstrap", bad, "-B", "2", "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+# The parts of a fit file that psml bootstrap reads.
+_BOOTSTRAP_READS = ("model", "datasets", "config", "estimate")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), value=st.sampled_from(FUZZ_VALUES))
+def test_a_fit_file_with_one_bad_field_ends_in_a_known_exit_code(tmp_path_factory, ou_aux_fit,
+                                                                 data, value):
+    # As for study configs: exit 0, 2 or 3, never an uncaught exception.
+    fit = json.loads(ou_aux_fit.read_text())
+    paths = [p for p in _field_paths(fit) if p[0] in _BOOTSTRAP_READS]
+    path = data.draw(st.sampled_from(paths))
+    where = tmp_path_factory.mktemp("fuzz")
+    (where / "fit.json").write_text(json.dumps(_put(fit, path, value)))
+    code = run_cli("bootstrap", where / "fit.json", "-B", "2", "--out", where / "boot.json")
+    assert code in (0, 2, 3)
+
+
 @pytest.mark.parametrize("command, edit, message", [
     pytest.param("bootstrap", lambda p: [p], "fit file must be a JSON object", id="bootstrap-list"),
-    pytest.param("bootstrap", lambda p: p["estimate"].update(lam=None), "fit file is malformed",
-                 id="bootstrap-null-lam"),
+    pytest.param("bootstrap", lambda p: p["estimate"].update(lam=None),
+                 "lam must be a number, got None", id="bootstrap-null-lam"),
     pytest.param("bootstrap", lambda p: p["estimate"].update(theta=None), "expected 3 parameters",
                  id="bootstrap-null-theta"),
     pytest.param("bootstrap", lambda p: p.update(config=[]), "fit file is malformed",
@@ -717,6 +800,9 @@ def test_cli_json_inputs_of_the_wrong_shape_are_configuration_errors(
     ({"x0": [40.0, 6.0]}, "dataset x0 has 2 entries, the model has 3 states"),
     ({"x0": [40.0, 6.0, 0.0, 1.0]}, "dataset x0 has 4 entries, the model has 3 states"),
     ({"observed": [1]}, "dataset observed coordinates do not match the model"),
+    ({"t0": "0.0"}, "sidecar t0 must be a number, got '0.0'"),
+    ({"x0": [40.0, True, 0.0]}, "sidecar x0 must be a number, got True"),
+    ({"observed": [2.5]}, "sidecar observed must be a whole number, got 2.5"),
 ])
 def test_cli_estimate_rejects_data_that_do_not_fit_the_model(tmp_path, capsys, sidecar, message):
     data = tmp_path / "herd.csv"

@@ -635,7 +635,7 @@ def test_bootstrap_failures_stay_with_their_replicate(monkeypatch):
 
     monkeypatch.setattr(tune, "simulate_dataset", sabotaged)
     monkeypatch.setattr(tune, "_simulate_datasets", lockstep_fails)
-    payload = (model, OU_THETA, None, 0.0, [template], SamplerSpec("mbb"), 8, 4,
+    payload = (model, OU_THETA, None, PenaltyConfig(0.0, 8, 4, SamplerSpec("mbb")), [template],
                OptimizerConfig(max_evals=30), 9, [0, 1, 2, 3, 4], None, 16, None)
     out = tune._bootstrap_one(payload)
     assert calls == [0, 1, 2, 3, 4]
@@ -669,7 +669,7 @@ def test_bootstrap_data_failure_in_the_lockstep_loop_stays_with_its_replicate():
         except NumericalError:
             failing.append(b)
     assert failing == [1, 2, 3]
-    payload = (model, OU_THETA, None, 0.0, [template], SamplerSpec("mbb"), 8, 4,
+    payload = (model, OU_THETA, None, PenaltyConfig(0.0, 8, 4, SamplerSpec("mbb")), [template],
                OptimizerConfig(max_evals=30), 9, [0, 1, 2, 3, 4], None, 16, None)
     out = tune._bootstrap_one(payload)
     assert out[1:4] == [None, None, None]
