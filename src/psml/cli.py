@@ -21,6 +21,7 @@ from .core import (
     _SHAPE_ERRORS,
     DomainError,
     NumericalError,
+    _read_object,
     _shape_error,
     dataset_from_dict,
     dataset_to_dict,
@@ -193,13 +194,6 @@ def cmd_study(args) -> int:
 
 # ---------------------------------------------------------------------------
 # bootstrap
-
-
-def _read_object(path, what: str) -> dict:
-    payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, dict):
-        raise DomainError(f"{what} must be a JSON object")
-    return payload
 
 
 def cmd_bootstrap(args) -> int:

@@ -253,7 +253,7 @@ class TimeGrid:
         if times.ndim != 1 or times.size < 1:
             raise DomainError("times must be a nonempty 1-d array")
         if not np.all(np.isfinite(times)) or not math.isfinite(self.t0):
-            raise DomainError("grid times must be finite")
+            raise DomainError("times must be finite")
         if times[0] <= self.t0 or np.any(np.diff(times) <= 0):
             raise DomainError("times must be strictly increasing and start after t0")
         if self.substeps < 1:
@@ -298,10 +298,12 @@ class Dataset:
             raise DomainError("values width must match the observed index tuple")
         if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(values))):
             raise DomainError("dataset contains non-finite entries")
-        if not (math.isfinite(self.t0) and np.all(np.isfinite(times))):
-            raise DomainError("dataset times must be finite")
-        if times[0] <= self.t0 or np.any(np.diff(times) <= 0):
-            raise DomainError("observation times must be strictly increasing after t0")
+        TimeGrid(self.t0, times, 1)  # observation times follow the grid's rules
+        if self.names is not None:
+            if not (isinstance(self.names, (list, tuple)) and len(self.names) == values.shape[1]
+                    and all(isinstance(name, str) for name in self.names)):
+                raise DomainError(f"names must be one string per observed column, got {self.names!r}")
+            object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
@@ -564,18 +566,15 @@ def _fmt(v: float) -> str:
 
 def save_dataset(ds: Dataset, csv_path: Path | str) -> None:
     """Write observations as CSV (time plus one column per observed coordinate)
-    and the initial condition to a JSON sidecar next to it."""
+    and the initial condition to a JSON sidecar next to it: the dataset's
+    dataset_to_dict record, split as load_dataset joins it."""
     csv_path = Path(csv_path)
-    names = ds.names or tuple(f"y{i}" for i in ds.observed)
+    side = dataset_to_dict(ds)
+    names = side.pop("names") or [f"y{i}" for i in ds.observed]
     lines = ["time," + ",".join(names)]
-    for t, row in zip(ds.times, ds.values):
-        lines.append(",".join([_fmt(t)] + [_fmt(v) for v in row]))
+    for t, row in zip(side.pop("times"), side.pop("values")):
+        lines.append(",".join(_fmt(v) for v in [t] + row))
     csv_path.write_text("\n".join(lines) + "\n")
-    side = {
-        "t0": float(ds.t0),
-        "x0": [float(v) for v in ds.x0],
-        "observed": [int(i) for i in ds.observed],
-    }
     sidecar_path(csv_path).write_text(json.dumps(side, sort_keys=True) + "\n")
 
 
@@ -591,22 +590,31 @@ def dataset_to_dict(ds: Dataset) -> dict:
     }
 
 
-def dataset_from_dict(payload: dict) -> Dataset:
+def dataset_from_dict(payload: dict, what: str = "dataset") -> Dataset:
+    """The dataset of a dataset_to_dict record: every dataset read from outside."""
     try:
         return Dataset(
-            t0=_real(payload["t0"], "dataset t0"),
-            x0=[_real(v, "dataset x0") for v in payload["x0"]],
-            times=[_real(t, "dataset times") for t in payload["times"]],
-            values=[[_real(v, "dataset values") for v in row] for row in payload["values"]],
-            observed=tuple(_whole(i, "dataset observed") for i in payload["observed"]),
-            names=tuple(payload["names"]) if payload.get("names") else None,
+            t0=_real(payload["t0"], f"{what} t0"),
+            x0=[_real(v, f"{what} x0") for v in payload["x0"]],
+            times=[_real(t, f"{what} times") for t in payload["times"]],
+            values=[[_real(v, f"{what} values") for v in row] for row in payload["values"]],
+            observed=tuple(_whole(i, f"{what} observed") for i in payload["observed"]),
+            names=payload.get("names"),
         )
     except _SHAPE_ERRORS as exc:
-        raise _shape_error("dataset record", exc) from exc
+        raise _shape_error(f"{what} record", exc) from exc
+
+
+def _read_object(path, what: str) -> dict:
+    payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise DomainError(f"{what} must be a JSON object")
+    return payload
 
 
 def load_dataset(csv_path: Path | str) -> Dataset:
-    """Read a dataset written by save_dataset, exactly round-tripping values."""
+    """Read a dataset written by save_dataset, exactly round-tripping values:
+    its CSV and sidecar form one record for dataset_from_dict."""
     csv_path = Path(csv_path)
     text = csv_path.read_text().strip().splitlines()
     if not text:
@@ -614,23 +622,15 @@ def load_dataset(csv_path: Path | str) -> Dataset:
     header = text[0].split(",")
     if header[0] != "time":
         raise DomainError(f"{csv_path} first column must be 'time'")
-    names = tuple(header[1:])
     rows = [[float(v) for v in line.split(",")] for line in text[1:]]
-    arr = np.asarray(rows, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != len(header):
+    if any(len(row) != len(header) for row in rows):
         raise DomainError(f"{csv_path} rows do not match the header")
     side_file = sidecar_path(csv_path)
     if not side_file.exists():
         raise DomainError(f"missing sidecar {side_file}")
-    side = json.loads(side_file.read_text())
+    record = {**_read_object(side_file, f"sidecar {side_file}"), "names": header[1:],
+              "times": [row[0] for row in rows], "values": [row[1:] for row in rows]}
     try:
-        return Dataset(
-            t0=_real(side["t0"], "sidecar t0"),
-            x0=[_real(v, "sidecar x0") for v in side["x0"]],
-            times=arr[:, 0],
-            values=arr[:, 1:],
-            observed=tuple(_whole(i, "sidecar observed") for i in side["observed"]),
-            names=names,
-        )
-    except _SHAPE_ERRORS as exc:
-        raise _shape_error(f"sidecar {side_file}", exc) from exc
+        return dataset_from_dict(record, "sidecar")
+    except DomainError as exc:
+        raise DomainError(f"{csv_path}: {exc}") from exc

@@ -154,19 +154,12 @@ def _weight_stats(log_weights: np.ndarray, n_paths: int):
     return shift + np.log(mean_w[:, 0]), cv, n_paths / (1.0 + cv**2), w
 
 
-def _as_datasets(datasets) -> list:
-    if isinstance(datasets, Dataset):
-        return [datasets]
-    out = list(datasets)
+def _model_datasets(model, datasets) -> list:
+    """One dataset or a nonempty sequence of them, as a list, each checked
+    against the model: its observed coordinates and the size of its x0."""
+    out = [datasets] if isinstance(datasets, Dataset) else list(datasets)
     if not out:
         raise DomainError("need at least one dataset")
-    return out
-
-
-def _model_datasets(model, datasets) -> list:
-    """_as_datasets, each checked against the model: it must observe the
-    model's coordinates and start from a state of the model's size."""
-    out = _as_datasets(datasets)
     for ds in out:
         if tuple(ds.observed) != tuple(model.observed):
             raise DomainError("dataset observed coordinates do not match the model")

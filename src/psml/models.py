@@ -4,19 +4,20 @@ livestock epidemic observed only through cumulative disease deaths."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from .core import (
+    _SHAPE_ERRORS,
     FREE,
     POSITIVE,
     Dataset,
     DomainError,
     SdeModel,
+    _real,
+    _shape_error,
     matrix_sqrt,
-    validate_model,
 )
 
 
@@ -79,11 +80,10 @@ def ou_exact_mle(datasets, theta_init=(0.05, 0.5, 0.05), optimizer=None):
     """Maximize the exact OU likelihood of one dataset, or the summed
     likelihood of a list of independent episodes, with the shared simplex
     optimizer."""
+    from .likelihood import _model_datasets
     from .optimize import OptimizerConfig, nelder_mead, transform, untransform
 
-    data = [datasets] if isinstance(datasets, Dataset) else list(datasets)
-    if not data:
-        raise DomainError("need at least one dataset")
+    data = _model_datasets(OuModel(), datasets)
     cons = OuModel.param_constraints
     cfg = optimizer or OptimizerConfig()
 
@@ -145,8 +145,8 @@ class StepFunction:
         values = np.atleast_1d(np.asarray(self.values, dtype=float))
         if times.shape != values.shape or times.ndim != 1:
             raise DomainError("breakpoints and values must be 1-d and aligned")
-        if times.size and np.any(np.diff(times) <= 0):
-            raise DomainError("breakpoints must be strictly increasing")
+        if not (np.isfinite(times).all() and (np.diff(times) > 0).all() and np.isfinite(values).all()):
+            raise DomainError("breakpoints must be finite and strictly increasing, values finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -193,7 +193,9 @@ class CwdDirectModel(SdeModel):
     """Susceptible/infected herd with recorded cumulative disease deaths.
 
     Only C, the running death count, is observed. Animal additions over
-    time and the background mortality rate are exogenous.
+    time and the background mortality rate m are exogenous. additions is a
+    StepFunction, a constant rate or a {"times", "values"} record; neither it
+    nor m may be negative, or cwd_sigma's S variance a + S (beta I + m) could be.
     """
 
     additions: StepFunction = field(default_factory=lambda: StepFunction.constant(10.0))
@@ -206,6 +208,23 @@ class CwdDirectModel(SdeModel):
     param_names = ("beta", "mu")
     param_constraints = (POSITIVE, POSITIVE)
     constant_diffusion = False
+
+    def __post_init__(self):
+        additions = self.additions
+        if isinstance(additions, dict):
+            try:
+                additions = StepFunction([_real(t, "additions times") for t in additions["times"]],
+                                         [_real(v, "additions values") for v in additions["values"]])
+            except _SHAPE_ERRORS as exc:
+                raise _shape_error("additions record", exc) from exc
+        elif not isinstance(additions, StepFunction):
+            additions = StepFunction.constant(_real(additions, "additions"))
+        m = _real(self.natural_mortality, "natural_mortality")
+        if not (0 <= m < math.inf and (additions.values >= 0).all()):
+            raise DomainError("natural_mortality and additions must be finite and >= 0, got "
+                              f"{m!r} and {additions.values.tolist()}")
+        object.__setattr__(self, "additions", additions)
+        object.__setattr__(self, "natural_mortality", m)
 
     def drift(self, x, theta, t):
         beta, mu = theta[0], theta[1]
@@ -264,26 +283,17 @@ def r0_estimate(beta, mu, m, n0, draws=None, alpha: float = 0.05) -> R0Estimate:
 # Registry
 
 
+_MODELS = {"ou": OuModel, "lorenz63": Lorenz63Model, "cwd-direct": CwdDirectModel}
+MODEL_NAMES = tuple(_MODELS)
+
+
 def make_model(name: str, **kwargs) -> SdeModel:
-    """Construct a model by its CLI name, checked by validate_model."""
-    if name == "ou":
-        model = OuModel()
-    elif name == "lorenz63":
-        model = Lorenz63Model()
-    elif name == "cwd-direct":
-        additions = kwargs.pop("additions", 10.0)
-        if isinstance(additions, dict):
-            additions = StepFunction(tuple(additions["times"]), tuple(additions["values"]))
-        elif not isinstance(additions, StepFunction):
-            additions = StepFunction.constant(float(additions))
-        m = float(kwargs.pop("natural_mortality", 0.15))
-        model = CwdDirectModel(additions=additions, natural_mortality=m)
-    else:
+    """The model of a CLI name; its constructor reads and checks the kwargs."""
+    model_class = _MODELS.get(name) if isinstance(name, str) else None
+    if model_class is None:
         raise DomainError(f"unknown model {name!r}")
-    if kwargs:
-        raise DomainError(f"unknown model arguments {sorted(kwargs)}")
-    validate_model(model)
-    return model
-
-
-MODEL_NAMES = ("ou", "lorenz63", "cwd-direct")
+    settings = fields(model_class) if is_dataclass(model_class) else ()
+    unknown = sorted(set(kwargs) - {f.name for f in settings})
+    if unknown:
+        raise DomainError(f"unknown model arguments {unknown}")
+    return model_class(**kwargs)

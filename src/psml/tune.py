@@ -26,8 +26,7 @@ from .core import (
     rng_stream,
     simulate_dataset,
 )
-from .likelihood import (_DRAW_CACHE_BYTES, PenaltyConfig, _as_datasets, _draw_nbytes,
-                         _model_datasets)
+from .likelihood import _DRAW_CACHE_BYTES, PenaltyConfig, _draw_nbytes, _model_datasets
 from .optimize import (
     EstimationError,
     OptimizerConfig,
@@ -42,9 +41,9 @@ _TAG_PREDICTION = 1
 _TAG_BOOT_DATA = 2
 _TAG_BOOT_FIT = 3
 
-# Most bootstrap refits that one lockstep group holds. A cwd-direct
-# evaluation in a group costs each fit 0.61x of a solo one at 2 fits,
-# 0.36x at 8 and 0.30x at 16 and at 32 (2-core Xeon, numpy 2.4).
+# Most refits one lockstep group holds. A cwd-direct evaluation in a group
+# costs each fit 0.70-0.75x of a solo one at 2 fits, 0.43-0.46x at 8 and
+# 0.43-0.45x at 32 (J 48, M 12, 60 evaluations a fit; 2-core Xeon, numpy 2.4.6).
 _GROUP_FITS = 32
 
 
@@ -100,7 +99,7 @@ def prediction_error(model, theta, datasets, substeps, n_sims, rng) -> float:
     all datasets read the one stream rng, in dataset order and, within a
     dataset, one (n_sims, k) draw per substep (core._euler).
     """
-    datasets = _as_datasets(datasets)
+    datasets = _model_datasets(model, datasets)
     obs = list(model.observed)
     total = 0.0
     n_total = 0
@@ -270,9 +269,9 @@ def _bootstrap_one(payload):
 
 
 def _chunks(n_replicates: int, workers: int, group: int) -> list:
-    """Near-equal contiguous chunks of the replicate indices: at least one
-    per worker, and none above group replicates."""
-    count = min(n_replicates, max(workers, math.ceil(n_replicates / group)))
+    """Near-equal contiguous chunks of the replicate indices, none above
+    group replicates, as many per worker where the replicates suffice."""
+    count = min(n_replicates, workers * math.ceil(n_replicates / (group * workers)))
     size, extra = divmod(n_replicates, count)
     bounds = [c * size + min(c, extra) for c in range(count + 1)]
     return [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]

@@ -1,5 +1,6 @@
 """State-space core: stepping, densities, square roots, simulation, files."""
 
+import json
 import math
 
 import numpy as np
@@ -381,6 +382,19 @@ def test_dataset_validation():
         Dataset(0.0, np.array([np.inf]), np.array([1.0]), np.array([[1.0]]), observed=(0,))
 
 
+@pytest.mark.parametrize("names", ["x", "", 0, [math.nan], ["x1", "x2"], [], ("x1", None)])
+def test_dataset_names_are_one_string_per_observed_column(names):
+    # "x" was taken as ("x",), 0 and "" dropped, and [NaN] kept.
+    with pytest.raises(DomainError, match="names must be one string per observed column"):
+        Dataset(0.0, np.array([1.0]), np.array([1.0]), np.array([[1.0]]), (0,), names)
+    record = {"t0": 0.0, "x0": [1.0], "times": [1.0], "values": [[1.0]], "observed": [0],
+              "names": names}
+    with pytest.raises(DomainError, match="names must be one string per observed column"):
+        dataset_from_dict(record)
+    ds = Dataset(0.0, np.array([1.0]), np.array([1.0]), np.array([[1.0]]), (0,), ["x1"])
+    assert ds.names == ("x1",)
+
+
 # ---------------------------------------------------------------------------
 # simulation
 
@@ -560,3 +574,22 @@ def test_load_dataset_requires_sidecar(tmp_path):
     path.write_text("time,x1\n1.0,2.0\n")
     with pytest.raises(DomainError, match="sidecar"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("csv, sidecar, message", [
+    ("time,x1\n1.0,2.0\n", {"t0": 0.0, "x0": [1.0]}, "sidecar record missing key 'observed'"),
+    ("time,x1\n1.0,2.0\n", ["t0", 0.0], "must be a JSON object"),
+    ("time,x1\n1.0,nan\n", {"t0": 0.0, "x0": [1.0], "observed": [0]}, "non-finite"),
+    ("time,x1\n2.0,1.0\n1.0,2.0\n", {"t0": 0.0, "x0": [1.0], "observed": [0]},
+     "strictly increasing"),
+    ("time,x1\n1.0,2.0,3.0\n", {"t0": 0.0, "x0": [1.0], "observed": [0]},
+     "rows do not match the header"),
+])
+def test_load_dataset_reads_its_csv_and_sidecar_as_one_dataset_record(tmp_path, csv, sidecar,
+                                                                      message):
+    path = tmp_path / "data.csv"
+    path.write_text(csv)
+    path.with_suffix(".json").write_text(json.dumps(sidecar))
+    with pytest.raises(DomainError, match=message) as err:
+        load_dataset(path)
+    assert str(path.with_suffix("")) in str(err.value)  # the CSV or its sidecar

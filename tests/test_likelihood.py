@@ -323,7 +323,7 @@ def test_datasets_with_a_nan_time_are_rejected(t0, times):
     # substep times: Dataset refuses both where the data enters, so that
     # every interval length that the kernel gets is positive and finite.
     good = cwd_dataset()
-    with pytest.raises(DomainError, match="dataset times must be finite"):
+    with pytest.raises(DomainError, match="times must be finite"):
         Dataset(t0, good.x0, good.times if times is None else np.array(times), good.values,
                 good.observed)
 

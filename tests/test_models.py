@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from psml.core import DomainError, matrix_sqrt
+from psml.core import DomainError, matrix_sqrt, validate_model
 from psml.models import (
     CwdDirectModel,
     Lorenz63Model,
@@ -22,6 +22,9 @@ from psml.models import (
 from reference import euler_transition
 
 OU_THETA = np.array([0.0187, 0.2610, 0.0224])
+# How CwdDirectModel and StepFunction refuse a negative or non-finite setting.
+NEGATIVE = "natural_mortality and additions must be finite and >= 0, got "
+NOT_FINITE = "breakpoints must be finite and strictly increasing, values finite"
 
 
 def make_ou_dataset(n=200, seed=0, dt=1.0):
@@ -166,6 +169,17 @@ def test_step_function_rejects_unsorted():
         StepFunction(np.array([1.0, 1.0]), np.array([2.0, 3.0]))
 
 
+@pytest.mark.parametrize("times, values", [
+    ([0.0, math.nan], [1.0, 2.0]),
+    ([0.0, math.inf], [1.0, 2.0]),
+    ([0.0, 1.0], [1.0, -math.inf]),
+])
+def test_step_function_rejects_non_finite_breakpoints_and_values(times, values):
+    # A NaN breakpoint passed the ordering check, since NaN <= 0 is false.
+    with pytest.raises(DomainError, match=NOT_FINITE):
+        StepFunction(np.array(times), np.array(values))
+
+
 # ---------------------------------------------------------------------------
 # CWD covariance
 
@@ -286,9 +300,11 @@ def test_r0_rejects_bad_rates():
 def test_make_model_names():
     for name in MODEL_NAMES:
         model = make_model(name)
+        validate_model(model)
         assert model.dim >= 1
-    with pytest.raises(DomainError):
-        make_model("heston")
+    for name in ("heston", ["ou"], None):
+        with pytest.raises(DomainError, match="unknown model"):
+            make_model(name)
     with pytest.raises(DomainError):
         make_model("ou", bogus=1)
 
@@ -301,3 +317,36 @@ def test_make_model_cwd_kwargs():
         "cwd-direct", additions={"times": [0.0, 3.0], "values": [5.0, 8.0]}
     )
     assert stepped.additions(4.0) == 8.0
+    # make_model only looks the name up: the constructor reads the settings
+    assert CwdDirectModel(additions={"times": [0, 3], "values": [5, 8]}).additions(4.0) == 8.0
+    assert type(CwdDirectModel(natural_mortality=1).natural_mortality) is float
+    with pytest.raises(DomainError, match=r"unknown model arguments \['bogus'\]"):
+        make_model("cwd-direct", additions=5.0, bogus=1)
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"natural_mortality": True}, "natural_mortality must be a number, got True"),
+    ({"natural_mortality": "0.15"}, "natural_mortality must be a number, got '0.15'"),
+    ({"natural_mortality": -1.0}, NEGATIVE + r"-1.0 and \[10.0\]"),
+    ({"natural_mortality": math.nan}, NEGATIVE + "nan"),
+    ({"natural_mortality": math.inf}, NEGATIVE + "inf"),
+    ({"additions": "10"}, "additions must be a number, got '10'"),
+    ({"additions": None}, "additions must be a number, got None"),
+    ({"additions": -1.0}, NEGATIVE + r"0.15 and \[-1.0\]"),
+    ({"additions": math.nan}, NOT_FINITE),
+    ({"additions": {"times": [0.0, math.nan], "values": [5.0, 8.0]}}, NOT_FINITE),
+    ({"additions": {"times": [0.0, 3.0], "values": [5.0, -8.0]}}, NEGATIVE + r"0.15 and \[5.0, -8.0\]"),
+    ({"additions": {"times": [0.0, "3"], "values": [5.0, 8.0]}},
+     "additions times must be a number, got '3'"),
+    ({"additions": {"times": [0.0], "values": [True]}}, "additions values must be a number, got True"),
+    ({"additions": {"times": [0.0]}}, "additions record missing key 'values'"),
+    ({"additions": {"times": 0.0, "values": 5.0}}, "additions record is malformed"),
+])
+def test_cwd_settings_that_are_not_numbers_or_are_negative_are_refused(settings, message):
+    # Each was taken by float() or passed as given: true as 1, "10" as 10,
+    # a negative rate or a NaN breakpoint as a model that runs. A negative
+    # one can make the S variance a + S (beta I + m) of cwd_sigma negative.
+    with pytest.raises(DomainError, match=message):
+        make_model("cwd-direct", **settings)
+    with pytest.raises(DomainError, match=message):
+        CwdDirectModel(**settings)

@@ -150,8 +150,17 @@ def test_study_config_validation():
     (ou_study_config, {"methods": [{"name": "m", "kind": "regularized", "rho": 0.5,
                                     "rho_init": 0.3}]},
      "method 'm' has a rho_init but does not estimate rho"),
+    # model_kwargs follow the number rules of the rest of the config; each
+    # was copied into report.json as given (exit 0)
+    (cwd_study_config, {"model_kwargs": {"natural_mortality": True}},
+     "natural_mortality must be a number, got True"),
+    (cwd_study_config, {"model_kwargs": {"additions": "10"}}, "additions must be a number, got '10'"),
+    (cwd_study_config, {"model_kwargs": {"additions": {"times": [0.0, math.nan],
+                                                       "values": [10.0, 5.0]}}},
+     "breakpoints must be finite and strictly increasing, values finite"),
 ], ids=["ou-theta0", "lorenz-theta0", "theta_init", "x0", "model", "methods-number",
-        "episodes-number", "theta0-number", "model_kwargs-list", "fixed-rho-with-rho_init"])
+        "episodes-number", "theta0-number", "model_kwargs-list", "fixed-rho-with-rho_init",
+        "mortality-bool", "additions-string", "additions-nan-breakpoint"])
 def test_cli_study_config_must_fit_its_model(tmp_path, capsys, preset, change, message):
     cfg_path = tmp_path / "study.json"
     cfg_path.write_text(json.dumps(dict(preset(n_replicates=1).to_dict(), **change)))
@@ -739,12 +748,21 @@ def ou_aux_fit(tmp_path_factory, ou_data):
                  "dataset observed must be a whole number, got False", id="observed-bool"),
     pytest.param(("datasets", 0, "observed"), [5],
                  "dataset observed coordinates do not match the model", id="observed-model"),
+    pytest.param(("datasets", 0, "names"), "x", "names must be one string per observed column",
+                 id="names-string"),
+    pytest.param(("datasets", 0, "names"), 0, "names must be one string per observed column",
+                 id="names-zero"),
+    pytest.param(("datasets", 0, "names"), [math.nan],
+                 "names must be one string per observed column", id="names-nan"),
+    pytest.param(("datasets", 0, "names"), ["x1", "x2"],
+                 "names must be one string per observed column", id="names-count"),
 ])
 def test_a_fit_file_field_that_is_not_what_it_should_be_is_refused(
         tmp_path, capsys, ou_aux_fit, path, value, message):
     # Each was read with float(), int() or bool(), and the bootstrap ran
-    # (exit 0): true as 1, "0.4" as 0.4, false as 0, "no" as true; and the
-    # templates were never checked against the model.
+    # (exit 0): true as 1, "0.4" as 0.4, false as 0, "no" as true; the
+    # templates were never checked against the model; and names were taken
+    # as given, "x" as ("x",), 0 dropped and [NaN] kept.
     bad, out = tmp_path / "bad.json", tmp_path / "out.json"
     bad.write_text(json.dumps(_put(json.loads(ou_aux_fit.read_text()), path, value)))
     assert run_cli("bootstrap", bad, "-B", "2", "--out", out) == 2
@@ -768,6 +786,65 @@ def test_a_fit_file_with_one_bad_field_ends_in_a_known_exit_code(tmp_path_factor
     (where / "fit.json").write_text(json.dumps(_put(fit, path, value)))
     code = run_cli("bootstrap", where / "fit.json", "-B", "2", "--out", where / "boot.json")
     assert code in (0, 2, 3)
+
+
+# Values that a dataset field may be mutated to, in its sidecar or its CSV.
+DATA_FUZZ_VALUES = [math.nan, math.inf, -math.inf, -1, 2.5, "x", None, [], True, ""]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), value=st.sampled_from(DATA_FUZZ_VALUES))
+def test_a_dataset_with_one_bad_field_ends_in_a_known_exit_code(tmp_path_factory, ou_data,
+                                                                data, value):
+    # One field of a small OU dataset changed: a sidecar field or its first
+    # entry, or the header name, one time or one value of the CSV, where a
+    # value is written as its JSON text. As for study configs and fit
+    # files: exit 0, 2 or 3, never an uncaught exception.
+    side = json.loads(ou_data.with_suffix(".json").read_text())
+    rows = [line.split(",") for line in ou_data.read_text().splitlines()]
+    path = data.draw(st.sampled_from(list(_field_paths(side)) + ["header", "time", "value"]))
+    if isinstance(path, tuple):
+        side = _put(side, path, value)
+    else:
+        row = 0 if path == "header" else data.draw(st.integers(1, len(rows) - 1))
+        rows[row][0 if path == "time" else 1] = value if isinstance(value, str) else json.dumps(value)
+    where = tmp_path_factory.mktemp("fuzz")
+    csv = where / "data.csv"
+    csv.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    csv.with_suffix(".json").write_text(json.dumps(side))
+    code = run_cli("estimate", csv, "--model", "ou", "--sampler", "mbb", "-J", "4", "-M", "2",
+                   "--max-evals", "10", "--out", where / "fit.json")
+    assert code in (0, 2, 3)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"natural_mortality": -5.0}, "natural_mortality and additions must be finite and >= 0, got -5.0"),
+    ({"natural_mortality": True}, "natural_mortality must be a number, got True"),
+    ({"additions": "10"}, "additions must be a number, got '10'"),
+])
+def test_a_fit_file_model_setting_follows_the_config_number_rules(tmp_path, capsys, cwd_fit,
+                                                                  kwargs, message):
+    # true bootstrapped (exit 0), and -5.0 failed every replicate as a
+    # numerical error (exit 3).
+    payload = json.loads(cwd_fit.read_text())
+    payload["model"]["kwargs"].update(kwargs)
+    bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+    bad.write_text(json.dumps(payload))
+    assert run_cli("bootstrap", bad, "-B", "2", "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--mortality", "-1"), "natural_mortality and additions must be finite and >= 0, got -1.0"),
+    (("--mortality", "nan"), "natural_mortality and additions must be finite and >= 0, got nan"),
+    (("--additions", "-2"), "must be finite and >= 0, got 0.15 and [-2.0]"),
+])
+def test_cli_model_flags_follow_the_config_number_rules(tmp_path, capsys, flags, message):
+    # Each simulated a herd and wrote it (exit 0).
+    assert run_cli("simulate", "--model", "cwd-direct", *flags, "--out", tmp_path / "herd.csv") == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command, edit, message", [
@@ -847,7 +924,7 @@ def test_run_study_rejects_workers_below_one(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def cwd_boot(tmp_path_factory):
+def cwd_fit(tmp_path_factory):
     root = tmp_path_factory.mktemp("cwd")
     data = root / "herd.csv"
     assert run_cli("simulate", "--model", "cwd-direct", "--x0", "40,6,0",
@@ -855,8 +932,13 @@ def cwd_boot(tmp_path_factory):
     fit = root / "fit.json"
     assert run_cli("estimate", data, "--model", "cwd-direct", "--sampler", "mbb",
                    "-J", "6", "-M", "3", "--max-evals", "60", "--out", fit) == 0
-    boot = root / "boot.json"
-    assert run_cli("bootstrap", fit, "-B", "2", "--data-substeps", "8",
+    return fit
+
+
+@pytest.fixture(scope="module")
+def cwd_boot(cwd_fit):
+    boot = cwd_fit.with_name("boot.json")
+    assert run_cli("bootstrap", cwd_fit, "-B", "2", "--data-substeps", "8",
                    "--out", boot) == 0
     return boot
 

@@ -19,7 +19,7 @@ from psml.core import (
     simulate_dataset,
 )
 from psml.likelihood import PenaltyConfig
-from psml.models import OuModel
+from psml.models import Lorenz63Model, OuModel
 from psml import tune
 from psml.optimize import EstimationError, OptimizerConfig, PsmlFit, maximize_psml
 from psml.samplers import SamplerSpec
@@ -155,6 +155,21 @@ def test_prediction_error_folded_normal():
 def test_prediction_error_rejects_empty_dataset_list():
     with pytest.raises(DomainError, match="at least one dataset"):
         prediction_error(StillModel(), np.array([]), [], 4, 10, rng_stream(0))
+
+
+def test_prediction_error_refuses_data_that_do_not_fit_the_model():
+    # A dataset that observes one Lorenz coordinate was broadcast across all
+    # three, and the error came out as a number.
+    model, theta = Lorenz63Model(), np.array([10.0, 28.0, 8.0 / 3.0, 2.0])
+    grid = TimeGrid(0.0, 0.05 * np.arange(1.0, 6.0), 8)
+    full = simulate_dataset(model, theta, np.array([-10.0, -10.0, 30.0]), grid, rng_stream(4))
+    assert math.isfinite(prediction_error(model, theta, full, 4, 20, rng_stream(5)))
+    one = Dataset(full.t0, full.x0, full.times, full.values[:, :1], (0,))
+    with pytest.raises(DomainError, match="dataset observed coordinates do not match the model"):
+        prediction_error(model, theta, one, 4, 20, rng_stream(5))
+    short = Dataset(full.t0, full.x0[:2], full.times, full.values, (0, 1, 2))
+    with pytest.raises(DomainError, match="dataset x0 has 2 entries, the model has 3 states"):
+        prediction_error(model, theta, [full, short], 4, 20, rng_stream(5))
 
 
 def test_prediction_error_noise_shrinks_with_sims():
@@ -589,10 +604,15 @@ def test_bootstrap_replicates_equal_solo_refits_at_any_worker_count(n_replicates
 def test_bootstrap_chunks_are_contiguous_near_equal_and_cover_every_replicate():
     assert tune._chunks(5, 2, 32) == [[0, 1, 2], [3, 4]]
     assert tune._chunks(2, 3, 32) == [[0], [1]]
+    # the chunk count is a multiple of the worker count, so that each
+    # worker runs as many chunks: 8 of 25 on 2 workers, 100 fits each
     sizes = [len(chunk) for chunk in tune._chunks(200, 2, 32)]
-    assert sizes == [29, 29, 29, 29, 28, 28, 28]
+    assert sizes == [25] * 8
     assert sum(tune._chunks(200, 2, 32), []) == list(range(200))
+    assert tune._chunks(4, 2, 32) == [[0, 1], [2, 3]]
     assert tune._chunks(7, 1, 3) == [[0, 1, 2], [3, 4], [5, 6]]
+    # unless that would make more chunks than replicates
+    assert tune._chunks(5, 4, 1) == [[0], [1], [2], [3], [4]]
 
 
 class SignedNoiseOu(OuModel):
